@@ -207,9 +207,17 @@ def attention_allocation(
     ``query_span`` rows (default: the layout's summary span) into the inner
     audio-reasoning and visual-reasoning columns, then normalizes the pair
     to sum to 1. Layers with no mass into either span report ``None``.
+    Every layer in the window must be L x L for the layout's length L.
     """
     if last_k < 1 or last_k > len(weights_per_layer):
         raise ValueError("last_k must be in [1, number of layers]")
+    matrices = [_as_layer_matrix(layer) for layer in weights_per_layer[-last_k:]]
+    square = (layout.length, layout.length)
+    for idx, matrix in enumerate(matrices):
+        if matrix.shape != square:
+            raise ValueError(
+                f"layer[-{last_k - idx}] weights have shape {list(matrix.shape)}, "
+                f"the layout needs {list(square)}")
     rows = sorted(query_span) if query_span is not None else sorted(layout.summary_span)
     if not rows:
         raise ValueError("query span is empty and layout has no summary span")
@@ -219,8 +227,7 @@ def attention_allocation(
     per_layer: list[tuple[float, float] | None] = []
     audio_total = 0.0
     visual_total = 0.0
-    for layer in weights_per_layer[-last_k:]:
-        matrix = _as_layer_matrix(layer)
+    for matrix in matrices:
         audio_mass = float(matrix[np.ix_(rows, audio_cols)].sum()) if audio_cols else 0.0
         visual_mass = float(matrix[np.ix_(rows, visual_cols)].sum()) if visual_cols else 0.0
         audio_total += audio_mass

@@ -20,6 +20,7 @@ from __future__ import annotations
 import json
 import struct
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
@@ -77,16 +78,24 @@ class TokenLayout:
         if inputs and reasoning and max(inputs) >= min(reasoning):
             raise LayoutError("input positions must precede reasoning positions")
 
-    def role_flags(self) -> dict[str, np.ndarray]:
-        """Boolean membership arrays (length L) per role, for O(L) row work."""
+    @cached_property
+    def _role_flags(self) -> dict[str, np.ndarray]:
         flags = {}
         for name in ROLE_NAMES:
-            arr = np.zeros(self.length, dtype=bool)
             indices = getattr(self, name)
-            if indices:
-                arr[sorted(indices)] = True
+            arr = np.zeros(self.length, dtype=bool)
+            arr[np.fromiter(indices, dtype=np.intp, count=len(indices))] = True
+            arr.setflags(write=False)
             flags[name] = arr
         return flags
+
+    def role_flags(self) -> dict[str, np.ndarray]:
+        """Boolean membership arrays (length L) per role, for O(L) row work.
+
+        The arrays are built once per layout and shared, so they are
+        read-only; the returned dict is a fresh copy.
+        """
+        return dict(self._role_flags)
 
 
 @dataclass(frozen=True, eq=False)
@@ -135,7 +144,7 @@ def build_causal(length: int) -> MaskMatrix:
 def build_maam(layout: TokenLayout) -> MaskMatrix:
     """Asymmetric-visibility mask: blocks exactly the three rule families."""
     n = layout.length
-    flags = layout.role_flags()
+    flags = layout._role_flags
     visible = np.ones((n, n), dtype=bool)
     q_visual = flags["visual_reasoning"]
     q_audio = flags["audio_reasoning"]
@@ -162,13 +171,14 @@ def incremental_row(layout: TokenLayout, i: int) -> np.ndarray:
     """Visibility row for query position ``i`` over keys 0..i.
 
     Equals row ``i`` of the composed mask restricted to columns <= i, computed
-    with O(L) boolean work and no LxL materialization; this is the decode-time
-    path where each step appends a single query row.
+    with O(i) boolean work over the layout's cached role flags and no LxL
+    materialization; this is the decode-time path where each step appends a
+    single query row.
     """
     if not 0 <= i < layout.length:
         raise IndexError(f"row {i} out of range [0, {layout.length})")
     row = np.ones(i + 1, dtype=bool)
-    flags = layout.role_flags()
+    flags = layout._role_flags
     if flags["visual_reasoning"][i]:
         row &= ~flags["audio_input"][: i + 1]
     if flags["audio_reasoning"][i]:
@@ -316,51 +326,61 @@ def load_layout_spec(path: str | Path) -> TokenLayout:
 
 def mask_to_text(mask: MaskMatrix) -> str:
     """Dense grid of 0/1 characters, one row per line. 1 = visible."""
-    return "\n".join(
-        "".join("1" if cell else "0" for cell in row) for row in mask.visible
-    ) + "\n"
+    n = mask.length
+    grid = np.full((n, n + 1), ord("\n"), dtype=np.uint8)
+    np.add(mask.visible, ord("0"), out=grid[:, :n], dtype=np.uint8)
+    return grid.tobytes().decode("ascii")
 
 
 def mask_from_text(text: str) -> MaskMatrix:
+    """Inverse of ``mask_to_text``; blank lines are skipped."""
     rows = [line for line in text.splitlines() if line]
-    grid = [[c == "1" for c in line] for line in rows]
-    return MaskMatrix(np.array(grid, dtype=bool))
+    if not rows:
+        raise ValueError("mask text has no rows")
+    width = len(rows[0])
+    ragged = next((k for k, line in enumerate(rows) if len(line) != width), None)
+    if ragged is not None:
+        raise ValueError(
+            f"mask text row {ragged} has {len(rows[ragged])} cells, row 0 has {width}")
+    # "replace" maps each non-ASCII character to one "?", keeping positions.
+    codes = np.frombuffer("".join(rows).encode("ascii", "replace"), dtype=np.uint8)
+    bad = np.flatnonzero((codes | 1) != ord("1"))  # "0" and "1" differ in bit 0 only
+    if bad.size:
+        row, col = divmod(int(bad[0]), width)
+        raise ValueError(
+            f"mask text row {row} column {col}: {rows[row][col]!r} is not 0 or 1")
+    return MaskMatrix((codes == ord("1")).reshape(len(rows), width))
 
 
 _RLE_MAGIC = b"MRL1"
+_RLE_HEADER = struct.Struct("<IBI")  # length, first bit, run count
+_RLE_RUNS_AT = len(_RLE_MAGIC) + _RLE_HEADER.size
 
 
 def mask_to_rle(mask: MaskMatrix) -> bytes:
     """Compact run-length record over the row-major flattened grid."""
     flat = mask.visible.ravel()
-    runs: list[int] = []
-    first_bit = bool(flat[0])
-    current, count = flat[0], 0
-    for bit in flat:
-        if bit == current:
-            count += 1
-        else:
-            runs.append(count)
-            current, count = bit, 1
-    runs.append(count)
-    out = bytearray(_RLE_MAGIC)
-    out += struct.pack("<IBI", mask.length, int(first_bit), len(runs))
-    out += struct.pack(f"<{len(runs)}I", *runs)
-    return bytes(out)
+    edges = np.flatnonzero(flat[1:] != flat[:-1]) + 1
+    runs = np.diff(np.concatenate(([0], edges, [flat.size])))
+    header = _RLE_HEADER.pack(mask.length, int(flat[0]), runs.size)
+    return _RLE_MAGIC + header + runs.astype("<u4").tobytes()
 
 
 def mask_from_rle(blob: bytes) -> MaskMatrix:
-    if blob[:4] != _RLE_MAGIC:
+    """Inverse of ``mask_to_rle``; a malformed record raises ValueError."""
+    if len(blob) < _RLE_RUNS_AT or blob[:4] != _RLE_MAGIC:
         raise ValueError("not a mask run-length record")
-    length, first_bit, n_runs = struct.unpack_from("<IBI", blob, 4)
-    runs = struct.unpack_from(f"<{n_runs}I", blob, 4 + struct.calcsize("<IBI"))
-    flat = np.empty(length * length, dtype=bool)
-    bit = bool(first_bit)
-    pos = 0
-    for run in runs:
-        flat[pos:pos + run] = bit
-        pos += run
-        bit = not bit
-    if pos != length * length:
+    length, first_bit, n_runs = _RLE_HEADER.unpack_from(blob, len(_RLE_MAGIC))
+    if length < 1:
+        raise ValueError("mask run-length record has length 0")
+    if first_bit > 1:
+        raise ValueError(f"mask run-length record has first bit {first_bit}")
+    size = _RLE_RUNS_AT + 4 * n_runs
+    if len(blob) != size:
+        raise ValueError(
+            f"mask run-length record is {len(blob)} bytes, its header needs {size}")
+    runs = np.frombuffer(blob, dtype="<u4", count=n_runs, offset=_RLE_RUNS_AT)
+    if int(runs.sum(dtype=np.uint64)) != length * length:
         raise ValueError("run lengths do not cover the grid")
-    return MaskMatrix(flat.reshape(length, length))
+    bits = np.arange(n_runs) % 2 != first_bit
+    return MaskMatrix(np.repeat(bits, runs).reshape(length, length))

@@ -1,7 +1,10 @@
-"""Shared fixtures: the L=6 layout, a brute-force mask oracle, and a random
-valid-layout generator used by the property and acceptance suites."""
+"""Shared fixtures: the L=6 layout, a brute-force mask oracle, loop-based
+reference encoders for the mask exports, and a random valid-layout generator
+used by the property and acceptance suites."""
 
 from __future__ import annotations
+
+import struct
 
 import numpy as np
 import pytest
@@ -38,6 +41,31 @@ def brute_force_mask(layout: TokenLayout) -> MaskMatrix:
             if i in layout.audio_reasoning and j in layout.visual_span:
                 visible[i, j] = False
     return MaskMatrix(visible)
+
+
+def reference_mask_to_text(mask: MaskMatrix) -> str:
+    """Per-cell text export; the engine's vectorized output must equal it."""
+    return "\n".join(
+        "".join("1" if cell else "0" for cell in row) for row in mask.visible
+    ) + "\n"
+
+
+def reference_mask_to_rle(mask: MaskMatrix) -> bytes:
+    """Per-cell run-length export; the engine's vectorized output must equal it."""
+    flat = mask.visible.ravel()
+    runs: list[int] = []
+    current, count = flat[0], 0
+    for bit in flat:
+        if bit == current:
+            count += 1
+        else:
+            runs.append(count)
+            current, count = bit, 1
+    runs.append(count)
+    out = bytearray(b"MRL1")
+    out += struct.pack("<IBI", mask.length, int(bool(flat[0])), len(runs))
+    out += struct.pack(f"<{len(runs)}I", *runs)
+    return bytes(out)
 
 
 def random_layout(rng: np.random.Generator, max_length: int = 64) -> TokenLayout:

@@ -229,6 +229,25 @@ def test_attn_report_on_synthetic_weights(tmp_path, capsys) -> None:
     assert payload["visual_fraction"] == pytest.approx(visual / (audio + visual))
 
 
+def test_attn_report_rejects_weights_smaller_than_layout(tmp_path, capsys) -> None:
+    spec = json.loads((DATA / "layout_l6.json").read_text(encoding="utf-8"))
+    spec["summary_span"] = [[4, 5]]
+    spec_path = tmp_path / "layout.json"
+    spec_path.write_text(json.dumps(spec), encoding="utf-8")
+    weights_path = tmp_path / "weights.jsonl"
+    write_weights_jsonl(weights_path, [np.full((3, 3), 1.0 / 3.0)])
+
+    code = main(["attn-report", "--weights", str(weights_path),
+                 "--spec", str(spec_path)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("error: ")
+    assert "[3, 3]" in lines[0] and "[6, 6]" in lines[0]
+
+
 # --- leakage -------------------------------------------------------------------------------
 
 def test_leakage_with_mask_is_zero(capsys) -> None:

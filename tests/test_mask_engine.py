@@ -1,4 +1,5 @@
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -22,7 +23,12 @@ from sffuse.mask_engine import (
     mask_to_text,
 )
 
-from conftest import brute_force_mask, random_layout
+from conftest import (
+    brute_force_mask,
+    random_layout,
+    reference_mask_to_rle,
+    reference_mask_to_text,
+)
 
 
 # --- causal -----------------------------------------------------------------
@@ -176,6 +182,34 @@ def test_incremental_row_out_of_range(fixture_layout) -> None:
         incremental_row(fixture_layout, 6)
 
 
+def test_incremental_row_leaves_cached_flags_read_only_and_unchanged() -> None:
+    layout = TokenLayout(length=8, video_input={0}, audio_input={1},
+                         visual_reasoning={3}, visual_span={2, 3, 4},
+                         audio_reasoning={5}, summary_span={6, 7})
+    before = {name: arr.copy() for name, arr in layout.role_flags().items()}
+    rows = [incremental_row(layout, i) for i in range(layout.length)]
+    flags = layout.role_flags()
+    for name, arr in flags.items():
+        assert not arr.flags.writeable
+        assert arr.tolist() == before[name].tolist()
+        assert arr is layout.role_flags()[name]  # computed once, then shared
+    assert all(not row.flags.writeable for row in rows)
+    with pytest.raises(ValueError):
+        flags["audio_input"][0] = True
+    flags["audio_input"] = np.ones(8, dtype=bool)  # the returned dict is a copy
+    assert incremental_row(layout, 3).tolist() == [True, False, True, True]
+
+
+def test_cached_flags_leave_layout_equality_and_hash_unchanged(fixture_layout) -> None:
+    fresh = TokenLayout(length=6, video_input={0}, audio_input={1},
+                        visual_reasoning={2}, audio_reasoning={3}, visual_span={2})
+    build_composite(fixture_layout)
+    incremental_row(fixture_layout, 5)
+    assert fixture_layout == fresh
+    assert hash(fixture_layout) == hash(fresh)
+    assert repr(fixture_layout) == repr(fresh)
+
+
 def test_incremental_rows_agree_with_full_matrix() -> None:
     rng = np.random.default_rng(401)
     for _ in range(25):
@@ -297,6 +331,72 @@ def test_mask_rle_round_trip() -> None:
 def test_mask_rle_rejects_garbage() -> None:
     with pytest.raises(ValueError):
         mask_from_rle(b"not-a-record")
+
+
+FIXTURE_RLE_HEX = (
+    "4d524c31" "06000000" "01" "0f000000"  # magic, L=6, first bit 1, 15 runs
+    "01000000" "05000000" "02000000" "04000000" "01000000"
+    "01000000" "01000000" "04000000" "01000000" "01000000"
+    "01000000" "02000000" "05000000" "01000000" "06000000"
+)
+
+
+def test_mask_rle_fixture_golden(fixture_layout) -> None:
+    blob = mask_to_rle(build_composite(fixture_layout))
+    assert blob == bytes.fromhex(FIXTURE_RLE_HEX)
+
+
+def _export_cases() -> list[MaskMatrix]:
+    rng = np.random.default_rng(2024)
+    masks = [build_composite(random_layout(rng)) for _ in range(300)]
+    masks.append(build_causal(1))
+    masks.append(MaskMatrix(np.ones((7, 7), dtype=bool)))
+    masks.append(MaskMatrix(np.zeros((5, 5), dtype=bool)))
+    large = []
+    while len(large) < 3:
+        layout = random_layout(rng, max_length=400)
+        if layout.length >= 300:
+            large.append(build_composite(layout))
+    return masks + large
+
+
+def test_exports_byte_identical_to_reference_encoders() -> None:
+    for mask in _export_cases():
+        text = mask_to_text(mask)
+        blob = mask_to_rle(mask)
+        assert text == reference_mask_to_text(mask)
+        assert blob == reference_mask_to_rle(mask)
+        assert mask_from_text(text) == mask
+        assert mask_from_rle(blob) == mask
+
+
+def _rle(length: int, first_bit: int, runs: list[int]) -> bytes:
+    return (b"MRL1" + struct.pack("<IBI", length, first_bit, len(runs))
+            + struct.pack(f"<{len(runs)}I", *runs))
+
+
+@pytest.mark.parametrize("blob, message", [
+    (b"MRL1\x01", "not a mask"),
+    (_rle(2, 1, [1, 3])[:-2], "bytes"),
+    (_rle(2, 1, [1, 3]) + b"\x00", "bytes"),
+    (_rle(0, 1, []), "length 0"),
+    (_rle(2, 2, [1, 3]), "first bit"),
+    (_rle(2, 1, [1, 2]), "cover"),
+])
+def test_mask_rle_rejects_malformed_records(blob, message) -> None:
+    with pytest.raises(ValueError, match=message):
+        mask_from_rle(blob)
+
+
+@pytest.mark.parametrize("text, message", [
+    ("12\n11\n", "'2' is not 0 or 1"),
+    ("10\n1\n", "row 1 has 1 cells"),
+    ("1\u00e9\n11\n", "'\u00e9' is not 0 or 1"),
+    ("\n\n", "no rows"),
+])
+def test_mask_text_rejects_malformed_grids(text, message) -> None:
+    with pytest.raises(ValueError, match=message):
+        mask_from_text(text)
 
 
 def test_mask_matrix_is_immutable(fixture_layout) -> None:
