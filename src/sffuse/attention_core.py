@@ -20,6 +20,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
+from .jsonl import read_objects
 from .mask_engine import (
     MaskMatrix,
     TokenLayout,
@@ -221,6 +222,9 @@ def attention_allocation(
     rows = sorted(query_span) if query_span is not None else sorted(layout.summary_span)
     if not rows:
         raise ValueError("query span is empty and layout has no summary span")
+    if rows[0] < 0 or rows[-1] >= layout.length:
+        outside = [r for r in rows if not 0 <= r < layout.length]
+        raise ValueError(f"query span rows {outside} out of range [0, {layout.length})")
     audio_cols = sorted(layout.audio_reasoning)
     visual_cols = sorted(layout.visual_reasoning)
 
@@ -316,20 +320,6 @@ def leakage_layout(sizes: Mapping[str, int]) -> TokenLayout:
     )
 
 
-def blocked_pair_families(layout: TokenLayout) -> set[tuple[int, int]]:
-    """All (query, key) cells the three asymmetric rules forbid."""
-    cells = set()
-    for i in layout.visual_reasoning:
-        for j in layout.audio_input:
-            cells.add((i, j))
-    for i in layout.audio_reasoning:
-        for j in layout.video_input:
-            cells.add((i, j))
-        for j in layout.visual_span:
-            cells.add((i, j))
-    return cells
-
-
 def leakage_probe(
     seed: int,
     layout_sizes: Mapping[str, int] | None = None,
@@ -343,8 +333,10 @@ def leakage_probe(
     """
     sizes = dict(DEFAULT_LEAKAGE_SIZES if layout_sizes is None else layout_sizes)
     layout = leakage_layout(sizes)
-    mask = build_composite(layout) if use_maam else build_causal(layout.length)
-    cells = blocked_pair_families(layout)
+    causal = build_causal(layout.length)
+    composite = build_composite(layout)
+    blocked = causal.visible & ~composite.visible  # causal cells the rules block
+    mask = composite if use_maam else causal
     rng = np.random.default_rng(seed)
 
     blocked_mass = 0.0
@@ -353,8 +345,7 @@ def leakage_probe(
         k = rng.normal(size=(layout.length, _LEAKAGE_DIM))
         v = rng.normal(size=(layout.length, _LEAKAGE_DIM))
         _, weights = masked_attention(AttentionInputs(q=q, k=k, v=v, mask=mask))
-        for i, j in sorted(cells):  # fixed order keeps the sum reproducible
-            blocked_mass += float(weights.matrix[i, j])
+        blocked_mass += float(weights.matrix[blocked].sum())
 
     reasoning_rows = len(layout.visual_reasoning | layout.audio_reasoning)
     denom = reasoning_rows * _LEAKAGE_LAYERS
@@ -386,11 +377,9 @@ def write_weights_jsonl(path: str | Path, layers: Sequence[np.ndarray]) -> None:
 
 def read_weights_jsonl(path: str | Path) -> list[np.ndarray]:
     layers = []
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            if not line.strip():
-                continue
-            obj = json.loads(line)
-            shape = tuple(obj["shape"])
-            layers.append(np.asarray(obj["data"], dtype=float).reshape(shape))
+    for lineno, obj in read_objects(path):
+        try:
+            layers.append(np.asarray(obj["data"], dtype=float).reshape(tuple(obj["shape"])))
+        except (KeyError, TypeError) as exc:
+            raise ValueError(f"{path}:{lineno}: bad weights record: {exc!r}") from exc
     return layers

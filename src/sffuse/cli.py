@@ -13,10 +13,13 @@ import argparse
 import json
 import os
 import sys
+from collections import Counter
+from dataclasses import asdict, replace
 from pathlib import Path
 
 from . import attention_core, mask_engine, pem_pipeline, rl_core, tag_grammar
 from .config import ConfigError, load_config
+from .jsonl import read_objects
 
 
 def _dump(obj) -> str:
@@ -32,19 +35,11 @@ def _fail(message: str) -> int:
 
 def cmd_annotate(args: argparse.Namespace) -> int:
     try:
-        cfg = load_config(args.config)
-    except ConfigError as exc:
+        pipeline_cfg = load_config(args.config).pipeline
+        if args.parallelism is not None:
+            pipeline_cfg = replace(pipeline_cfg, parallelism=args.parallelism)
+    except ValueError as exc:  # a ConfigError, or a parallelism below 1
         return _fail(str(exc))
-    pipeline_cfg = cfg.pipeline
-    if args.parallelism is not None:
-        pipeline_cfg = pem_pipeline.PipelineConfig(
-            n=pipeline_cfg.n,
-            tau_acc=pipeline_cfg.tau_acc,
-            tau_cons=pipeline_cfg.tau_cons,
-            parallelism=args.parallelism,
-            endpoint=pipeline_cfg.endpoint,
-            embedder_endpoint=pipeline_cfg.embedder_endpoint,
-        )
 
     if not Path(args.input).exists():
         return _fail(f"input file not found: {args.input}")
@@ -68,7 +63,7 @@ def cmd_annotate(args: argparse.Namespace) -> int:
 
     try:
         result = pem_pipeline.annotate(dataset, sampler, embedder, pipeline_cfg)
-    except pem_pipeline.EmptyDatasetError as exc:
+    except (pem_pipeline.EmptyDatasetError, ValueError) as exc:
         return _fail(str(exc))
 
     pem_pipeline.write_jsonl(args.out, result.labeled)
@@ -105,38 +100,37 @@ def cmd_validate(args: argparse.Namespace) -> int:
         traces = tag_grammar.read_trace_records(args.traces)
     except (OSError, ValueError, json.JSONDecodeError) as exc:
         return _fail(f"cannot read traces: {exc}")
-    labels = {}
     try:
-        with open(args.labels, encoding="utf-8") as fh:
-            for line in fh:
-                if not line.strip():
-                    continue
-                obj = json.loads(line)
-                labels[str(obj["id"])] = (str(obj["pem"]), str(obj["answer"]))
-    except (OSError, KeyError, json.JSONDecodeError) as exc:
+        labels = [(str(obj["id"]), str(obj["pem"]), str(obj["answer"]))
+                  for _, obj in read_objects(args.labels)]
+    except (OSError, KeyError, ValueError) as exc:
         return _fail(f"cannot read labels: {exc}")
 
+    for kind, ids in (("trace", [t[0] for t in traces]), ("label", [t[0] for t in labels])):
+        repeated = sorted(k for k, n in Counter(ids).items() if n > 1)
+        if repeated:
+            return _fail(f"duplicate {kind} ids: {repeated}")
+    labels_by_id = {record_id: (pem, answer) for record_id, pem, answer in labels}
     trace_ids = {record_id for record_id, _ in traces}
-    if trace_ids != set(labels):
-        missing = sorted(trace_ids ^ set(labels))
+    if trace_ids != set(labels_by_id):
+        missing = sorted(trace_ids ^ set(labels_by_id))
         return _fail(f"id mismatch between traces and labels: {missing}")
+    if not traces:
+        return _fail("no traces to score")
 
     rows = []
     for record_id, text in sorted(traces):
-        pem_text, answer = labels[record_id]
+        pem_text, answer = labels_by_id[record_id]
         gold_pem = tag_grammar.PemLabel.from_text(pem_text)
         if gold_pem is None:
             return _fail(f"label {record_id}: unknown PEM value {pem_text!r}")
-        ok, diags = tag_grammar.validate_structure(text)
-        r_mps = rl_core.reward_mps(text, gold_pem)
-        r_acc = rl_core.reward_acc(text, answer)
-        r_stage2 = cfg.rewards.lambda_acc * r_acc + cfg.rewards.lambda_mps * r_mps
+        score = rl_core.score_trace(text, gold_pem, answer, cfg.rewards)
         rows.append({
             "id": record_id,
-            "r_mps": r_mps,
-            "r_acc": r_acc,
-            "r_stage2": r_stage2,
-            "diagnostics": [d.to_dict() for d in diags] if not ok else [],
+            "r_mps": score.r_mps,
+            "r_acc": score.r_acc,
+            "r_stage2": score.r_stage2,
+            "diagnostics": [d.to_dict() for d in score.diagnostics],
         })
 
     if args.out:
@@ -233,14 +227,8 @@ def cmd_attn_report(args: argparse.Namespace) -> int:
             layers, layout, last_k=min(args.last_k, len(layers)))
     except ValueError as exc:
         return _fail(str(exc))
-    payload = {
-        "window": report.window,
-        "audio_fraction": report.audio_fraction,
-        "visual_fraction": report.visual_fraction,
-        "per_layer": [list(p) if p is not None else None for p in report.per_layer],
-    }
     if args.json:
-        print(_dump(payload))
+        print(_dump(asdict(report)))
     else:
         print(f"last {report.window} layers: audio={report.audio_fraction:.4f} "
               f"visual={report.visual_fraction:.4f}")
@@ -257,16 +245,8 @@ def cmd_attn_report(args: argparse.Namespace) -> int:
 
 def cmd_leakage(args: argparse.Namespace) -> int:
     report = attention_core.leakage_probe(args.seed, use_maam=not args.no_maam)
-    payload = {
-        "seed": report.seed,
-        "use_maam": report.use_maam,
-        "length": report.length,
-        "layers": report.layers,
-        "blocked_pair_mass": report.blocked_pair_mass,
-        "direct_leakage": report.direct_leakage,
-    }
     if args.json:
-        print(_dump(payload))
+        print(_dump(asdict(report)))
     else:
         mode = "with asymmetric mask" if report.use_maam else "causal only"
         print(f"seed {report.seed} ({mode}): direct_leakage={report.direct_leakage} "
@@ -312,17 +292,19 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("grpo-step", help="advantages and clipped objective per group")
     p.add_argument("--rollouts", required=True, help="rollout groups JSONL")
-    p.add_argument("--alpha", type=float, default=0.2, help="clip range")
-    p.add_argument("--beta", type=float, default=0.01, help="KL coefficient")
-    p.add_argument("--eps", type=float, default=1e-8, help="stability constant")
+    grpo = rl_core.GrpoConfig()
+    p.add_argument("--alpha", type=float, default=grpo.clip_alpha, help="clip range")
+    p.add_argument("--beta", type=float, default=grpo.kl_beta, help="KL coefficient")
+    p.add_argument("--eps", type=float, default=grpo.eps_stab, help="stability constant")
     p.add_argument("--json", action="store_true", help="machine-readable output")
     p.set_defaults(func=cmd_grpo_step)
 
     p = sub.add_parser("attn-report", help="audio/visual attention allocation")
     p.add_argument("--weights", required=True, help="per-layer weights JSONL")
     p.add_argument("--spec", required=True, help="layout spec JSON")
-    p.add_argument("--last-k", type=int, default=16, dest="last_k",
-                   help="layer window (default 16, clamped to the layer count)")
+    p.add_argument("--last-k", type=int, default=attention_core.DEFAULT_ALLOCATION_WINDOW,
+                   dest="last_k",
+                   help="layer window (default %(default)s, clamped to the layer count)")
     p.add_argument("--json", action="store_true", help="machine-readable output")
     p.set_defaults(func=cmd_attn_report)
 

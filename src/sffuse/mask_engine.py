@@ -3,16 +3,11 @@
 Over a token sequence we distinguish five position sets: video inputs,
 audio inputs, the inner visual-reasoning tokens, the inner audio-reasoning
 tokens, and the full visual span including its boundary tags. The
-asymmetric mask blocks exactly three query-key families on top of plain
-causal visibility:
-
-  * visual-reasoning queries -> audio input keys
-  * audio-reasoning queries  -> video input keys
-  * audio-reasoning queries  -> any key inside the visual span
-
-Everything else keeps default causal visibility. Masks are stored as
-boolean matrices (True = visible); the additive 0 / -inf semantics are
-realized by the attention core at softmax time.
+asymmetric mask blocks exactly the three query-key families listed in
+``BLOCKED_ROLE_PAIRS`` on top of plain causal visibility; every mask path
+reads that table. Everything else keeps default causal visibility. Masks
+are stored as boolean matrices (True = visible); the additive 0 / -inf
+semantics are realized by the attention core at softmax time.
 """
 
 from __future__ import annotations
@@ -38,6 +33,13 @@ ROLE_NAMES = (
     "audio_reasoning",
     "visual_span",
     "summary_span",
+)
+
+# (query role, key role): queries in the first role never see keys in the second.
+BLOCKED_ROLE_PAIRS = (
+    ("visual_reasoning", "audio_input"),
+    ("audio_reasoning", "video_input"),
+    ("audio_reasoning", "visual_span"),  # the whole span, boundary tags included
 )
 
 
@@ -138,20 +140,21 @@ def build_causal(length: int) -> MaskMatrix:
     """Plain causal mask: cell (i, j) visible iff j <= i."""
     if length < 1:
         raise ValueError("length must be >= 1")
-    return MaskMatrix(np.tril(np.ones((length, length), dtype=bool)))
+    return MaskMatrix(np.tri(length, dtype=bool))
+
+
+def _block_role_pairs(visible: np.ndarray, layout: TokenLayout) -> np.ndarray:
+    """Clear every ``BLOCKED_ROLE_PAIRS`` cell of an L x L matrix in place."""
+    flags = layout._role_flags
+    for query, key in BLOCKED_ROLE_PAIRS:
+        visible[np.ix_(flags[query], flags[key])] = False
+    return visible
 
 
 def build_maam(layout: TokenLayout) -> MaskMatrix:
     """Asymmetric-visibility mask: blocks exactly the three rule families."""
     n = layout.length
-    flags = layout._role_flags
-    visible = np.ones((n, n), dtype=bool)
-    q_visual = flags["visual_reasoning"]
-    q_audio = flags["audio_reasoning"]
-    visible[np.ix_(q_visual, flags["audio_input"])] = False
-    visible[np.ix_(q_audio, flags["video_input"])] = False
-    visible[np.ix_(q_audio, flags["visual_span"])] = False
-    return MaskMatrix(visible)
+    return MaskMatrix(_block_role_pairs(np.ones((n, n), dtype=bool), layout))
 
 
 def compose(causal: MaskMatrix, maam: MaskMatrix) -> MaskMatrix:
@@ -163,8 +166,9 @@ def compose(causal: MaskMatrix, maam: MaskMatrix) -> MaskMatrix:
 
 
 def build_composite(layout: TokenLayout) -> MaskMatrix:
-    """Causal visibility with the asymmetric rules applied on top."""
-    return compose(build_causal(layout.length), build_maam(layout))
+    """Causal visibility with the asymmetric rules applied on top; equals
+    ``compose(build_causal(L), build_maam(layout))`` from one L x L matrix."""
+    return MaskMatrix(_block_role_pairs(np.tri(layout.length, dtype=bool), layout))
 
 
 def incremental_row(layout: TokenLayout, i: int) -> np.ndarray:
@@ -179,11 +183,9 @@ def incremental_row(layout: TokenLayout, i: int) -> np.ndarray:
         raise IndexError(f"row {i} out of range [0, {layout.length})")
     row = np.ones(i + 1, dtype=bool)
     flags = layout._role_flags
-    if flags["visual_reasoning"][i]:
-        row &= ~flags["audio_input"][: i + 1]
-    if flags["audio_reasoning"][i]:
-        row &= ~flags["video_input"][: i + 1]
-        row &= ~flags["visual_span"][: i + 1]
+    for query, key in BLOCKED_ROLE_PAIRS:
+        if flags[query][i]:
+            row &= ~flags[key][: i + 1]
     row.setflags(write=False)
     return row
 

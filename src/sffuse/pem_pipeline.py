@@ -23,13 +23,14 @@ import re
 import urllib.error
 import urllib.request
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from importlib import resources
 from pathlib import Path
 from typing import Callable, Iterable, Mapping, Protocol, Sequence
 
 import numpy as np
 
+from .jsonl import read_objects
 from .normalize import answers_match
 from .tag_grammar import PemLabel
 
@@ -109,11 +110,7 @@ class SolvabilityRecord:
     solvable: bool
 
     def to_dict(self) -> dict:
-        return {
-            "accuracy_rate": self.accuracy_rate,
-            "consistency": self.consistency,
-            "solvable": self.solvable,
-        }
+        return asdict(self)
 
 
 class DiscardReason(enum.Enum):
@@ -401,25 +398,26 @@ def labeled_export(instance: Instance, record: PemRecord, cot: str) -> dict:
 
 def read_instances(path: str | Path) -> list[Instance]:
     instances = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            obj = json.loads(line)
-            try:
-                media = obj.get("media", {})
-                instances.append(Instance(
-                    id=str(obj["id"]),
-                    question=str(obj["question"]),
-                    media=MediaRefs(
-                        audio_ref=str(media.get("audio_ref", "")),
-                        video_ref=str(media.get("video_ref", "")),
-                    ),
-                    gold_answer=str(obj["gold_answer"]),
-                    choices=tuple(obj["choices"]) if "choices" in obj else None,
-                ))
-            except KeyError as exc:
-                raise ValueError(f"{path}:{lineno}: missing field {exc}") from exc
+    for lineno, obj in read_objects(path):
+        media = obj.get("media", {})
+        choices = obj.get("choices", [])
+        if not isinstance(media, dict):
+            raise ValueError(f"{path}:{lineno}: media must be an object")
+        if not (isinstance(choices, list) and all(isinstance(c, str) for c in choices)):
+            raise ValueError(f"{path}:{lineno}: choices must be a list of strings")
+        try:
+            instances.append(Instance(
+                id=str(obj["id"]),
+                question=str(obj["question"]),
+                media=MediaRefs(
+                    audio_ref=str(media.get("audio_ref", "")),
+                    video_ref=str(media.get("video_ref", "")),
+                ),
+                gold_answer=str(obj["gold_answer"]),
+                choices=tuple(choices) if "choices" in obj else None,
+            ))
+        except KeyError as exc:
+            raise ValueError(f"{path}:{lineno}: missing field {exc}") from exc
     return instances
 
 
@@ -551,6 +549,20 @@ def _urllib_transport(url: str, payload: dict, headers: dict, timeout: float) ->
         return json.loads(response.read().decode("utf-8"))
 
 
+def _post(endpoint: EndpointConfig, transport: Transport, token: str | None,
+          payload: dict, error: type[PipelineError], what: str) -> dict:
+    """POST with an optional bearer token, retrying transport errors up to
+    ``endpoint.retries`` times; then raise ``error("{what}: {last error}")``."""
+    headers = {"Authorization": f"Bearer {token}"} if token else {}
+    last_error: Exception | None = None
+    for _ in range(endpoint.retries + 1):
+        try:
+            return transport(endpoint.base_url, payload, headers, endpoint.timeout)
+        except (urllib.error.URLError, TimeoutError, ConnectionError) as exc:
+            last_error = exc
+    raise error(f"{what}: {last_error}")
+
+
 def load_prompt_template(setting: ProbeSetting, prompt_dir: str | Path | None = None) -> str:
     """Editable prompt fixture for one probe setting."""
     name = _PROMPT_FILES[setting]
@@ -625,22 +637,8 @@ class HttpSampler:
             "n": n,
             "temperature": self.endpoint.temperature,
         }
-        headers = {}
-        if self.token:
-            headers["Authorization"] = f"Bearer {self.token}"
-
-        last_error: Exception | None = None
-        for _ in range(self.endpoint.retries + 1):
-            try:
-                response = self.transport(
-                    self.endpoint.base_url, payload, headers, self.endpoint.timeout)
-                break
-            except (urllib.error.URLError, TimeoutError, ConnectionError) as exc:
-                last_error = exc
-        else:
-            raise SamplingError(
-                f"endpoint unreachable for {instance.id}/{setting.value}: {last_error}")
-
+        response = _post(self.endpoint, self.transport, self.token, payload, SamplingError,
+                         f"endpoint unreachable for {instance.id}/{setting.value}")
         choices = response.get("choices")
         if not isinstance(choices, list) or len(choices) != n:
             raise SamplingError(
@@ -674,19 +672,8 @@ class HttpEmbedder:
 
     def embed(self, texts: Sequence[str]) -> np.ndarray:
         payload = {"model": self.endpoint.model, "input": list(texts)}
-        headers = {}
-        if self.token:
-            headers["Authorization"] = f"Bearer {self.token}"
-        last_error: Exception | None = None
-        for _ in range(self.endpoint.retries + 1):
-            try:
-                response = self.transport(
-                    self.endpoint.base_url, payload, headers, self.endpoint.timeout)
-                break
-            except (urllib.error.URLError, TimeoutError, ConnectionError) as exc:
-                last_error = exc
-        else:
-            raise EmbeddingError(f"embedder unreachable: {last_error}")
+        response = _post(self.endpoint, self.transport, self.token, payload, EmbeddingError,
+                         "embedder unreachable")
         try:
             vectors = [row["embedding"] for row in response["data"]]
         except (KeyError, TypeError) as exc:

@@ -12,7 +12,6 @@ surrogate minus a KL penalty against the reference policy.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -20,8 +19,9 @@ from typing import Sequence
 
 import numpy as np
 
+from .jsonl import read_objects
 from .normalize import answers_match
-from .tag_grammar import PemLabel, parse_trace
+from .tag_grammar import ParseDiagnostic, PemLabel, SfrTrace, parse_trace
 
 
 @dataclass(frozen=True)
@@ -61,10 +61,8 @@ class RolloutGroup:
     logp_ref: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "rewards", tuple(float(r) for r in self.rewards))
-        object.__setattr__(self, "logp_new", tuple(float(x) for x in self.logp_new))
-        object.__setattr__(self, "logp_old", tuple(float(x) for x in self.logp_old))
-        object.__setattr__(self, "logp_ref", tuple(float(x) for x in self.logp_ref))
+        for name in ("rewards", "logp_new", "logp_old", "logp_ref"):
+            object.__setattr__(self, name, tuple(float(x) for x in getattr(self, name)))
         g = len(self.rewards)
         if g < 2:
             raise ValueError("a rollout group needs G >= 2 responses")
@@ -77,20 +75,41 @@ class RolloutGroup:
         return len(self.rewards)
 
 
+@dataclass(frozen=True)
+class TraceScore:
+    """Both rewards and the stage-2 sum of one trace, from a single parse;
+    ``diagnostics`` is empty iff the trace is structurally valid."""
+
+    r_mps: int
+    r_acc: int
+    r_stage2: float
+    diagnostics: tuple[ParseDiagnostic, ...]
+
+
+def _mps(trace: SfrTrace | None, gold_pem: PemLabel) -> int:
+    return 1 if trace is not None and trace.pem == gold_pem else 0
+
+
+def _acc(trace: SfrTrace | None, ground_truth: str) -> int:
+    return 1 if trace is not None and answers_match(trace.answer_text, ground_truth) else 0
+
+
+def score_trace(output_text: str, gold_pem: PemLabel, ground_truth: str,
+                cfg: RewardConfig = RewardConfig()) -> TraceScore:
+    """Parse once and score: stage 2 is ``lambda_acc * acc + lambda_mps * mps``."""
+    trace, diags = parse_trace(output_text)
+    r_mps, r_acc = _mps(trace, gold_pem), _acc(trace, ground_truth)
+    return TraceScore(r_mps, r_acc, cfg.lambda_acc * r_acc + cfg.lambda_mps * r_mps, tuple(diags))
+
+
 def reward_mps(output_text: str, gold_pem: PemLabel) -> int:
     """1 iff the trace is structurally valid and its PEM matches gold."""
-    trace, _ = parse_trace(output_text)
-    if trace is None:
-        return 0
-    return 1 if trace.pem == gold_pem else 0
+    return _mps(parse_trace(output_text)[0], gold_pem)
 
 
 def reward_acc(output_text: str, ground_truth: str) -> int:
     """1 iff the answer segment equals the ground truth after normalization."""
-    trace, _ = parse_trace(output_text)
-    if trace is None:
-        return 0
-    return 1 if answers_match(trace.answer_text, ground_truth) else 0
+    return _acc(parse_trace(output_text)[0], ground_truth)
 
 
 def reward_stage1(output_text: str, gold_pem: PemLabel) -> int:
@@ -104,8 +123,7 @@ def reward_stage2(
     ground_truth: str,
     cfg: RewardConfig = RewardConfig(),
 ) -> float:
-    return (cfg.lambda_acc * reward_acc(output_text, ground_truth)
-            + cfg.lambda_mps * reward_mps(output_text, gold_pem))
+    return score_trace(output_text, gold_pem, ground_truth, cfg).r_stage2
 
 
 def group_advantages(rewards: Sequence[float], eps_stab: float) -> list[float]:
@@ -198,19 +216,17 @@ def grpo_gradient_logp_new(group: RolloutGroup, cfg: GrpoConfig) -> np.ndarray:
 def read_rollout_groups(path: str | Path) -> list[tuple[str, RolloutGroup]]:
     """JSONL rollout records: {group_id, rewards[], logp_new[], logp_old[], logp_ref[]}."""
     groups = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            obj = json.loads(line)
-            try:
-                group = RolloutGroup(
-                    rewards=obj["rewards"],
-                    logp_new=obj["logp_new"],
-                    logp_old=obj["logp_old"],
-                    logp_ref=obj["logp_ref"],
-                )
-            except KeyError as exc:
-                raise ValueError(f"{path}:{lineno}: missing field {exc}") from exc
-            groups.append((str(obj.get("group_id", lineno)), group))
+    for lineno, obj in read_objects(path):
+        try:
+            group = RolloutGroup(
+                rewards=obj["rewards"],
+                logp_new=obj["logp_new"],
+                logp_old=obj["logp_old"],
+                logp_ref=obj["logp_ref"],
+            )
+        except KeyError as exc:
+            raise ValueError(f"{path}:{lineno}: missing field {exc}") from exc
+        except TypeError as exc:
+            raise ValueError(f"{path}:{lineno}: {exc}") from exc
+        groups.append((str(obj.get("group_id", lineno)), group))
     return groups

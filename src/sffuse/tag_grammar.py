@@ -21,6 +21,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable
 
+from .jsonl import read_objects
+
 TAG_NAMES = ("mod", "v", "a", "sum", "ans")
 
 _TAG_TOKEN = re.compile(r"</?(mod|v|a|sum|ans)>")
@@ -248,14 +250,10 @@ def render_trace(trace: SfrTrace) -> str:
 def read_trace_records(path: str | Path) -> list[tuple[str, str]]:
     """Read one-per-line ``{id, text}`` JSONL records."""
     records = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            obj = json.loads(line)
-            if "id" not in obj or "text" not in obj:
-                raise ValueError(f"{path}:{lineno}: record needs 'id' and 'text'")
-            records.append((str(obj["id"]), str(obj["text"])))
+    for lineno, obj in read_objects(path):
+        if "id" not in obj or "text" not in obj:
+            raise ValueError(f"{path}:{lineno}: record needs 'id' and 'text'")
+        records.append((str(obj["id"]), str(obj["text"])))
     return records
 
 

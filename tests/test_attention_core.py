@@ -8,7 +8,6 @@ from sffuse.attention_core import (
     FullyBlockedRowError,
     attention_allocation,
     attention_gradients,
-    blocked_pair_families,
     gradient_check,
     leakage_layout,
     leakage_probe,
@@ -288,6 +287,20 @@ def test_allocation_errors() -> None:
         attention_allocation([no_mass], ALLOC_LAYOUT, last_k=1)
 
 
+@pytest.mark.parametrize("row", [10, 12])
+def test_allocation_rejects_query_rows_past_the_end(row) -> None:
+    layer = _weights_with((8, 9), {5: 0.5})
+    with pytest.raises(ValueError, match=rf"query span rows \[{row}\] out of range \[0, 10\)"):
+        attention_allocation([layer], ALLOC_LAYOUT, query_span={8, row}, last_k=1)
+
+
+def test_allocation_rejects_negative_query_rows() -> None:
+    # A negative index would read a row from the end and give a plausible report.
+    layer = _weights_with((8, 9), {5: 0.5})
+    with pytest.raises(ValueError, match=r"query span rows \[-1\] out of range"):
+        attention_allocation([layer], ALLOC_LAYOUT, query_span={-1}, last_k=1)
+
+
 def test_allocation_default_query_span_is_summary() -> None:
     layer = _weights_with((8, 9), {5: 0.25, 2: 0.25})
     explicit = attention_allocation([layer], ALLOC_LAYOUT, query_span={8, 9}, last_k=1)
@@ -321,13 +334,24 @@ def test_leakage_layout_families_match_brute_force() -> None:
     layout = leakage_layout({"video": 2, "audio": 2, "question": 1,
                              "visual_reasoning": 2, "audio_reasoning": 2,
                              "summary": 1})
-    families = blocked_pair_families(layout)
+    # The probe sums weights over exactly these cells: causally visible, rule-blocked.
+    blocked = build_causal(layout.length).visible & ~build_composite(layout).visible
+    rows, cols = np.nonzero(blocked)
     oracle = brute_force_mask(layout)
     causal_extra = {(i, j) for (i, j) in oracle.blocked_cells() if j <= i}
-    assert {(i, j) for (i, j) in families if j < i} == causal_extra
+    assert causal_extra
+    assert set(zip(rows.tolist(), cols.tolist())) == causal_extra
 
 
 # --- persistence ----------------------------------------------------------------------
+
+@pytest.mark.parametrize("line", ['{"shape": [2, 2]}', '{"shape": 3, "data": [1]}', '[1]'])
+def test_read_weights_rejects_bad_records_with_their_place(tmp_path, line) -> None:
+    path = tmp_path / "weights.jsonl"
+    path.write_text(line + "\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=r"weights\.jsonl:1: "):
+        read_weights_jsonl(path)
+
 
 def test_weights_jsonl_round_trip(tmp_path) -> None:
     rng = np.random.default_rng(61)

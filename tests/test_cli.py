@@ -4,10 +4,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sffuse.attention_core import write_weights_jsonl
-from sffuse.cli import main
+from sffuse.attention_core import DEFAULT_ALLOCATION_WINDOW, write_weights_jsonl
+from sffuse.cli import build_parser, main
 from sffuse.mask_engine import mask_from_rle, mask_from_text, build_composite
 from sffuse.mask_engine import load_layout_spec
+from sffuse.rl_core import GrpoConfig
 
 DATA = Path(__file__).parent / "data"
 
@@ -48,6 +49,23 @@ def test_annotate_invalid_config(tmp_path, capsys) -> None:
     err = capsys.readouterr().err
     assert code == 1
     assert "tau_acc" in err
+
+
+def test_annotate_duplicate_instance_ids_is_one_error_line(tmp_path, capsys) -> None:
+    dataset = tmp_path / "dup.jsonl"
+    dataset.write_text('{"id": "a", "question": "q", "gold_answer": "x"}\n' * 2,
+                       encoding="utf-8")
+    code = main(["annotate", "--in", str(dataset), "--out", str(tmp_path / "o.jsonl"),
+                 "--mock"])
+    assert code == 1
+    assert capsys.readouterr().err == "error: instance ids must be unique within a dataset\n"
+
+
+def test_annotate_rejects_parallelism_below_one(tmp_path, capsys) -> None:
+    code = main(["annotate", "--in", str(DATA / "instances_12.jsonl"),
+                 "--out", str(tmp_path / "o.jsonl"), "--mock", "--parallelism", "0"])
+    assert code == 1
+    assert capsys.readouterr().err == "error: parallelism must be >= 1\n"
 
 
 def test_annotate_records_flag_writes_all_decisions(tmp_path, capsys) -> None:
@@ -134,6 +152,52 @@ def test_validate_id_mismatch(tmp_path, capsys) -> None:
     err = capsys.readouterr().err
     assert code == 1
     assert "mismatch" in err
+
+
+@pytest.mark.parametrize("kind", ["traces", "labels"])
+def test_validate_rejects_duplicate_ids(tmp_path, capsys, kind) -> None:
+    trace = '{"id": "t1", "text": "<mod>Audio</mod>"}\n'
+    label = '{"id": "t1", "pem": "Audio", "answer": "x"}\n'
+    traces = tmp_path / "traces.jsonl"
+    labels = tmp_path / "labels.jsonl"
+    traces.write_text(trace * (2 if kind == "traces" else 1), encoding="utf-8")
+    labels.write_text(label * (2 if kind == "labels" else 1), encoding="utf-8")
+    code = main(["validate", "--traces", str(traces), "--labels", str(labels)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == f"error: duplicate {kind[:-1]} ids: ['t1']\n"
+
+
+def test_validate_rejects_empty_inputs(tmp_path, capsys) -> None:
+    empty = tmp_path / "empty.jsonl"
+    empty.write_text("", encoding="utf-8")
+    code = main(["validate", "--traces", str(empty), "--labels", str(empty)])
+    assert code == 1
+    assert capsys.readouterr().err == "error: no traces to score\n"
+
+
+# --- malformed JSONL lines ------------------------------------------------------------
+
+LAYOUT = str(DATA / "layout_l6.json")
+
+
+@pytest.mark.parametrize("argv, line", [
+    (["annotate", "--in", "{bad}", "--out", "{tmp}/o.jsonl", "--mock"], "[1,2]"),
+    (["validate", "--traces", str(DATA / "traces_perfect.jsonl"), "--labels", "{bad}"],
+     '"str"'),
+    (["grpo-step", "--rollouts", "{bad}"], "[1]"),
+    (["attn-report", "--weights", "{bad}", "--spec", LAYOUT], "[1]"),
+], ids=["annotate", "validate", "grpo-step", "attn-report"])
+def test_non_object_jsonl_line_is_one_error_line(tmp_path, capsys, argv, line) -> None:
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text(line + "\n", encoding="utf-8")
+    code = main([a.format(bad=bad, tmp=tmp_path) for a in argv])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.count("\n") == 1 and err.startswith("error: ")
+    assert f"{bad}:1: expected a JSON object" in err
+    assert "Traceback" not in err
 
 
 # --- mask -------------------------------------------------------------------------
@@ -276,6 +340,15 @@ def test_cli_outputs_byte_identical_across_runs(tmp_path, capsys) -> None:
         assert code == 0
         outs.append(out.read_bytes())
     assert outs[0] == outs[1]
+
+
+def test_parser_defaults_are_the_library_defaults() -> None:
+    parser = build_parser()
+    grpo = parser.parse_args(["grpo-step", "--rollouts", "r.jsonl"])
+    cfg = GrpoConfig()
+    assert (grpo.alpha, grpo.beta, grpo.eps) == (cfg.clip_alpha, cfg.kl_beta, cfg.eps_stab)
+    report = parser.parse_args(["attn-report", "--weights", "w", "--spec", "s"])
+    assert report.last_k == DEFAULT_ALLOCATION_WINDOW
 
 
 def test_help_lists_subcommands(capsys) -> None:

@@ -124,6 +124,14 @@ def test_oracle_equivalence_on_random_layouts() -> None:
         assert build_composite(layout) == brute_force_mask(layout)
 
 
+def test_composite_equals_composed_causal_and_maam() -> None:
+    rng = np.random.default_rng(103)
+    for _ in range(100):
+        layout = random_layout(rng)
+        composed = compose(build_causal(layout.length), build_maam(layout))
+        assert build_composite(layout) == composed
+
+
 def test_diagonal_always_visible_in_composites() -> None:
     rng = np.random.default_rng(23)
     for _ in range(50):

@@ -308,6 +308,23 @@ def test_read_instances_missing_field(tmp_path) -> None:
         read_instances(path)
 
 
+INSTANCE = '{"id": "x", "question": "q", "gold_answer": "a"'
+
+
+@pytest.mark.parametrize("line, message", [
+    ("[1, 2]", "expected a JSON object, got list"),
+    (INSTANCE + ', "choices": "abc"}', "choices must be a list of strings"),
+    (INSTANCE + ', "choices": ["one", 2]}', "choices must be a list of strings"),
+    (INSTANCE + ', "choices": null}', "choices must be a list of strings"),
+    (INSTANCE + ', "media": "clip.mp4"}', "media must be an object"),
+])
+def test_read_instances_rejects_malformed_records(tmp_path, line, message) -> None:
+    path = tmp_path / "bad.jsonl"
+    path.write_text(INSTANCE + "}\n" + line + "\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=rf"bad\.jsonl:2: {message}"):
+        read_instances(path)
+
+
 # --- HTTP adapters -----------------------------------------------------------------
 
 RECORDED_COMPLETIONS = [

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -16,7 +17,9 @@ from sffuse.rl_core import (
     reward_mps,
     reward_stage1,
     reward_stage2,
+    score_trace,
 )
+from sffuse import rl_core
 from sffuse.tag_grammar import PemLabel
 
 GOOD = "<mod>Audio</mod><v>sheep visible</v><a>barking only</a><sum>dog barks</sum><ans>collie</ans>"
@@ -63,6 +66,31 @@ def test_reward_stage2_default_weights() -> None:
     assert reward_stage2(GOOD, PemLabel.AUDIO, "collie") == pytest.approx(1.2)
     assert reward_stage2(GOOD, PemLabel.VISUAL, "collie") == pytest.approx(1.0)
     assert reward_stage2(GOOD, PemLabel.AUDIO, "sheep") == pytest.approx(0.2)
+
+
+def test_score_trace_equals_the_single_rewards() -> None:
+    texts = [GOOD, BAD_STRUCTURE, GOOD.replace("collie", "the Collie!"),
+             GOOD.replace("Audio", "Visual"), GOOD + " stray", ""]
+    cfg = RewardConfig(lambda_acc=0.7, lambda_mps=0.3)
+    for text, gold_pem, answer in itertools.product(texts, PemLabel, ["collie", "sheep"]):
+        score = score_trace(text, gold_pem, answer, cfg)
+        assert score.r_mps == reward_mps(text, gold_pem)
+        assert score.r_acc == reward_acc(text, answer)
+        assert score.r_stage2 == reward_stage2(text, gold_pem, answer, cfg)
+        assert score.r_stage2 == 0.7 * score.r_acc + 0.3 * score.r_mps
+
+
+def test_score_trace_parses_once_and_keeps_diagnostics(monkeypatch) -> None:
+    calls = []
+    parse = rl_core.parse_trace
+    monkeypatch.setattr(rl_core, "parse_trace", lambda text: calls.append(text) or parse(text))
+    good = score_trace(GOOD, PemLabel.AUDIO, "collie")
+    bad = score_trace(BAD_STRUCTURE, PemLabel.AUDIO, "collie")
+    assert calls == [GOOD, BAD_STRUCTURE]
+    assert (good.r_mps, good.r_acc, good.r_stage2, good.diagnostics) == (1, 1, 1.2, ())
+    assert (bad.r_mps, bad.r_acc, bad.r_stage2) == (0, 0, 0.0)
+    assert tuple(bad.diagnostics) == tuple(parse(BAD_STRUCTURE)[1])
+    assert bad.diagnostics
 
 
 def test_reward_config_validation() -> None:
@@ -316,6 +344,15 @@ def test_read_rollout_groups(tmp_path) -> None:
     assert len(groups) == 1
     assert groups[0][0] == "g1"
     assert groups[0][1].rewards == (1.0, 0.0)
+
+
+@pytest.mark.parametrize("line", ['[1]', '"g1"', '{"rewards": 5, "logp_new": [0], '
+                                  '"logp_old": [0], "logp_ref": [0]}'])
+def test_read_rollout_groups_rejects_bad_lines_with_their_place(tmp_path, line) -> None:
+    path = tmp_path / "rollouts.jsonl"
+    path.write_text("\n" + line + "\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=r"rollouts\.jsonl:2: "):
+        read_rollout_groups(path)
 
 
 def test_read_rollout_groups_missing_field(tmp_path) -> None:
