@@ -17,7 +17,7 @@ import struct
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -293,12 +293,23 @@ def locate_layout(tokens: Sequence[int], markers: MarkerTable) -> TokenLayout:
 
 # --- Declarative layout specs -------------------------------------------
 
-def _ranges_to_set(ranges: Iterable[Sequence[int]], role: str) -> frozenset[int]:
+def _spec_int(value: object, what: str) -> int:
+    """A JSON integer; bools and floats are rejected, not coerced."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return int(value)
+
+
+def _ranges_to_set(ranges: object, role: str) -> frozenset[int]:
+    not_pairs = f"{role} must be a list of [first, last] pairs"
+    if not isinstance(ranges, (list, tuple)):
+        raise ValueError(not_pairs)
     indices: set[int] = set()
     for r in ranges:
-        if len(r) != 2:
-            raise ValueError(f"{role}: each range must be [first, last]")
-        first, last = int(r[0]), int(r[1])
+        if not isinstance(r, (list, tuple)) or len(r) != 2:
+            raise ValueError(not_pairs)
+        first = _spec_int(r[0], f"{role}: range bound")
+        last = _spec_int(r[1], f"{role}: range bound")
         if last < first:
             raise ValueError(f"{role}: range [{first}, {last}] is reversed")
         indices.update(range(first, last + 1))
@@ -307,16 +318,19 @@ def _ranges_to_set(ranges: Iterable[Sequence[int]], role: str) -> frozenset[int]
 
 def layout_from_spec(spec: Mapping) -> TokenLayout:
     """Resolve a declarative ``{role: [[first, last], ...]}`` record."""
+    if not isinstance(spec, Mapping):
+        raise ValueError(f"layout spec must be a JSON object, got {type(spec).__name__}")
     if "length" not in spec:
         raise ValueError("layout spec needs a 'length' field")
     known = set(ROLE_NAMES) | {"length"}
     unknown = set(spec) - known
     if unknown:
         raise ValueError(f"unknown layout roles: {sorted(unknown)}")
+    length = _spec_int(spec["length"], "length")
     roles = {
         name: _ranges_to_set(spec.get(name, []), name) for name in ROLE_NAMES
     }
-    return TokenLayout(length=int(spec["length"]), **roles)
+    return TokenLayout(length=length, **roles)
 
 
 def load_layout_spec(path: str | Path) -> TokenLayout:

@@ -202,40 +202,47 @@ def accuracy_rate(samples: SampleSet, gold: str) -> float:
     return hits / len(samples.samples)
 
 
-def consistency(cot_texts: Sequence[str], embedder: TextEmbedder) -> float:
-    """Mean cosine similarity over all unordered pairs of CoT texts.
-
-    Embeddings are re-normalized to unit length here, so any finite nonzero
-    vectors are acceptable from the embedder. Pair dots are reduced with
-    fsum, making the result exactly permutation-invariant.
-    """
-    if len(cot_texts) < 2:
-        raise ValueError("consistency needs at least 2 texts")
-    vectors = np.asarray(embedder.embed(list(cot_texts)), dtype=float)
-    if vectors.ndim != 2 or vectors.shape[0] != len(cot_texts):
+def _unit_rows(texts: Sequence[str], embedder: TextEmbedder) -> np.ndarray:
+    """Embed each distinct text once, in first-seen order, and return one
+    unit-length row per entry of ``texts``; identical texts share a row."""
+    distinct = list(dict.fromkeys(texts))
+    vectors = np.asarray(embedder.embed(distinct), dtype=float)
+    if vectors.ndim != 2 or vectors.shape[0] != len(distinct):
         raise ValueError("embedder must return one vector per text")
     if not np.isfinite(vectors).all():
         raise ValueError("embedder returned non-finite values")
     norms = np.linalg.norm(vectors, axis=1, keepdims=True)
     if (norms == 0).any():
         raise ValueError("embedder returned a zero vector")
-    unit = vectors / norms
-    n = len(cot_texts)
-    dots = [float(np.sum(unit[i] * unit[j]))
-            for i in range(n) for j in range(i + 1, n)]
+    row_of = {text: k for k, text in enumerate(distinct)}
+    return (vectors / norms)[[row_of[text] for text in texts]]
+
+
+def _mean_pair_cosine(unit: np.ndarray) -> float:
+    """Mean dot over all unordered row pairs. Each row of the product is
+    summed on its own (no Gram matrix, whose BLAS rounding differs), and
+    fsum makes the mean exactly permutation-invariant."""
+    first, second = np.triu_indices(len(unit), k=1)
+    dots = (unit[first] * unit[second]).sum(axis=1)
     return math.fsum(dots) / len(dots)
+
+
+def consistency(cot_texts: Sequence[str], embedder: TextEmbedder) -> float:
+    """Mean cosine similarity over all unordered pairs of CoT texts.
+
+    Each distinct text is embedded once and re-normalized to unit length
+    here, so any finite nonzero vectors are acceptable from the embedder.
+    Pair dots are reduced with fsum, making the result exactly
+    permutation-invariant.
+    """
+    if len(cot_texts) < 2:
+        raise ValueError("consistency needs at least 2 texts")
+    return _mean_pair_cosine(_unit_rows(cot_texts, embedder))
 
 
 def solvable(accuracy: float, cot_consistency: float, cfg: PipelineConfig) -> bool:
     """Both thresholds are inclusive ("at least")."""
     return accuracy >= cfg.tau_acc and cot_consistency >= cfg.tau_cons
-
-
-def probe_record(samples: SampleSet, gold: str, embedder: TextEmbedder,
-                 cfg: PipelineConfig) -> SolvabilityRecord:
-    acc = accuracy_rate(samples, gold)
-    cons = consistency(samples.cot_texts, embedder)
-    return SolvabilityRecord(acc, cons, solvable(acc, cons, cfg))
 
 
 # --- Decision table ----------------------------------------------------------
@@ -294,6 +301,10 @@ class AnnotationResult:
     stats: PipelineStats
 
 
+# Errors that fail one instance; anything else escapes ``annotate``.
+_RECORDED_FAILURES = (PipelineError, ValueError, OSError)
+
+
 def annotate(
     dataset: Sequence[Instance],
     sampler: CotSampler,
@@ -304,8 +315,10 @@ def annotate(
 
     Instances are processed under the configured parallelism bound; results
     are keyed and ordered by instance id, so output is independent of
-    schedule. Per-instance sampler or embedder failures are recorded in the
-    stats and skipped, never aborting the batch.
+    schedule. Each instance's three sample sets are drawn first; then its
+    distinct CoT texts go to the embedder in one call. Per-instance pipeline,
+    value and I/O errors are recorded in the stats and skipped, never
+    aborting the batch; any other exception is a bug and propagates.
     """
     if not dataset:
         raise EmptyDatasetError("dataset is empty")
@@ -314,22 +327,28 @@ def annotate(
         raise ValueError("instance ids must be unique within a dataset")
 
     def process(instance: Instance) -> tuple[PemRecord, str]:
-        per_setting: dict[ProbeSetting, SolvabilityRecord] = {}
-        av_cot = ""
+        sample_sets: dict[ProbeSetting, SampleSet] = {}
         for setting in PROBE_SETTINGS:
             samples = sampler.sample(instance, setting, cfg.n)
             if len(samples.samples) != cfg.n:
                 raise SamplingError(
                     f"sampler returned {len(samples.samples)} samples, wanted {cfg.n}")
-            if setting is ProbeSetting.AV:
-                av_cot = samples.cot_texts[0]
-            per_setting[setting] = probe_record(
-                samples, instance.gold_answer, embedder, cfg)
+            sample_sets[setting] = samples
+        # One embedder call per instance, over its distinct CoT texts.
+        unit = _unit_rows(
+            [cot for samples in sample_sets.values() for cot in samples.cot_texts],
+            embedder)
+        per_setting: dict[ProbeSetting, SolvabilityRecord] = {}
+        for k, (setting, samples) in enumerate(sample_sets.items()):
+            acc = accuracy_rate(samples, instance.gold_answer)
+            cons = _mean_pair_cosine(unit[k * cfg.n:(k + 1) * cfg.n])
+            per_setting[setting] = SolvabilityRecord(acc, cons, solvable(acc, cons, cfg))
         decision = decide_pem(
             per_setting[ProbeSetting.A].solvable,
             per_setting[ProbeSetting.V].solvable,
             per_setting[ProbeSetting.AV].solvable,
         )
+        av_cot = sample_sets[ProbeSetting.AV].cot_texts[0]
         return PemRecord(instance.id, per_setting, decision), av_cot
 
     outcomes: dict[str, tuple[PemRecord, str]] = {}
@@ -338,7 +357,7 @@ def annotate(
         for instance in dataset:
             try:
                 outcomes[instance.id] = process(instance)
-            except Exception as exc:
+            except _RECORDED_FAILURES as exc:
                 failures[instance.id] = {"id": instance.id, "error": str(exc)}
     else:
         with ThreadPoolExecutor(max_workers=cfg.parallelism) as pool:
@@ -346,7 +365,7 @@ def annotate(
             for instance_id, future in futures.items():
                 try:
                     outcomes[instance_id] = future.result()
-                except Exception as exc:
+                except _RECORDED_FAILURES as exc:
                     failures[instance_id] = {"id": instance_id, "error": str(exc)}
 
     by_id = {inst.id: inst for inst in dataset}
@@ -506,15 +525,11 @@ class HashEmbedder:
         self.dim = dim
 
     def _vector(self, text: str) -> np.ndarray:
-        values: list[float] = []
-        counter = 0
-        while len(values) < self.dim:
-            digest = hashlib.sha256(f"{counter}:{text}".encode()).digest()
-            for offset in range(0, len(digest), 8):
-                values.append(
-                    int.from_bytes(digest[offset:offset + 8], "big") / 2 ** 63 - 1.0)
-            counter += 1
-        vec = np.array(values[: self.dim], dtype=float)
+        # Each SHA-256 digest gives four big-endian 64-bit words, each mapped
+        # to [-1, 1] as word / 2**63 - 1 (exact: the scale is a power of two).
+        raw = b"".join(hashlib.sha256(f"{counter}:{text}".encode()).digest()
+                       for counter in range(-(-self.dim // 4)))
+        vec = np.frombuffer(raw, dtype=">u8")[: self.dim] / 2.0 ** 63 - 1.0
         norm = np.linalg.norm(vec)
         if norm == 0.0:
             vec[0] = 1.0
@@ -551,8 +566,9 @@ def _urllib_transport(url: str, payload: dict, headers: dict, timeout: float) ->
 
 def _post(endpoint: EndpointConfig, transport: Transport, token: str | None,
           payload: dict, error: type[PipelineError], what: str) -> dict:
-    """POST with an optional bearer token, retrying transport errors up to
-    ``endpoint.retries`` times; then raise ``error("{what}: {last error}")``."""
+    """POST with an optional bearer token, retrying timeouts, connection
+    errors, 429 and 5xx up to ``endpoint.retries`` times; then, or at once on
+    any other HTTP status, raise ``error("{what}: {last error}")``."""
     headers = {"Authorization": f"Bearer {token}"} if token else {}
     last_error: Exception | None = None
     for _ in range(endpoint.retries + 1):
@@ -560,6 +576,10 @@ def _post(endpoint: EndpointConfig, transport: Transport, token: str | None,
             return transport(endpoint.base_url, payload, headers, endpoint.timeout)
         except (urllib.error.URLError, TimeoutError, ConnectionError) as exc:
             last_error = exc
+            # Other HTTP statuses (a 401, a 404) would fail the same way again.
+            if isinstance(exc, urllib.error.HTTPError) and not (
+                    exc.code == 429 or 500 <= exc.code < 600):
+                break
     raise error(f"{what}: {last_error}")
 
 

@@ -1,9 +1,12 @@
 """Shared fixtures: the L=6 layout, a brute-force mask oracle, loop-based
-reference encoders for the mask exports, and a random valid-layout generator
-used by the property and acceptance suites."""
+reference encoders for the mask exports, loop-based references for the hash
+embedder and CoT consistency, and a random valid-layout generator used by the
+property and acceptance suites."""
 
 from __future__ import annotations
 
+import hashlib
+import math
 import struct
 
 import numpy as np
@@ -66,6 +69,35 @@ def reference_mask_to_rle(mask: MaskMatrix) -> bytes:
     out += struct.pack("<IBI", mask.length, int(bool(flat[0])), len(runs))
     out += struct.pack(f"<{len(runs)}I", *runs)
     return bytes(out)
+
+
+def reference_hash_vector(text: str, dim: int) -> np.ndarray:
+    """Word-by-word ``HashEmbedder`` vector; the embedder must equal it exactly."""
+    values: list[float] = []
+    counter = 0
+    while len(values) < dim:
+        digest = hashlib.sha256(f"{counter}:{text}".encode()).digest()
+        for offset in range(0, len(digest), 8):
+            values.append(
+                int.from_bytes(digest[offset:offset + 8], "big") / 2 ** 63 - 1.0)
+        counter += 1
+    vec = np.array(values[:dim], dtype=float)
+    norm = np.linalg.norm(vec)
+    if norm == 0.0:
+        vec[0] = 1.0
+        norm = 1.0
+    return vec / norm
+
+
+def reference_consistency(cot_texts, embedder) -> float:
+    """Per-pair consistency over one embedding per text, duplicates included;
+    ``consistency`` and the pipeline's screening must equal it exactly."""
+    vectors = np.asarray(embedder.embed(list(cot_texts)), dtype=float)
+    unit = vectors / np.linalg.norm(vectors, axis=1, keepdims=True)
+    n = len(cot_texts)
+    dots = [float(np.sum(unit[i] * unit[j]))
+            for i in range(n) for j in range(i + 1, n)]
+    return math.fsum(dots) / len(dots)
 
 
 def random_layout(rng: np.random.Generator, max_length: int = 64) -> TokenLayout:

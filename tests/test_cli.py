@@ -233,6 +233,34 @@ def test_mask_row_out_of_range(capsys) -> None:
     assert "out of range" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("spec, field", [
+    ({"length": 3, "video_input": 5}, "video_input must be a list of [first, last] pairs"),
+    (["length"], "layout spec must be a JSON object"),
+    ({"length": 4, "audio_input": [[0]]}, "audio_input must be a list"),
+    ({"length": 4, "audio_input": [0, 1]}, "audio_input must be a list"),
+    ({"length": True}, "length must be an integer"),
+    ({"length": 4.0}, "length must be an integer"),
+    ({"length": 4, "video_input": [[0, 1.0]]}, "video_input: range bound must be an integer"),
+    ({"length": 4, "video_input": [[False, 1]]}, "video_input: range bound must be an integer"),
+], ids=["role-int", "top-list", "short-pair", "flat-pair", "bool-length", "float-length",
+        "float-bound", "bool-bound"])
+@pytest.mark.parametrize("command", ["mask", "attn-report"])
+def test_malformed_layout_spec_is_one_error_line(tmp_path, capsys, command, spec,
+                                                 field) -> None:
+    spec_path = tmp_path / "layout.json"
+    spec_path.write_text(json.dumps(spec), encoding="utf-8")
+    argv = [command, "--spec", str(spec_path)]
+    if command == "attn-report":
+        argv += ["--weights", str(tmp_path / "weights.jsonl")]
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("error: ") and field in lines[0]
+
+
 # --- grpo-step -----------------------------------------------------------------------
 
 def test_grpo_step_equal_rewards_zero_objective(capsys) -> None:

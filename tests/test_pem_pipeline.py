@@ -5,10 +5,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from conftest import reference_consistency, reference_hash_vector
 from sffuse.pem_pipeline import (
     Discard,
     DiscardReason,
+    EmbeddingError,
     EmptyDatasetError,
     EndpointConfig,
     HashEmbedder,
@@ -124,6 +128,67 @@ def test_consistency_validation() -> None:
         consistency(["a", "b"], FixedEmbedder({"a": [0, 0], "b": [1, 0]}))
     with pytest.raises(ValueError, match="finite"):
         consistency(["a", "b"], FixedEmbedder({"a": [np.nan, 0], "b": [1, 0]}))
+
+
+# --- oracles: exact equality with the loop references ---------------------------
+
+HASH_DIMS = (2, 3, 4, 5, 31, 32, 33, 64)
+# A small pool, so drawn text lists repeat texts often.
+TEXT_POOL = ("", "same", "Ünïcødé 🐕 音声", "a\nb")
+
+
+@pytest.mark.parametrize("dim", HASH_DIMS)
+@settings(max_examples=40, deadline=None)
+@example(texts=["", "collie", "Ünïcødé 🐕 音声"])
+@given(texts=st.lists(st.text(), min_size=1, max_size=5))
+def test_hash_embedder_matches_loop_reference(dim, texts) -> None:
+    got = HashEmbedder(dim).embed(texts)
+    want = np.stack([reference_hash_vector(text, dim) for text in texts])
+    assert got.shape == want.shape
+    assert (got == want).all()
+
+
+@pytest.mark.parametrize("dim", HASH_DIMS)
+@settings(max_examples=40, deadline=None)
+@given(texts=st.lists(st.sampled_from(TEXT_POOL) | st.text(max_size=12),
+                      min_size=2, max_size=10))
+def test_consistency_matches_loop_reference_on_hash_vectors(dim, texts) -> None:
+    embedder = HashEmbedder(dim)
+    assert consistency(texts, embedder) == reference_consistency(texts, embedder)
+
+
+def random_vector_embedder(dim, seed):
+    """Texts t0..t5 over three random vectors: t0 and t3 share a vector, so
+    distinct texts give duplicate rows, as do repeated texts."""
+    rng = np.random.default_rng(seed)
+    pool = rng.normal(size=(3, dim)) * rng.uniform(0.1, 10.0, size=(3, 1))
+    return FixedEmbedder({f"t{k}": pool[k % 3] for k in range(6)})
+
+
+@settings(max_examples=100, deadline=None)
+@given(dim=st.sampled_from(HASH_DIMS), seed=st.integers(0, 2 ** 32 - 1),
+       picks=st.lists(st.integers(0, 5), min_size=2, max_size=12))
+def test_consistency_matches_loop_reference_on_random_vectors(dim, seed, picks) -> None:
+    embedder = random_vector_embedder(dim, seed)
+    texts = [f"t{k}" for k in picks]
+    assert consistency(texts, embedder) == reference_consistency(texts, embedder)
+
+
+@settings(max_examples=50, deadline=None)
+@given(dim=st.sampled_from(HASH_DIMS), seed=st.integers(0, 2 ** 32 - 1),
+       picks=st.lists(st.integers(0, 5), min_size=12, max_size=12))
+def test_annotate_screening_matches_loop_reference(dim, seed, picks) -> None:
+    # Texts repeat within and across settings; each setting's consistency
+    # must still equal the loop over its own n=4 rows.
+    embedder = random_vector_embedder(dim, seed)
+    inst = make_instance("r1")
+    script = {(inst.id, setting): [("collie", f"t{k}") for k in picks[4 * s:4 * s + 4]]
+              for s, setting in enumerate(ProbeSetting)}
+    result = annotate([inst], ScriptedSampler(script), embedder, PipelineConfig(n=4))
+    (record,) = result.records
+    for setting in ProbeSetting:
+        cots = [cot for _, cot in script[inst.id, setting]]
+        assert record.settings[setting].consistency == reference_consistency(cots, embedder)
 
 
 # --- solvability -----------------------------------------------------------------
@@ -274,6 +339,38 @@ def test_annotate_wrong_sample_count_is_failure() -> None:
     assert "3 samples" in result.stats.failures[0]["error"]
 
 
+@pytest.mark.parametrize("parallelism", [1, 2])
+def test_annotate_propagates_programming_errors(parallelism) -> None:
+    class BuggySampler:
+        def sample(self, instance, setting, n):
+            raise TypeError("bug in sampler")
+
+    dataset = [make_instance("a"), make_instance("b")]
+    with pytest.raises(TypeError, match="bug in sampler"):
+        annotate(dataset, BuggySampler(), HashEmbedder(),
+                 PipelineConfig(parallelism=parallelism))
+
+
+class CountingEmbedder:
+    def __init__(self):
+        self.calls = []
+
+    def embed(self, texts):
+        self.calls.append(list(texts))
+        return HashEmbedder().embed(texts)
+
+
+@pytest.mark.parametrize("parallelism", [1, 4])
+def test_annotate_embeds_distinct_texts_once_per_instance(parallelism) -> None:
+    embedder = CountingEmbedder()
+    dataset = load_fixture_dataset()
+    result = annotate(dataset, MockCotSampler(), embedder,
+                      PipelineConfig(parallelism=parallelism))
+    assert len(embedder.calls) == len(dataset)
+    assert all(len(set(texts)) == len(texts) for texts in embedder.calls)
+    assert result.labeled == run_fixture().labeled
+
+
 # --- samplers ---------------------------------------------------------------------
 
 def test_mock_sampler_rejects_tiny_n() -> None:
@@ -419,6 +516,43 @@ def test_http_embedder_stub() -> None:
     vectors = embedder.embed(["a", "b"])
     assert vectors.shape == (2, 2)
     assert consistency(["a", "b"], embedder) == pytest.approx(1.0)
+
+
+def test_http_embedder_payload_holds_distinct_texts() -> None:
+    inputs = []
+
+    def transport(url, payload, headers, timeout):
+        inputs.append(payload["input"])
+        vectors = HashEmbedder().embed(payload["input"])
+        return {"data": [{"embedding": vec.tolist()} for vec in vectors]}
+
+    embedder = HttpEmbedder(EndpointConfig(base_url="http://x/embed"),
+                            transport=transport)
+    dataset = load_fixture_dataset()
+    result = annotate(dataset, MockCotSampler(), embedder, PipelineConfig())
+    assert len(inputs) == len(dataset)
+    assert all(len(set(texts)) == len(texts) for texts in inputs)
+    assert result.labeled == run_fixture().labeled
+
+
+@pytest.mark.parametrize("code, calls", [(401, 1), (404, 1), (429, 3), (503, 3)])
+@pytest.mark.parametrize("adapter", ["sampler", "embedder"])
+def test_http_adapters_retry_only_transient_statuses(adapter, code, calls) -> None:
+    attempts = []
+
+    def transport(url, payload, headers, timeout):
+        attempts.append(1)
+        raise urllib.error.HTTPError(url, code, "status", {}, None)
+
+    endpoint = EndpointConfig(base_url="http://x/api", retries=2)
+    if adapter == "sampler":
+        with pytest.raises(SamplingError, match=f"HTTP Error {code}"):
+            HttpSampler(endpoint, transport=transport).sample(
+                make_instance(), ProbeSetting.A, 2)
+    else:
+        with pytest.raises(EmbeddingError, match=f"HTTP Error {code}"):
+            HttpEmbedder(endpoint, transport=transport).embed(["a", "b"])
+    assert len(attempts) == calls
 
 
 def test_probe_prompt_templates() -> None:
