@@ -379,7 +379,10 @@ def read_weights_jsonl(path: str | Path) -> list[np.ndarray]:
     layers = []
     for lineno, obj in read_objects(path):
         try:
-            layers.append(np.asarray(obj["data"], dtype=float).reshape(tuple(obj["shape"])))
-        except (KeyError, TypeError) as exc:
+            layer = np.asarray(obj["data"], dtype=float).reshape(tuple(obj["shape"]))
+        except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"{path}:{lineno}: bad weights record: {exc!r}") from exc
+        if layer.ndim != 2:
+            raise ValueError(f"{path}:{lineno}: weights shape {list(layer.shape)} is not 2-D")
+        layers.append(layer)
     return layers

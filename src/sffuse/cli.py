@@ -3,8 +3,9 @@
 Subcommands are thin argument-parsing shells over the library operations;
 their outputs are bit-identical to direct module calls. Every data file is
 JSONL, written with sorted keys so fixed inputs and a fixed seed give
-byte-identical outputs regardless of parallelism. Exit status is 0 iff no
-error records were produced.
+byte-identical outputs regardless of parallelism. ``main`` is the only error
+boundary: it turns an ``OSError``, ``ValueError`` or ``PipelineError`` into
+one ``error:`` line and exit status 1 (the loaders name ``path:line``).
 """
 
 from __future__ import annotations
@@ -18,8 +19,8 @@ from dataclasses import asdict, replace
 from pathlib import Path
 
 from . import attention_core, mask_engine, pem_pipeline, rl_core, tag_grammar
-from .config import ConfigError, load_config
-from .jsonl import read_objects
+from .config import load_config
+from .jsonl import read_objects, str_fields
 
 
 def _dump(obj) -> str:
@@ -27,50 +28,38 @@ def _dump(obj) -> str:
 
 
 def _fail(message: str) -> int:
-    print(f"error: {message}", file=sys.stderr)
+    # One line even when the message quotes a line break from an input.
+    print("error:", " ".join(message.splitlines()), file=sys.stderr)
     return 1
 
 
 # --- annotate ---------------------------------------------------------------
 
 def cmd_annotate(args: argparse.Namespace) -> int:
-    try:
-        pipeline_cfg = load_config(args.config).pipeline
-        if args.parallelism is not None:
-            pipeline_cfg = replace(pipeline_cfg, parallelism=args.parallelism)
-    except ValueError as exc:  # a ConfigError, or a parallelism below 1
-        return _fail(str(exc))
-
+    pipeline_cfg = load_config(args.config).pipeline
+    if args.parallelism is not None:
+        pipeline_cfg = replace(pipeline_cfg, parallelism=args.parallelism)
     if not Path(args.input).exists():
         return _fail(f"input file not found: {args.input}")
-    try:
-        dataset = pem_pipeline.read_instances(args.input)
-    except (ValueError, json.JSONDecodeError) as exc:
-        return _fail(f"cannot parse dataset: {exc}")
+    dataset = pem_pipeline.read_instances(args.input)
 
     if args.mock:
         sampler = pem_pipeline.MockCotSampler()
         embedder = pem_pipeline.HashEmbedder()
     else:
-        token = os.environ.get(pipeline_cfg.endpoint.auth_env)
         try:
-            sampler = pem_pipeline.HttpSampler(pipeline_cfg.endpoint, token=token)
+            sampler = pem_pipeline.HttpSampler(
+                pipeline_cfg.endpoint, token=os.environ.get(pipeline_cfg.endpoint.auth_env))
             embedder = pem_pipeline.HttpEmbedder(
                 pipeline_cfg.embedder_endpoint,
                 token=os.environ.get(pipeline_cfg.embedder_endpoint.auth_env))
         except ValueError as exc:
             return _fail(f"{exc} (use --mock for offline runs)")
 
-    try:
-        result = pem_pipeline.annotate(dataset, sampler, embedder, pipeline_cfg)
-    except (pem_pipeline.EmptyDatasetError, ValueError) as exc:
-        return _fail(str(exc))
-
+    result = pem_pipeline.annotate(dataset, sampler, embedder, pipeline_cfg)
     pem_pipeline.write_jsonl(args.out, result.labeled)
     report_path = args.report or f"{args.out}.stats.json"
-    with open(report_path, "w", encoding="utf-8") as fh:
-        fh.write(_dump(result.stats.to_dict()))
-        fh.write("\n")
+    Path(report_path).write_text(_dump(result.stats.to_dict()) + "\n", encoding="utf-8")
     if args.records:
         pem_pipeline.write_jsonl(args.records, (r.to_dict() for r in result.records))
 
@@ -84,27 +73,20 @@ def cmd_annotate(args: argparse.Namespace) -> int:
     print(_dump(summary) if args.json else
           f"labeled {result.stats.labeled} / {result.stats.total} instances "
           f"({result.stats.discarded} discarded, {result.stats.failed} failed) -> {args.out}")
-    if result.stats.failed or result.stats.labeled == 0:
-        return 1
+    if result.stats.failed:
+        return _fail(f"{result.stats.failed} of {result.stats.total} instances failed")
+    if result.stats.labeled == 0:
+        return _fail("no instance was labeled")
     return 0
 
 
 # --- validate ----------------------------------------------------------------
 
 def cmd_validate(args: argparse.Namespace) -> int:
-    try:
-        cfg = load_config(args.config)
-    except ConfigError as exc:
-        return _fail(str(exc))
-    try:
-        traces = tag_grammar.read_trace_records(args.traces)
-    except (OSError, ValueError, json.JSONDecodeError) as exc:
-        return _fail(f"cannot read traces: {exc}")
-    try:
-        labels = [(str(obj["id"]), str(obj["pem"]), str(obj["answer"]))
-                  for _, obj in read_objects(args.labels)]
-    except (OSError, KeyError, ValueError) as exc:
-        return _fail(f"cannot read labels: {exc}")
+    cfg = load_config(args.config)
+    traces = tag_grammar.read_trace_records(args.traces)
+    labels = [str_fields(f"{args.labels}:{lineno}", obj, "id", "pem", "answer")
+              for lineno, obj in read_objects(args.labels)]
 
     for kind, ids in (("trace", [t[0] for t in traces]), ("label", [t[0] for t in labels])):
         repeated = sorted(k for k, n in Counter(ids).items() if n > 1)
@@ -151,10 +133,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
 # --- mask ---------------------------------------------------------------------
 
 def cmd_mask(args: argparse.Namespace) -> int:
-    try:
-        layout = mask_engine.load_layout_spec(args.spec)
-    except (OSError, ValueError, json.JSONDecodeError) as exc:
-        return _fail(f"cannot load layout spec: {exc}")
+    layout = mask_engine.load_layout_spec(args.spec)
     if args.row is not None:
         if not 0 <= args.row < layout.length:
             return _fail(f"row {args.row} out of range [0, {layout.length})")
@@ -174,15 +153,8 @@ def cmd_mask(args: argparse.Namespace) -> int:
 # --- grpo-step ------------------------------------------------------------------
 
 def cmd_grpo_step(args: argparse.Namespace) -> int:
-    try:
-        cfg = rl_core.GrpoConfig(
-            clip_alpha=args.alpha, kl_beta=args.beta, eps_stab=args.eps)
-    except ValueError as exc:
-        return _fail(str(exc))
-    try:
-        groups = rl_core.read_rollout_groups(args.rollouts)
-    except (OSError, ValueError, json.JSONDecodeError) as exc:
-        return _fail(f"cannot read rollouts: {exc}")
+    cfg = rl_core.GrpoConfig(clip_alpha=args.alpha, kl_beta=args.beta, eps_stab=args.eps)
+    groups = rl_core.read_rollout_groups(args.rollouts)
     if not groups:
         return _fail("rollout file contains no groups")
 
@@ -215,18 +187,12 @@ def cmd_grpo_step(args: argparse.Namespace) -> int:
 # --- attn-report -----------------------------------------------------------------
 
 def cmd_attn_report(args: argparse.Namespace) -> int:
-    try:
-        layout = mask_engine.load_layout_spec(args.spec)
-        layers = attention_core.read_weights_jsonl(args.weights)
-    except (OSError, ValueError, json.JSONDecodeError) as exc:
-        return _fail(str(exc))
+    layout = mask_engine.load_layout_spec(args.spec)
+    layers = attention_core.read_weights_jsonl(args.weights)
     if not layers:
         return _fail("weights file contains no layers")
-    try:
-        report = attention_core.attention_allocation(
-            layers, layout, last_k=min(args.last_k, len(layers)))
-    except ValueError as exc:
-        return _fail(str(exc))
+    report = attention_core.attention_allocation(
+        layers, layout, last_k=min(args.last_k, len(layers)))
     if args.json:
         print(_dump(asdict(report)))
     else:
@@ -320,7 +286,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (OSError, ValueError, pem_pipeline.PipelineError) as exc:
+        return _fail(str(exc))
 
 
 if __name__ == "__main__":

@@ -8,30 +8,29 @@ artifact is calibrated against; the rest are declared engineering defaults.
   pipeline.tau_cons     = 0.8   inclusive consistency threshold; recipe value
   rewards.lambda_acc    = 1.0   stage-2 answer-accuracy weight; recipe value
   rewards.lambda_mps    = 0.2   stage-2 structure-reward weight; recipe value
-  allocation.last_k     = 16    layer window for attention allocation; recipe value
-  grpo.clip_alpha       = 0.2   clip range; declared default
-  grpo.kl_beta          = 0.01  KL coefficient; declared default
-  grpo.eps_stab         = 1e-8  advantage-normalization stabilizer; declared default
+  last_k                = 16    layer window for attention allocation; recipe value
+
+The GRPO defaults live in ``rl_core.GrpoConfig`` and are set per run with the
+``grpo-step`` flags; the leakage probe takes its seed from ``--seed``.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 from .attention_core import DEFAULT_ALLOCATION_WINDOW
 from .pem_pipeline import EndpointConfig, PipelineConfig
-from .rl_core import GrpoConfig, RewardConfig
+from .rl_core import RewardConfig
 
 
 @dataclass(frozen=True)
 class AppConfig:
     pipeline: PipelineConfig = field(default_factory=PipelineConfig)
     rewards: RewardConfig = field(default_factory=RewardConfig)
-    grpo: GrpoConfig = field(default_factory=GrpoConfig)
     last_k: int = DEFAULT_ALLOCATION_WINDOW
-    seed: int = 0
 
     def __post_init__(self) -> None:
         if self.last_k < 1:
@@ -42,26 +41,40 @@ class ConfigError(ValueError):
     pass
 
 
-def _build_pipeline(obj: dict) -> PipelineConfig:
-    endpoint = EndpointConfig(**obj.pop("endpoint", {}))
-    embedder = EndpointConfig(**obj.pop("embedder_endpoint", {}))
-    return PipelineConfig(endpoint=endpoint, embedder_endpoint=embedder, **obj)
+# JSON types accepted for each field type; nothing is coerced.
+_SCALARS = {"int": ((int,), "an integer"), "float": ((int, float), "a finite number"),
+            "str": ((str,), "a string")}
+_SECTIONS = {"PipelineConfig": PipelineConfig, "RewardConfig": RewardConfig,
+             "EndpointConfig": EndpointConfig}
+
+
+def _build(cls, obj, name: str):
+    """``cls`` from a JSON object whose scalars have their fields' JSON types
+    and whose nested sections are built the same way."""
+    if not isinstance(obj, dict):
+        raise ConfigError(f"{name} must be an object")
+    kinds = {f.name: f.type for f in fields(cls)}
+    values = {}
+    for key, value in obj.items():
+        kind, where = kinds.get(key), f"{name}.{key}"
+        if kind in _SECTIONS:
+            value = _build(_SECTIONS[kind], value, where)
+        elif kind in _SCALARS:
+            accepted, noun = _SCALARS[kind]
+            if (isinstance(value, bool) or not isinstance(value, accepted)
+                    or isinstance(value, float) and not math.isfinite(value)):
+                raise ConfigError(f"{where} must be {noun}")
+        values[key] = value
+    return cls(**values)  # an unknown field is a TypeError naming it
 
 
 def config_from_dict(obj: dict) -> AppConfig:
     """Build and validate an AppConfig from a parsed key-value record."""
-    known = {"pipeline", "rewards", "grpo", "last_k", "seed"}
-    unknown = set(obj) - known
+    unknown = set(obj) - {f.name for f in fields(AppConfig)}
     if unknown:
         raise ConfigError(f"unknown config sections: {sorted(unknown)}")
     try:
-        return AppConfig(
-            pipeline=_build_pipeline(dict(obj.get("pipeline", {}))),
-            rewards=RewardConfig(**obj.get("rewards", {})),
-            grpo=GrpoConfig(**obj.get("grpo", {})),
-            last_k=int(obj.get("last_k", DEFAULT_ALLOCATION_WINDOW)),
-            seed=int(obj.get("seed", 0)),
-        )
+        return _build(AppConfig, obj, "config")
     except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -75,7 +88,7 @@ def load_config(path: str | Path | None) -> AppConfig:
             obj = json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # not JSON, or not UTF-8 text
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
     if not isinstance(obj, dict):
         raise ConfigError("config root must be an object")

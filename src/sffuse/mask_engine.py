@@ -335,7 +335,11 @@ def layout_from_spec(spec: Mapping) -> TokenLayout:
 
 def load_layout_spec(path: str | Path) -> TokenLayout:
     with open(path, encoding="utf-8") as fh:
-        return layout_from_spec(json.load(fh))
+        try:
+            spec = json.load(fh)
+        except ValueError as exc:  # not JSON, or not UTF-8 text
+            raise ValueError(f"{path}: invalid layout spec: {exc}") from None
+    return layout_from_spec(spec)
 
 
 # --- Mask export formats --------------------------------------------------

@@ -12,30 +12,18 @@ from __future__ import annotations
 _TERMINAL_PUNCTUATION = ".,;:!?"
 
 
-def normalize_answer(
-    text: str,
-    *,
-    casefold: bool = True,
-    collapse_whitespace: bool = True,
-    strip_terminal_punctuation: bool = True,
-) -> str:
+def normalize_answer(text: str) -> str:
     """Canonicalize an answer string for exact comparison.
 
-    Pipeline: Unicode case-fold, trim, collapse internal whitespace runs to a
-    single space, then strip terminal punctuation. Each step can be switched
-    off for stricter matching.
+    Pipeline: trim, Unicode case-fold, collapse internal whitespace runs to a
+    single space, then strip terminal punctuation.
     """
-    result = text.strip()
-    if casefold:
-        result = result.casefold()
-    if collapse_whitespace:
-        result = " ".join(result.split())
-    if strip_terminal_punctuation:
-        while result and result[-1] in _TERMINAL_PUNCTUATION:
-            result = result[:-1].rstrip()
+    result = " ".join(text.strip().casefold().split())
+    while result and result[-1] in _TERMINAL_PUNCTUATION:
+        result = result[:-1].rstrip()
     return result
 
 
-def answers_match(candidate: str, reference: str, **options: bool) -> bool:
+def answers_match(candidate: str, reference: str) -> bool:
     """True iff the two answers are equal after normalization."""
-    return normalize_answer(candidate, **options) == normalize_answer(reference, **options)
+    return normalize_answer(candidate) == normalize_answer(reference)

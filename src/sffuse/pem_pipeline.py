@@ -30,7 +30,7 @@ from typing import Callable, Iterable, Mapping, Protocol, Sequence
 
 import numpy as np
 
-from .jsonl import read_objects
+from .jsonl import read_objects, str_fields
 from .normalize import answers_match
 from .tag_grammar import PemLabel
 
@@ -418,25 +418,22 @@ def labeled_export(instance: Instance, record: PemRecord, cot: str) -> dict:
 def read_instances(path: str | Path) -> list[Instance]:
     instances = []
     for lineno, obj in read_objects(path):
+        place = f"{path}:{lineno}"
         media = obj.get("media", {})
         choices = obj.get("choices", [])
         if not isinstance(media, dict):
-            raise ValueError(f"{path}:{lineno}: media must be an object")
+            raise ValueError(f"{place}: media must be an object")
         if not (isinstance(choices, list) and all(isinstance(c, str) for c in choices)):
-            raise ValueError(f"{path}:{lineno}: choices must be a list of strings")
-        try:
-            instances.append(Instance(
-                id=str(obj["id"]),
-                question=str(obj["question"]),
-                media=MediaRefs(
-                    audio_ref=str(media.get("audio_ref", "")),
-                    video_ref=str(media.get("video_ref", "")),
-                ),
-                gold_answer=str(obj["gold_answer"]),
-                choices=tuple(choices) if "choices" in obj else None,
-            ))
-        except KeyError as exc:
-            raise ValueError(f"{path}:{lineno}: missing field {exc}") from exc
+            raise ValueError(f"{place}: choices must be a list of strings")
+        instance_id, question, gold_answer = str_fields(
+            place, obj, "id", "question", "gold_answer")
+        instances.append(Instance(
+            id=instance_id,
+            question=question,
+            media=MediaRefs(*str_fields(place, media, "audio_ref", "video_ref", default="")),
+            gold_answer=gold_answer,
+            choices=tuple(choices) if "choices" in obj else None,
+        ))
     return instances
 
 

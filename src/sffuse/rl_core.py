@@ -13,13 +13,13 @@ surrogate minus a KL penalty against the reference policy.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
-from .jsonl import read_objects
+from .jsonl import read_objects, str_fields
 from .normalize import answers_match
 from .tag_grammar import ParseDiagnostic, PemLabel, SfrTrace, parse_trace
 
@@ -214,19 +214,20 @@ def grpo_gradient_logp_new(group: RolloutGroup, cfg: GrpoConfig) -> np.ndarray:
 
 
 def read_rollout_groups(path: str | Path) -> list[tuple[str, RolloutGroup]]:
-    """JSONL rollout records: {group_id, rewards[], logp_new[], logp_old[], logp_ref[]}."""
-    groups = []
+    """JSONL rollout records: {group_id, rewards[], logp_new[], logp_old[], logp_ref[]};
+    each list must hold JSON numbers only."""
+    groups, names = [], [f.name for f in fields(RolloutGroup)]
     for lineno, obj in read_objects(path):
+        place = f"{path}:{lineno}"
+        for name in names:
+            values = obj.get(name)
+            if name not in obj:
+                raise ValueError(f"{place}: missing field '{name}'")
+            if not (isinstance(values, list) and all(type(x) in (int, float) for x in values)):
+                raise ValueError(f"{place}: field '{name}' must be a list of numbers")
         try:
-            group = RolloutGroup(
-                rewards=obj["rewards"],
-                logp_new=obj["logp_new"],
-                logp_old=obj["logp_old"],
-                logp_ref=obj["logp_ref"],
-            )
-        except KeyError as exc:
-            raise ValueError(f"{path}:{lineno}: missing field {exc}") from exc
-        except TypeError as exc:
-            raise ValueError(f"{path}:{lineno}: {exc}") from exc
-        groups.append((str(obj.get("group_id", lineno)), group))
+            group = RolloutGroup(**{name: obj[name] for name in names})
+        except ValueError as exc:
+            raise ValueError(f"{place}: {exc}") from None
+        groups.append((str_fields(place, obj, "group_id", default=str(lineno))[0], group))
     return groups

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable
 
-from .jsonl import read_objects
+from .jsonl import read_objects, str_fields
 
 TAG_NAMES = ("mod", "v", "a", "sum", "ans")
 
@@ -251,9 +251,7 @@ def read_trace_records(path: str | Path) -> list[tuple[str, str]]:
     """Read one-per-line ``{id, text}`` JSONL records."""
     records = []
     for lineno, obj in read_objects(path):
-        if "id" not in obj or "text" not in obj:
-            raise ValueError(f"{path}:{lineno}: record needs 'id' and 'text'")
-        records.append((str(obj["id"]), str(obj["text"])))
+        records.append(str_fields(f"{path}:{lineno}", obj, "id", "text"))
     return records
 
 

@@ -353,6 +353,19 @@ def test_read_weights_rejects_bad_records_with_their_place(tmp_path, line) -> No
         read_weights_jsonl(path)
 
 
+@pytest.mark.parametrize("line, message", [
+    ('{"shape": [], "data": null}', r"shape \[\] is not 2-D"),
+    ('{"shape": [2], "data": [1, 2]}', r"shape \[2\] is not 2-D"),
+    ('{"shape": [2, 2], "data": [1, 2, 3]}', "cannot reshape"),
+    ('{"shape": [2, 1], "data": [[1], [2, 3]]}', "bad weights record"),
+])
+def test_read_weights_requires_a_2d_layer(tmp_path, line, message) -> None:
+    path = tmp_path / "weights.jsonl"
+    path.write_text(line + "\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=rf"weights\.jsonl:1: .*{message}"):
+        read_weights_jsonl(path)
+
+
 def test_weights_jsonl_round_trip(tmp_path) -> None:
     rng = np.random.default_rng(61)
     layers = [rng.random(size=(5, 5)) for _ in range(3)]

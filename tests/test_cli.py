@@ -19,6 +19,13 @@ def run(capsys, *argv) -> tuple[int, str]:
     return code, captured.out
 
 
+def assert_one_error_line(code: int, err: str) -> str:
+    assert code == 1
+    assert err.count("\n") == 1 and err.startswith("error: ")
+    assert "Traceback" not in err
+    return err
+
+
 # --- annotate --------------------------------------------------------------------
 
 def test_annotate_mock_matches_golden(tmp_path, capsys) -> None:
@@ -98,6 +105,15 @@ def test_annotate_identical_bytes_across_parallelism(tmp_path, capsys) -> None:
         assert code == 0
         blobs[bound] = out.read_bytes()
     assert blobs[1] == blobs[4] == blobs[16]
+
+
+def test_config_key_with_a_line_break_is_one_error_line(tmp_path, capsys) -> None:
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"pipeline": {"mystery\nknob": 1}}), encoding="utf-8")
+    code = main(["annotate", "--in", str(DATA / "instances_12.jsonl"),
+                 "--out", str(tmp_path / "o.jsonl"), "--mock", "--config", str(config)])
+    err = assert_one_error_line(code, capsys.readouterr().err)
+    assert "mystery knob" in err
 
 
 # --- validate ---------------------------------------------------------------------
@@ -200,6 +216,88 @@ def test_non_object_jsonl_line_is_one_error_line(tmp_path, capsys, argv, line) -
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["annotate", "--in", "{bad}", "--out", "{tmp}/o.jsonl", "--mock"],
+    ["validate", "--traces", "{bad}", "--labels", str(DATA / "labels_perfect.jsonl")],
+    ["validate", "--traces", str(DATA / "traces_perfect.jsonl"), "--labels", "{bad}"],
+    ["grpo-step", "--rollouts", "{bad}"],
+    ["attn-report", "--weights", "{bad}", "--spec", LAYOUT],
+], ids=["annotate", "validate-traces", "validate-labels", "grpo-step", "attn-report"])
+def test_json_syntax_error_names_path_and_line(tmp_path, capsys, argv) -> None:
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text('\n \n{"id": "b",\n', encoding="utf-8")
+    code = main([a.format(bad=bad, tmp=tmp_path) for a in argv])
+    err = assert_one_error_line(code, capsys.readouterr().err)
+    assert f"{bad}:3: invalid JSON" in err
+
+
+def test_non_utf8_jsonl_names_its_path(tmp_path, capsys) -> None:
+    bad = tmp_path / "bad.jsonl"
+    bad.write_bytes(b'{"group_id": "\xff"}\n')
+    code = main(["grpo-step", "--rollouts", str(bad)])
+    err = assert_one_error_line(code, capsys.readouterr().err)
+    assert f"{bad}: not UTF-8 text" in err
+
+
+@pytest.mark.parametrize("flag", ["--out", "--report", "--records"])
+def test_annotate_unwritable_output_is_one_error_line(tmp_path, capsys, flag) -> None:
+    argv = ["annotate", "--in", str(DATA / "instances_12.jsonl"),
+            "--out", str(tmp_path / "o.jsonl"), "--mock"]
+    argv += [flag, str(tmp_path / "missing" / "x.jsonl")]
+    code = main(argv)
+    err = assert_one_error_line(code, capsys.readouterr().err)
+    assert "No such file or directory" in err and "missing" in err
+
+
+def test_annotate_directory_input_is_one_error_line(capsys) -> None:
+    code = main(["annotate", "--in", str(DATA), "--out", "unused.jsonl", "--mock"])
+    err = assert_one_error_line(code, capsys.readouterr().err)
+    assert "Is a directory" in err
+
+
+def test_annotate_string_fields_are_not_coerced(tmp_path, capsys) -> None:
+    dataset = tmp_path / "instances.jsonl"
+    dataset.write_text('{"id": 7, "question": null, "gold_answer": null}\n', encoding="utf-8")
+    code = main(["annotate", "--in", str(dataset), "--out", str(tmp_path / "o.jsonl"),
+                 "--mock"])
+    err = assert_one_error_line(code, capsys.readouterr().err)
+    assert f"{dataset}:1: field 'id' must be a string" in err
+    assert not (tmp_path / "o.jsonl").exists()
+
+
+def test_annotate_without_labels_says_why(tmp_path, capsys) -> None:
+    dataset = tmp_path / "instances.jsonl"
+    dataset.write_text('{"id": "a", "question": "q [solvable=none]", "gold_answer": "x"}\n',
+                       encoding="utf-8")
+    code = main(["annotate", "--in", str(dataset), "--out", str(tmp_path / "o.jsonl"),
+                 "--mock"])
+    captured = capsys.readouterr()
+    assert assert_one_error_line(code, captured.err) == "error: no instance was labeled\n"
+    assert captured.out.startswith("labeled 0 / 1 instances")
+
+
+def test_validate_unwritable_output_is_one_error_line(tmp_path, capsys) -> None:
+    code = main(["validate", "--traces", str(DATA / "traces_perfect.jsonl"),
+                 "--labels", str(DATA / "labels_perfect.jsonl"),
+                 "--out", str(tmp_path / "missing" / "scored.jsonl")])
+    err = assert_one_error_line(code, capsys.readouterr().err)
+    assert "No such file or directory" in err
+
+
+@pytest.mark.parametrize("line, message", [
+    ('{"id": "t1", "pem": "Audio"}', "missing field 'answer'"),
+    ('{"id": "t1", "pem": "Audio", "answer": null}', "field 'answer' must be a string"),
+    ('{"id": "t1", "pem": 3, "answer": "x"}', "field 'pem' must be a string"),
+], ids=["missing", "null-answer", "int-pem"])
+def test_validate_label_fields_name_their_place(tmp_path, capsys, line, message) -> None:
+    labels = tmp_path / "labels.jsonl"
+    labels.write_text(line + "\n", encoding="utf-8")
+    code = main(["validate", "--traces", str(DATA / "traces_perfect.jsonl"),
+                 "--labels", str(labels)])
+    err = assert_one_error_line(code, capsys.readouterr().err)
+    assert f"{labels}:1: {message}" in err
+
+
 # --- mask -------------------------------------------------------------------------
 
 def test_mask_row_prints_fixture_row(capsys) -> None:
@@ -261,6 +359,20 @@ def test_malformed_layout_spec_is_one_error_line(tmp_path, capsys, command, spec
     assert lines[0].startswith("error: ") and field in lines[0]
 
 
+def test_mask_unwritable_output_is_one_error_line(tmp_path, capsys) -> None:
+    code = main(["mask", "--spec", LAYOUT, "--out", str(tmp_path / "missing" / "x.txt")])
+    err = assert_one_error_line(code, capsys.readouterr().err)
+    assert "No such file or directory" in err
+
+
+def test_mask_spec_syntax_error_names_its_path(tmp_path, capsys) -> None:
+    spec = tmp_path / "layout.json"
+    spec.write_text('{"length": 3,', encoding="utf-8")
+    code = main(["mask", "--spec", str(spec)])
+    err = assert_one_error_line(code, capsys.readouterr().err)
+    assert f"{spec}: invalid layout spec" in err
+
+
 # --- grpo-step -----------------------------------------------------------------------
 
 def test_grpo_step_equal_rewards_zero_objective(capsys) -> None:
@@ -286,6 +398,27 @@ def test_grpo_step_rejects_bad_alpha(capsys) -> None:
     code = main(["grpo-step", "--rollouts", str(DATA / "rollouts_equal.jsonl"),
                  "--alpha", "7"])
     assert code == 1
+
+
+def test_grpo_step_rejects_a_string_of_rewards(tmp_path, capsys) -> None:
+    rollouts = tmp_path / "rollouts.jsonl"
+    rollouts.write_text('{"rewards": "12", "logp_new": [0, 1], "logp_old": [0, 1], '
+                        '"logp_ref": [0, 1]}\n', encoding="utf-8")
+    code = main(["grpo-step", "--rollouts", str(rollouts)])
+    captured = capsys.readouterr()
+    err = assert_one_error_line(code, captured.err)
+    assert captured.out == ""
+    assert f"{rollouts}:1: field 'rewards' must be a list of numbers" in err
+
+
+def test_grpo_step_group_error_names_the_group(capsys, tmp_path) -> None:
+    rollouts = tmp_path / "rollouts.jsonl"
+    rollouts.write_text('{"group_id": "g9", "rewards": [0, 1], "logp_new": [0, 1e6], '
+                        '"logp_old": [0, 0], "logp_ref": [0, 0]}\n', encoding="utf-8")
+    with np.errstate(over="ignore"):
+        code = main(["grpo-step", "--rollouts", str(rollouts), "--json"])
+    err = assert_one_error_line(code, capsys.readouterr().err)
+    assert err == "error: group g9: non-finite importance ratios\n"
 
 
 # --- attn-report -----------------------------------------------------------------------
@@ -355,6 +488,13 @@ def test_leakage_without_mask_positive(capsys) -> None:
     assert code == 0
     payload = json.loads(stdout)
     assert payload["direct_leakage"] > 0.0
+
+
+def test_leakage_negative_seed_is_one_error_line(capsys) -> None:
+    code = main(["leakage", "--seed", "-1"])
+    captured = capsys.readouterr()
+    assert_one_error_line(code, captured.err)
+    assert captured.out == ""
 
 
 # --- global behavior ------------------------------------------------------------------------

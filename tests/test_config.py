@@ -3,6 +3,7 @@ import json
 import pytest
 
 from sffuse.config import AppConfig, ConfigError, config_from_dict, load_config
+from sffuse.rl_core import GrpoConfig
 
 
 def test_defaults_are_the_documented_constants() -> None:
@@ -12,8 +13,8 @@ def test_defaults_are_the_documented_constants() -> None:
     assert cfg.pipeline.tau_cons == 0.8
     assert cfg.rewards.lambda_acc == 1.0
     assert cfg.rewards.lambda_mps == 0.2
-    assert cfg.grpo.clip_alpha == 0.2
-    assert cfg.grpo.eps_stab == 1e-8
+    assert GrpoConfig().clip_alpha == 0.2
+    assert GrpoConfig().eps_stab == 1e-8
     assert cfg.last_k == 16
 
 
@@ -28,9 +29,7 @@ def test_load_nested_sections(tmp_path) -> None:
                      "endpoint": {"base_url": "http://probe", "timeout": 5.0},
                      "embedder_endpoint": {"base_url": "http://embed"}},
         "rewards": {"lambda_mps": 0.5},
-        "grpo": {"clip_alpha": 0.1},
         "last_k": 8,
-        "seed": 7,
     }), encoding="utf-8")
     cfg = load_config(path)
     assert cfg.pipeline.n == 4
@@ -39,9 +38,7 @@ def test_load_nested_sections(tmp_path) -> None:
     assert cfg.pipeline.endpoint.timeout == 5.0
     assert cfg.pipeline.embedder_endpoint.base_url == "http://embed"
     assert cfg.rewards.lambda_mps == 0.5
-    assert cfg.grpo.clip_alpha == 0.1
     assert cfg.last_k == 8
-    assert cfg.seed == 7
 
 
 def test_unknown_section_rejected() -> None:
@@ -49,11 +46,19 @@ def test_unknown_section_rejected() -> None:
         config_from_dict({"optimizer": {}})
 
 
+@pytest.mark.parametrize("section", ["grpo", "seed"])
+def test_unread_sections_rejected(section) -> None:
+    # grpo-step takes its constants from flags and leakage its seed from
+    # --seed, so a config file that sets these is refused, not ignored.
+    with pytest.raises(ConfigError, match=rf"unknown config sections: \['{section}'\]"):
+        config_from_dict({section: {"clip_alpha": 0.1} if section == "grpo" else 7})
+
+
 def test_invalid_values_rejected() -> None:
     with pytest.raises(ConfigError, match="tau_acc"):
         config_from_dict({"pipeline": {"tau_acc": 1.5}})
-    with pytest.raises(ConfigError):
-        config_from_dict({"grpo": {"clip_alpha": 2.0}})
+    with pytest.raises(ValueError, match="clip_alpha"):
+        GrpoConfig(clip_alpha=2.0)
     with pytest.raises(ConfigError):
         config_from_dict({"pipeline": {"mystery_knob": 1}})
 
@@ -69,3 +74,23 @@ def test_missing_or_invalid_file(tmp_path) -> None:
     array.write_text("[1, 2]", encoding="utf-8")
     with pytest.raises(ConfigError, match="root"):
         load_config(array)
+
+
+@pytest.mark.parametrize("obj, message", [
+    ({"pipeline": {"n": 2.5}}, r"pipeline\.n must be an integer"),
+    ({"pipeline": {"parallelism": True}}, r"pipeline\.parallelism must be an integer"),
+    ({"pipeline": {"tau_acc": "0.9"}}, r"pipeline\.tau_acc must be a finite number"),
+    ({"rewards": {"lambda_acc": float("nan")}}, r"rewards\.lambda_acc must be a finite number"),
+    ({"pipeline": {"endpoint": {"base_url": 5}}},
+     r"pipeline\.endpoint\.base_url must be a string"),
+    ({"pipeline": {"embedder_endpoint": []}}, r"pipeline\.embedder_endpoint must be an object"),
+    ({"rewards": [1]}, "rewards must be an object"),
+    ({"last_k": "8"}, r"config\.last_k must be an integer"),
+])
+def test_values_of_the_wrong_json_type_rejected(obj, message) -> None:
+    with pytest.raises(ConfigError, match=message):
+        config_from_dict(obj)
+
+
+def test_integral_numbers_accepted_for_float_fields() -> None:
+    assert config_from_dict({"rewards": {"lambda_acc": 2}}).rewards.lambda_acc == 2

@@ -414,6 +414,11 @@ INSTANCE = '{"id": "x", "question": "q", "gold_answer": "a"'
     (INSTANCE + ', "choices": ["one", 2]}', "choices must be a list of strings"),
     (INSTANCE + ', "choices": null}', "choices must be a list of strings"),
     (INSTANCE + ', "media": "clip.mp4"}', "media must be an object"),
+    ('{"id": 7, "question": null, "gold_answer": null}', "field 'id' must be a string"),
+    ('{"id": "x", "question": null, "gold_answer": "a"}', "field 'question' must be a string"),
+    ('{"id": "x", "question": "q", "gold_answer": 3}', "field 'gold_answer' must be a string"),
+    (INSTANCE + ', "media": {"audio_ref": 1}}', "field 'audio_ref' must be a string"),
+    (INSTANCE + ', "media": {"video_ref": null}}', "field 'video_ref' must be a string"),
 ])
 def test_read_instances_rejects_malformed_records(tmp_path, line, message) -> None:
     path = tmp_path / "bad.jsonl"

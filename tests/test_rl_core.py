@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 
 import numpy as np
@@ -352,6 +353,44 @@ def test_read_rollout_groups_rejects_bad_lines_with_their_place(tmp_path, line) 
     path = tmp_path / "rollouts.jsonl"
     path.write_text("\n" + line + "\n", encoding="utf-8")
     with pytest.raises(ValueError, match=r"rollouts\.jsonl:2: "):
+        read_rollout_groups(path)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("rewards", '"12"'), ("rewards", "[true, false]"), ("rewards", "[1, null]"),
+    ("logp_new", '["0", 0]'), ("logp_old", "{}"), ("logp_ref", "[[0], [0]]"),
+])
+def test_read_rollout_groups_requires_lists_of_numbers(tmp_path, field, value) -> None:
+    record = {name: "[0, 1]" for name in ("rewards", "logp_new", "logp_old", "logp_ref")}
+    record[field] = value
+    path = tmp_path / "rollouts.jsonl"
+    path.write_text("{" + ", ".join(f'"{k}": {v}' for k, v in record.items()) + "}\n",
+                    encoding="utf-8")
+    with pytest.raises(ValueError, match=rf"rollouts\.jsonl:1: field '{field}' must be a list "
+                                         "of numbers"):
+        read_rollout_groups(path)
+
+
+@pytest.mark.parametrize("group_id, expected", [(None, None), (5, None), ("g5", "g5")])
+def test_read_rollout_groups_group_id_is_a_string_or_the_line(tmp_path, group_id,
+                                                              expected) -> None:
+    record = {"rewards": [0, 1], "logp_new": [0, 0], "logp_old": [0, 0], "logp_ref": [0, 0]}
+    path = tmp_path / "rollouts.jsonl"
+    path.write_text("\n" + json.dumps(record) + "\n"
+                    + json.dumps(dict(record, group_id=group_id)) + "\n", encoding="utf-8")
+    if expected is None:
+        with pytest.raises(ValueError, match=r"rollouts\.jsonl:3: field 'group_id' must be a "
+                                             "string"):
+            read_rollout_groups(path)
+    else:
+        assert [gid for gid, _ in read_rollout_groups(path)] == ["2", expected]
+
+
+def test_read_rollout_groups_names_the_place_of_a_short_group(tmp_path) -> None:
+    path = tmp_path / "rollouts.jsonl"
+    path.write_text('{"rewards": [1], "logp_new": [0], "logp_old": [0], "logp_ref": [0]}\n',
+                    encoding="utf-8")
+    with pytest.raises(ValueError, match=r"rollouts\.jsonl:1: a rollout group needs G >= 2"):
         read_rollout_groups(path)
 
 

@@ -2,6 +2,7 @@ import itertools
 import json
 
 import numpy as np
+import pytest
 
 from sffuse.tag_grammar import (
     DiagnosticKind,
@@ -226,3 +227,16 @@ def test_trace_records_jsonl_round_trip(tmp_path) -> None:
     with open(path, encoding="utf-8") as fh:
         first = json.loads(fh.readline())
     assert set(first) == {"id", "text"}
+
+
+@pytest.mark.parametrize("line, message", [
+    ('{"id": "t1", "text": 5}', "field 'text' must be a string"),
+    ('{"id": 1, "text": "x"}', "field 'id' must be a string"),
+    ('{"id": "t1", "text": null}', "field 'text' must be a string"),
+    ('{"id": "t1"}', "missing field 'text'"),
+])
+def test_trace_records_reject_non_string_fields(tmp_path, line, message) -> None:
+    path = tmp_path / "traces.jsonl"
+    path.write_text('{"id": "t0", "text": "ok"}\n' + line + "\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=rf"traces\.jsonl:2: {message}"):
+        read_trace_records(path)
