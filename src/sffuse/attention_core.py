@@ -12,7 +12,6 @@ query-key pairs.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -84,10 +83,6 @@ class AttentionWeights:
         m = m.copy()
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
-
-    @property
-    def length(self) -> int:
-        return self.matrix.shape[0]
 
 
 def _check_rows_visible(mask: MaskMatrix) -> None:
@@ -184,16 +179,11 @@ class AllocationReport:
     per_layer: tuple[tuple[float, float] | None, ...]
 
 
-def _as_layer_matrix(layer) -> np.ndarray:
-    """One layer's weights: a single matrix, or per-head matrices whose mass
-    is averaged before any normalization."""
+def _as_layer_matrix(layer: AttentionWeights | np.ndarray) -> np.ndarray:
+    """One layer's weights matrix; a multi-head layer is averaged by the caller."""
     if isinstance(layer, AttentionWeights):
         return layer.matrix
-    if isinstance(layer, np.ndarray) and layer.ndim == 2:
-        return np.asarray(layer, dtype=float)
-    heads = [m.matrix if isinstance(m, AttentionWeights) else np.asarray(m, dtype=float)
-             for m in layer]
-    return np.mean(heads, axis=0)
+    return np.asarray(layer, dtype=float)
 
 
 def attention_allocation(
@@ -331,6 +321,8 @@ def leakage_probe(
     without it the causal-only stack places measurable mass on the blocked
     pair families.
     """
+    if seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed}")
     sizes = dict(DEFAULT_LEAKAGE_SIZES if layout_sizes is None else layout_sizes)
     layout = leakage_layout(sizes)
     causal = build_causal(layout.length)
@@ -362,20 +354,9 @@ def leakage_probe(
 
 # --- Weights persistence ----------------------------------------------------
 
-def write_weights_jsonl(path: str | Path, layers: Sequence[np.ndarray]) -> None:
-    """One layer per line: row-major data plus shape."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for idx, matrix in enumerate(layers):
-            arr = np.asarray(matrix, dtype=float)
-            fh.write(json.dumps({
-                "layer": idx,
-                "shape": list(arr.shape),
-                "data": arr.ravel().tolist(),
-            }, sort_keys=True))
-            fh.write("\n")
-
-
 def read_weights_jsonl(path: str | Path) -> list[np.ndarray]:
+    """One layer per line, in line order: ``{"layer", "shape": [L, L],
+    "data": [row-major values]}``; ``layer`` is not read."""
     layers = []
     for lineno, obj in read_objects(path):
         try:

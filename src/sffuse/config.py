@@ -16,12 +16,12 @@ The GRPO defaults live in ``rl_core.GrpoConfig`` and are set per run with the
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 from .attention_core import DEFAULT_ALLOCATION_WINDOW
+from .jsonl import read_document
 from .pem_pipeline import EndpointConfig, PipelineConfig
 from .rl_core import RewardConfig
 
@@ -84,12 +84,11 @@ def load_config(path: str | Path | None) -> AppConfig:
     if path is None:
         return AppConfig()
     try:
-        with open(path, encoding="utf-8") as fh:
-            obj = json.load(fh)
+        obj = read_document(path, "not valid JSON")
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    except ValueError as exc:  # not JSON, or not UTF-8 text
-        raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
     if not isinstance(obj, dict):
         raise ConfigError("config root must be an object")
     return config_from_dict(obj)

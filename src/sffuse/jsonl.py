@@ -1,10 +1,36 @@
-"""The one reader behind every JSONL loader."""
+"""The one JSON decoder behind every file loader."""
 
 from __future__ import annotations
 
 import json
 from pathlib import Path
 from typing import Iterator
+
+
+def _decode(text: str, place: str, invalid: str = "invalid JSON") -> object:
+    """One JSON document. A syntax error, or nesting deeper than the decoder
+    can recurse, raises ``ValueError("place: <invalid>: ...")``."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        at = f"line {exc.lineno} column {exc.colno}" if exc.lineno > 1 else f"column {exc.colno}"
+        raise ValueError(f"{place}: {invalid}: {exc.msg} at {at}") from None
+    except RecursionError:
+        raise ValueError(f"{place}: {invalid}: nested too deeply") from None
+
+
+def _not_utf8(path: str | Path, exc: UnicodeDecodeError) -> ValueError:
+    return ValueError(f"{path}: not UTF-8 text: {exc.reason}")
+
+
+def read_document(path: str | Path, invalid: str = "invalid JSON") -> object:
+    """The file at ``path`` decoded as one JSON document; errors name ``path``."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise _not_utf8(path, exc) from None
+    return _decode(text, str(path), invalid)
 
 
 def read_objects(path: str | Path) -> Iterator[tuple[int, dict]]:
@@ -16,17 +42,13 @@ def read_objects(path: str | Path) -> Iterator[tuple[int, dict]]:
             for lineno, line in enumerate(fh, start=1):
                 if not line.strip():
                     continue
-                try:
-                    obj = json.loads(line)
-                except ValueError as exc:
-                    raise ValueError(f"{path}:{lineno}: invalid JSON: {exc.msg} "
-                                     f"at column {exc.pos + 1}") from None
+                obj = _decode(line, f"{path}:{lineno}")
                 if not isinstance(obj, dict):
                     raise ValueError(
                         f"{path}:{lineno}: expected a JSON object, got {type(obj).__name__}")
                 yield lineno, obj
         except UnicodeDecodeError as exc:
-            raise ValueError(f"{path}: not UTF-8 text: {exc.reason}") from None
+            raise _not_utf8(path, exc) from None
 
 
 def str_fields(place: str, obj: dict, *names: str,

@@ -3,7 +3,7 @@
 Over a token sequence we distinguish five position sets: video inputs,
 audio inputs, the inner visual-reasoning tokens, the inner audio-reasoning
 tokens, and the full visual span including its boundary tags. The
-asymmetric mask blocks exactly the three query-key families listed in
+composite mask blocks exactly the three query-key families listed in
 ``BLOCKED_ROLE_PAIRS`` on top of plain causal visibility; every mask path
 reads that table. Everything else keeps default causal visibility. Masks
 are stored as boolean matrices (True = visible); the additive 0 / -inf
@@ -12,14 +12,16 @@ semantics are realized by the attention core at softmax time.
 
 from __future__ import annotations
 
-import json
 import struct
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
+from types import MappingProxyType
 from typing import Mapping, Sequence
 
 import numpy as np
+
+from .jsonl import read_document
 
 
 class LayoutError(ValueError):
@@ -81,7 +83,12 @@ class TokenLayout:
             raise LayoutError("input positions must precede reasoning positions")
 
     @cached_property
-    def _role_flags(self) -> dict[str, np.ndarray]:
+    def role_flags(self) -> Mapping[str, np.ndarray]:
+        """Boolean membership arrays (length L) per role, for O(L) row work.
+
+        Built once per layout and shared, so the mapping and its arrays are
+        read-only.
+        """
         flags = {}
         for name in ROLE_NAMES:
             indices = getattr(self, name)
@@ -89,15 +96,7 @@ class TokenLayout:
             arr[np.fromiter(indices, dtype=np.intp, count=len(indices))] = True
             arr.setflags(write=False)
             flags[name] = arr
-        return flags
-
-    def role_flags(self) -> dict[str, np.ndarray]:
-        """Boolean membership arrays (length L) per role, for O(L) row work.
-
-        The arrays are built once per layout and shared, so they are
-        read-only; the returned dict is a fresh copy.
-        """
-        return dict(self._role_flags)
+        return MappingProxyType(flags)
 
 
 @dataclass(frozen=True, eq=False)
@@ -118,13 +117,6 @@ class MaskMatrix:
     def length(self) -> int:
         return self.visible.shape[0]
 
-    def is_visible(self, i: int, j: int) -> bool:
-        return bool(self.visible[i, j])
-
-    def blocked_cells(self) -> set[tuple[int, int]]:
-        rows, cols = np.nonzero(~self.visible)
-        return set(zip(rows.tolist(), cols.tolist()))
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, MaskMatrix):
             return NotImplemented
@@ -143,38 +135,20 @@ def build_causal(length: int) -> MaskMatrix:
     return MaskMatrix(np.tri(length, dtype=bool))
 
 
-def _block_role_pairs(visible: np.ndarray, layout: TokenLayout) -> np.ndarray:
-    """Clear every ``BLOCKED_ROLE_PAIRS`` cell of an L x L matrix in place."""
-    flags = layout._role_flags
+def build_composite(layout: TokenLayout) -> MaskMatrix:
+    """Causal visibility with every ``BLOCKED_ROLE_PAIRS`` cell cleared, in
+    one L x L matrix: a cell is visible iff it is causal and no rule blocks it."""
+    visible = np.tri(layout.length, dtype=bool)
+    flags = layout.role_flags
     for query, key in BLOCKED_ROLE_PAIRS:
         visible[np.ix_(flags[query], flags[key])] = False
-    return visible
-
-
-def build_maam(layout: TokenLayout) -> MaskMatrix:
-    """Asymmetric-visibility mask: blocks exactly the three rule families."""
-    n = layout.length
-    return MaskMatrix(_block_role_pairs(np.ones((n, n), dtype=bool), layout))
-
-
-def compose(causal: MaskMatrix, maam: MaskMatrix) -> MaskMatrix:
-    """Cell blocked iff blocked in either operand (-inf absorbs addition)."""
-    if causal.length != maam.length:
-        raise ValueError(
-            f"length mismatch: {causal.length} != {maam.length}")
-    return MaskMatrix(causal.visible & maam.visible)
-
-
-def build_composite(layout: TokenLayout) -> MaskMatrix:
-    """Causal visibility with the asymmetric rules applied on top; equals
-    ``compose(build_causal(L), build_maam(layout))`` from one L x L matrix."""
-    return MaskMatrix(_block_role_pairs(np.tri(layout.length, dtype=bool), layout))
+    return MaskMatrix(visible)
 
 
 def incremental_row(layout: TokenLayout, i: int) -> np.ndarray:
     """Visibility row for query position ``i`` over keys 0..i.
 
-    Equals row ``i`` of the composed mask restricted to columns <= i, computed
+    Equals row ``i`` of the composite mask restricted to columns <= i, computed
     with O(i) boolean work over the layout's cached role flags and no LxL
     materialization; this is the decode-time path where each step appends a
     single query row.
@@ -182,7 +156,7 @@ def incremental_row(layout: TokenLayout, i: int) -> np.ndarray:
     if not 0 <= i < layout.length:
         raise IndexError(f"row {i} out of range [0, {layout.length})")
     row = np.ones(i + 1, dtype=bool)
-    flags = layout._role_flags
+    flags = layout.role_flags
     for query, key in BLOCKED_ROLE_PAIRS:
         if flags[query][i]:
             row &= ~flags[key][: i + 1]
@@ -196,16 +170,14 @@ class MarkerTable:
 
     ``video``/``audio`` give (start, end) indicator ids delimiting the input
     payloads; ``tag_open``/``tag_close`` map each control-tag name (mod, v, a,
-    sum, ans) to its token id. With ``include_indicators`` the indicator
-    tokens themselves join the input sets; by default only the payload
-    between them does.
+    sum, ans) to its token id. The input sets hold the payload between the
+    indicators, not the indicator tokens themselves.
     """
 
     video: tuple[int, int]
     audio: tuple[int, int]
     tag_open: Mapping[str, int] = field(default_factory=dict)
     tag_close: Mapping[str, int] = field(default_factory=dict)
-    include_indicators: bool = False
 
 
 def _find_pair(tokens: Sequence[int], start_id: int, end_id: int,
@@ -226,9 +198,9 @@ def _find_pair(tokens: Sequence[int], start_id: int, end_id: int,
 def locate_layout(tokens: Sequence[int], markers: MarkerTable) -> TokenLayout:
     """Scan a token sequence and derive its layout from marker ids.
 
-    Input sets span the ranges delimited by the modality indicators; the
-    reasoning sets are the strict interiors of the v/a tag pairs, with the
-    visual span additionally covering both v boundary tags. Absent pairs
+    The input sets are the strict interiors of the modality indicator pairs
+    and the reasoning sets those of the v/a tag pairs, with the visual span
+    also covering both v boundary tags. Absent pairs
     simply produce empty sets (unimodal probing layouts are legal).
     """
     tokens = list(tokens)
@@ -261,18 +233,10 @@ def locate_layout(tokens: Sequence[int], markers: MarkerTable) -> TokenLayout:
     if tag_edge <= indicator_edge:
         raise LayoutError("reasoning tags precede input markers")
 
-    def indicator_range(pair: tuple[int, int] | None) -> frozenset[int]:
+    def interior(pair: tuple[int, int] | None) -> frozenset[int]:
         if pair is None:
             return frozenset()
         start, end = pair
-        if markers.include_indicators:
-            return frozenset(range(start, end + 1))
-        return frozenset(range(start + 1, end))
-
-    def interior(name: str) -> frozenset[int]:
-        if name not in pairs:
-            return frozenset()
-        start, end = pairs[name]
         return frozenset(range(start + 1, end))
 
     visual_span = frozenset()
@@ -282,12 +246,12 @@ def locate_layout(tokens: Sequence[int], markers: MarkerTable) -> TokenLayout:
 
     return TokenLayout(
         length=len(tokens),
-        video_input=indicator_range(video),
-        audio_input=indicator_range(audio),
-        visual_reasoning=interior("v"),
-        audio_reasoning=interior("a"),
+        video_input=interior(video),
+        audio_input=interior(audio),
+        visual_reasoning=interior(pairs.get("v")),
+        audio_reasoning=interior(pairs.get("a")),
         visual_span=visual_span,
-        summary_span=interior("sum"),
+        summary_span=interior(pairs.get("sum")),
     )
 
 
@@ -334,12 +298,7 @@ def layout_from_spec(spec: Mapping) -> TokenLayout:
 
 
 def load_layout_spec(path: str | Path) -> TokenLayout:
-    with open(path, encoding="utf-8") as fh:
-        try:
-            spec = json.load(fh)
-        except ValueError as exc:  # not JSON, or not UTF-8 text
-            raise ValueError(f"{path}: invalid layout spec: {exc}") from None
-    return layout_from_spec(spec)
+    return layout_from_spec(read_document(path, "invalid layout spec"))
 
 
 # --- Mask export formats --------------------------------------------------

@@ -134,10 +134,6 @@ class PemRecord:
     def __post_init__(self) -> None:
         object.__setattr__(self, "settings", dict(self.settings))
 
-    @property
-    def label(self) -> PemLabel | None:
-        return self.decision if isinstance(self.decision, PemLabel) else None
-
     def to_dict(self) -> dict:
         if isinstance(self.decision, PemLabel):
             decision = {"kind": "label", "label": self.decision.serialized}
@@ -351,22 +347,25 @@ def annotate(
         av_cot = sample_sets[ProbeSetting.AV].cot_texts[0]
         return PemRecord(instance.id, per_setting, decision), av_cot
 
-    outcomes: dict[str, tuple[PemRecord, str]] = {}
-    failures: dict[str, dict] = {}
+    def guarded(instance: Instance) -> tuple[PemRecord, str] | dict:
+        """``process``, with a recorded failure returned as its stats row."""
+        try:
+            return process(instance)
+        except _RECORDED_FAILURES as exc:
+            return {"id": instance.id, "error": str(exc)}
+
     if cfg.parallelism == 1:
-        for instance in dataset:
-            try:
-                outcomes[instance.id] = process(instance)
-            except _RECORDED_FAILURES as exc:
-                failures[instance.id] = {"id": instance.id, "error": str(exc)}
+        results = list(map(guarded, dataset))
     else:
         with ThreadPoolExecutor(max_workers=cfg.parallelism) as pool:
-            futures = {inst.id: pool.submit(process, inst) for inst in dataset}
-            for instance_id, future in futures.items():
-                try:
-                    outcomes[instance_id] = future.result()
-                except _RECORDED_FAILURES as exc:
-                    failures[instance_id] = {"id": instance_id, "error": str(exc)}
+            results = list(pool.map(guarded, dataset))
+    outcomes: dict[str, tuple[PemRecord, str]] = {}
+    failures: dict[str, dict] = {}
+    for instance, result in zip(dataset, results):
+        if isinstance(result, dict):
+            failures[instance.id] = result
+        else:
+            outcomes[instance.id] = result
 
     by_id = {inst.id: inst for inst in dataset}
     records = []
@@ -491,21 +490,6 @@ class MockCotSampler:
                  f"{instance.id} with no firm evidence.")
                 for k in range(n))
         return SampleSet(setting=setting, samples=samples)
-
-
-class ScriptedSampler:
-    """Test sampler returning pre-recorded sample lists keyed by (id, setting)."""
-
-    def __init__(self, script: Mapping[tuple[str, ProbeSetting], Sequence[tuple[str, str]]]):
-        self._script = dict(script)
-
-    def sample(self, instance: Instance, setting: ProbeSetting, n: int) -> SampleSet:
-        if n < 2:
-            raise ValueError("n must be >= 2")
-        key = (instance.id, setting)
-        if key not in self._script:
-            raise SamplingError(f"no scripted samples for {key}")
-        return SampleSet(setting=setting, samples=tuple(self._script[key][:n]))
 
 
 class HashEmbedder:

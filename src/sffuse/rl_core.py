@@ -112,11 +112,6 @@ def reward_acc(output_text: str, ground_truth: str) -> int:
     return _acc(parse_trace(output_text)[0], ground_truth)
 
 
-def reward_stage1(output_text: str, gold_pem: PemLabel) -> int:
-    """Stage 1 optimizes the modality preference & structure reward alone."""
-    return reward_mps(output_text, gold_pem)
-
-
 def reward_stage2(
     output_text: str,
     gold_pem: PemLabel,

@@ -15,11 +15,9 @@ serve directly as a crisp 0/1 reward predicate.
 from __future__ import annotations
 
 import enum
-import json
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable
 
 from .jsonl import read_objects, str_fields
 
@@ -253,11 +251,3 @@ def read_trace_records(path: str | Path) -> list[tuple[str, str]]:
     for lineno, obj in read_objects(path):
         records.append(str_fields(f"{path}:{lineno}", obj, "id", "text"))
     return records
-
-
-def write_trace_records(path: str | Path, records: Iterable[tuple[str, str]]) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for record_id, text in records:
-            fh.write(json.dumps({"id": record_id, "text": text}, ensure_ascii=False,
-                                sort_keys=True))
-            fh.write("\n")

@@ -1,18 +1,22 @@
 """Shared fixtures: the L=6 layout, a brute-force mask oracle, loop-based
 reference encoders for the mask exports, loop-based references for the hash
-embedder and CoT consistency, and a random valid-layout generator used by the
-property and acceptance suites."""
+embedder and CoT consistency, a random valid-layout generator used by the
+property and acceptance suites, a scripted sampler, and writers for the trace
+and weights JSONL formats."""
 
 from __future__ import annotations
 
 import hashlib
+import json
 import math
 import struct
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 import pytest
 
 from sffuse.mask_engine import MaskMatrix, TokenLayout
+from sffuse.pem_pipeline import Instance, ProbeSetting, SampleSet, SamplingError
 
 
 @pytest.fixture
@@ -44,6 +48,12 @@ def brute_force_mask(layout: TokenLayout) -> MaskMatrix:
             if i in layout.audio_reasoning and j in layout.visual_span:
                 visible[i, j] = False
     return MaskMatrix(visible)
+
+
+def blocked_cells(mask: MaskMatrix) -> set[tuple[int, int]]:
+    """The (query, key) cells a mask blocks."""
+    rows, cols = np.nonzero(~mask.visible)
+    return set(zip(rows.tolist(), cols.tolist()))
 
 
 def reference_mask_to_text(mask: MaskMatrix) -> str:
@@ -142,3 +152,41 @@ def random_layout(rng: np.random.Generator, max_length: int = 64) -> TokenLayout
         audio_reasoning=audio_reasoning,
         visual_span=visual_span,
     )
+
+
+class ScriptedSampler:
+    """Sampler returning pre-recorded sample lists keyed by (id, setting)."""
+
+    def __init__(self, script: Mapping[tuple[str, ProbeSetting], Sequence[tuple[str, str]]]):
+        self._script = dict(script)
+
+    def sample(self, instance: Instance, setting: ProbeSetting, n: int) -> SampleSet:
+        if n < 2:
+            raise ValueError("n must be >= 2")
+        key = (instance.id, setting)
+        if key not in self._script:
+            raise SamplingError(f"no scripted samples for {key}")
+        return SampleSet(setting=setting, samples=tuple(self._script[key][:n]))
+
+
+def write_trace_records(path, records: Iterable[tuple[str, str]]) -> None:
+    """``{id, text}`` JSONL, the format ``read_trace_records`` reads."""
+    with open(path, "w", encoding="utf-8") as fh:
+        for record_id, text in records:
+            fh.write(json.dumps({"id": record_id, "text": text}, ensure_ascii=False,
+                                sort_keys=True))
+            fh.write("\n")
+
+
+def write_weights_jsonl(path, layers: Sequence[np.ndarray]) -> None:
+    """One layer per line, ``{layer, shape, data}`` with row-major data: the
+    format ``read_weights_jsonl`` reads."""
+    with open(path, "w", encoding="utf-8") as fh:
+        for idx, matrix in enumerate(layers):
+            arr = np.asarray(matrix, dtype=float)
+            fh.write(json.dumps({
+                "layer": idx,
+                "shape": list(arr.shape),
+                "data": arr.ravel().tolist(),
+            }, sort_keys=True))
+            fh.write("\n")

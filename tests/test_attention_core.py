@@ -13,11 +13,10 @@ from sffuse.attention_core import (
     leakage_probe,
     masked_attention,
     read_weights_jsonl,
-    write_weights_jsonl,
 )
 from sffuse.mask_engine import MaskMatrix, TokenLayout, build_causal, build_composite
 
-from conftest import brute_force_mask, random_layout
+from conftest import blocked_cells, brute_force_mask, random_layout, write_weights_jsonl
 
 # Measured once on seed 0 with the default sizes and frozen here; the probe
 # must reproduce it and must stay strictly positive.
@@ -272,7 +271,8 @@ def test_allocation_window_takes_last_k_layers() -> None:
 def test_allocation_head_mass_averaged_before_normalization() -> None:
     head_a = _weights_with((8, 9), {5: 0.4})
     head_b = _weights_with((8, 9), {2: 0.2})
-    report = attention_allocation([[head_a, head_b]], ALLOC_LAYOUT, last_k=1)
+    layer = np.mean([head_a, head_b], axis=0)  # a multi-head layer is one mean matrix
+    report = attention_allocation([layer], ALLOC_LAYOUT, last_k=1)
     assert report.audio_fraction == pytest.approx(0.4 / 0.6)
 
 
@@ -338,7 +338,7 @@ def test_leakage_layout_families_match_brute_force() -> None:
     blocked = build_causal(layout.length).visible & ~build_composite(layout).visible
     rows, cols = np.nonzero(blocked)
     oracle = brute_force_mask(layout)
-    causal_extra = {(i, j) for (i, j) in oracle.blocked_cells() if j <= i}
+    causal_extra = {(i, j) for (i, j) in blocked_cells(oracle) if j <= i}
     assert causal_extra
     assert set(zip(rows.tolist(), cols.tolist())) == causal_extra
 

@@ -4,7 +4,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sffuse.attention_core import DEFAULT_ALLOCATION_WINDOW, write_weights_jsonl
+from conftest import write_weights_jsonl
+from sffuse.attention_core import DEFAULT_ALLOCATION_WINDOW
 from sffuse.cli import build_parser, main
 from sffuse.mask_engine import mask_from_rle, mask_from_text, build_composite
 from sffuse.mask_engine import load_layout_spec
@@ -237,6 +238,36 @@ def test_non_utf8_jsonl_names_its_path(tmp_path, capsys) -> None:
     code = main(["grpo-step", "--rollouts", str(bad)])
     err = assert_one_error_line(code, capsys.readouterr().err)
     assert f"{bad}: not UTF-8 text" in err
+
+
+CONFIG_ARGV = ["--in", str(DATA / "instances_12.jsonl"), "--out", "{tmp}/o.jsonl", "--mock"]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["annotate", "--in", "{bad}", "--out", "{tmp}/o.jsonl", "--mock"], "{bad}:1: invalid JSON"),
+    (["validate", "--traces", "{bad}", "--labels", str(DATA / "labels_perfect.jsonl")],
+     "{bad}:1: invalid JSON"),
+    (["validate", "--traces", str(DATA / "traces_perfect.jsonl"), "--labels", "{bad}"],
+     "{bad}:1: invalid JSON"),
+    (["grpo-step", "--rollouts", "{bad}"], "{bad}:1: invalid JSON"),
+    (["attn-report", "--weights", "{bad}", "--spec", LAYOUT], "{bad}:1: invalid JSON"),
+    (["mask", "--spec", "{bad}"], "{bad}: invalid layout spec"),
+    (["attn-report", "--weights", "{tmp}/w.jsonl", "--spec", "{bad}"],
+     "{bad}: invalid layout spec"),
+    (["annotate", *CONFIG_ARGV, "--config", "{bad}"], "{bad}: not valid JSON"),
+    (["validate", "--traces", str(DATA / "traces_perfect.jsonl"),
+      "--labels", str(DATA / "labels_perfect.jsonl"), "--config", "{bad}"],
+     "{bad}: not valid JSON"),
+], ids=["jsonl-annotate", "jsonl-validate-traces", "jsonl-validate-labels", "jsonl-grpo-step",
+        "jsonl-attn-report", "spec-mask", "spec-attn-report", "config-annotate",
+        "config-validate"])
+def test_deeply_nested_json_is_one_error_line(tmp_path, capsys, argv, message) -> None:
+    bad = tmp_path / "deep.json"
+    bad.write_text("[" * 100000 + "\n", encoding="utf-8")
+    write_weights_jsonl(tmp_path / "w.jsonl", [np.full((6, 6), 1.0 / 6.0)])
+    code = main([a.format(bad=bad, tmp=tmp_path) for a in argv])
+    err = assert_one_error_line(code, capsys.readouterr().err)
+    assert err == f"error: {message.format(bad=bad)}: nested too deeply\n"
 
 
 @pytest.mark.parametrize("flag", ["--out", "--report", "--records"])
@@ -494,6 +525,14 @@ def test_leakage_negative_seed_is_one_error_line(capsys) -> None:
     code = main(["leakage", "--seed", "-1"])
     captured = capsys.readouterr()
     assert_one_error_line(code, captured.err)
+    assert captured.out == ""
+
+
+def test_leakage_negative_seed_names_the_seed(capsys) -> None:
+    code = main(["leakage", "--seed", "-7", "--no-maam"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err == "error: seed must be a non-negative integer, got -7\n"
     assert captured.out == ""
 
 

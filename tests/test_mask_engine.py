@@ -11,8 +11,6 @@ from sffuse.mask_engine import (
     TokenLayout,
     build_causal,
     build_composite,
-    build_maam,
-    compose,
     incremental_row,
     layout_from_spec,
     load_layout_spec,
@@ -24,6 +22,7 @@ from sffuse.mask_engine import (
 )
 
 from conftest import (
+    blocked_cells,
     brute_force_mask,
     random_layout,
     reference_mask_to_rle,
@@ -42,7 +41,7 @@ def test_causal_l3_lower_triangular() -> None:
     assert int(mask.visible.sum()) == 6
     for i in range(3):
         for j in range(3):
-            assert mask.is_visible(i, j) == (j <= i)
+            assert mask.visible[i, j] == (j <= i)
 
 
 def test_causal_l64_count_matches_brute_enumeration() -> None:
@@ -56,27 +55,26 @@ def test_causal_rejects_zero_length() -> None:
         build_causal(0)
 
 
-# --- asymmetric mask ----------------------------------------------------------
+# --- composite mask -------------------------------------------------------------
 
 def test_maam_vacuous_when_no_audio_roles() -> None:
     layout = TokenLayout(length=5, video_input={0, 1}, visual_reasoning={3},
                          visual_span={2, 3, 4})
-    assert bool(build_maam(layout).visible.all())
+    assert build_composite(layout) == build_causal(5)
 
 
 def test_maam_fixture_blocked_cells(fixture_layout) -> None:
-    mask = build_maam(fixture_layout)
-    # Brute-force application of the three rules over all 36 pairs.
-    expected = brute_force_mask(fixture_layout)
-    blocked = {(i, j) for i in range(6) for j in range(6)
-               if not expected.is_visible(i, j) and j <= i}
-    assert mask.blocked_cells() == {(2, 1), (3, 0), (3, 2)} == blocked
+    # The rule cells are the blocked cells on or below the diagonal; the
+    # brute-force oracle applies the three rules over all 36 pairs.
+    rule_cells = {(i, j) for i, j in blocked_cells(build_composite(fixture_layout)) if j <= i}
+    expected = {(i, j) for i, j in blocked_cells(brute_force_mask(fixture_layout)) if j <= i}
+    assert rule_cells == {(2, 1), (3, 0), (3, 2)} == expected
 
 
 def test_maam_blocks_full_visual_span_for_audio_queries() -> None:
     layout = TokenLayout(length=10, visual_span={2, 3, 4}, visual_reasoning={3},
                          audio_reasoning={7, 8})
-    blocked = build_maam(layout).blocked_cells()
+    blocked = blocked_cells(build_composite(layout))
     assert {(i, j) for i in (7, 8) for j in (2, 3, 4)} <= blocked
 
 
@@ -93,28 +91,10 @@ def test_maam_rejects_invalid_layout_with_named_invariant() -> None:
         TokenLayout(length=0)
 
 
-# --- composition ---------------------------------------------------------------
-
-def test_compose_with_all_visible_is_identity() -> None:
-    causal = build_causal(5)
-    identity = MaskMatrix(np.ones((5, 5), dtype=bool))
-    assert compose(causal, identity) == causal
-
-
-def test_compose_idempotent(fixture_layout) -> None:
-    m = build_maam(fixture_layout)
-    assert compose(m, m) == m
-
-
-def test_compose_length_mismatch() -> None:
-    with pytest.raises(ValueError, match="mismatch"):
-        compose(build_causal(3), build_causal(4))
-
-
 def test_composite_fixture_blocked_union(fixture_layout) -> None:
     mask = build_composite(fixture_layout)
     causal_blocked = {(i, j) for i in range(6) for j in range(6) if j > i}
-    assert mask.blocked_cells() == causal_blocked | {(2, 1), (3, 0), (3, 2)}
+    assert blocked_cells(mask) == causal_blocked | {(2, 1), (3, 0), (3, 2)}
 
 
 def test_oracle_equivalence_on_random_layouts() -> None:
@@ -122,14 +102,6 @@ def test_oracle_equivalence_on_random_layouts() -> None:
     for _ in range(100):
         layout = random_layout(rng)
         assert build_composite(layout) == brute_force_mask(layout)
-
-
-def test_composite_equals_composed_causal_and_maam() -> None:
-    rng = np.random.default_rng(103)
-    for _ in range(100):
-        layout = random_layout(rng)
-        composed = compose(build_causal(layout.length), build_maam(layout))
-        assert build_composite(layout) == composed
 
 
 def test_diagonal_always_visible_in_composites() -> None:
@@ -162,8 +134,8 @@ def test_monotone_locality_removing_key_indices_never_blocks() -> None:
 
 def test_asymmetry_is_exactly_three_rule_families(fixture_layout) -> None:
     mask = build_composite(fixture_layout)
-    assert mask.is_visible(2, 0)  # visual reasoning may see video input
-    assert mask.is_visible(3, 1)  # audio reasoning may see audio input
+    assert mask.visible[2, 0]  # visual reasoning may see video input
+    assert mask.visible[3, 1]  # audio reasoning may see audio input
 
 
 # --- incremental rows -------------------------------------------------------------
@@ -194,17 +166,18 @@ def test_incremental_row_leaves_cached_flags_read_only_and_unchanged() -> None:
     layout = TokenLayout(length=8, video_input={0}, audio_input={1},
                          visual_reasoning={3}, visual_span={2, 3, 4},
                          audio_reasoning={5}, summary_span={6, 7})
-    before = {name: arr.copy() for name, arr in layout.role_flags().items()}
+    before = {name: arr.copy() for name, arr in layout.role_flags.items()}
     rows = [incremental_row(layout, i) for i in range(layout.length)]
-    flags = layout.role_flags()
+    flags = layout.role_flags
+    assert flags is layout.role_flags  # computed once, then shared
     for name, arr in flags.items():
         assert not arr.flags.writeable
         assert arr.tolist() == before[name].tolist()
-        assert arr is layout.role_flags()[name]  # computed once, then shared
     assert all(not row.flags.writeable for row in rows)
     with pytest.raises(ValueError):
         flags["audio_input"][0] = True
-    flags["audio_input"] = np.ones(8, dtype=bool)  # the returned dict is a copy
+    with pytest.raises(TypeError):
+        flags["audio_input"] = np.ones(8, dtype=bool)  # the shared mapping is read-only
     assert incremental_row(layout, 3).tolist() == [True, False, True, True]
 
 
@@ -249,15 +222,6 @@ def test_locate_layout_hand_built_sequence() -> None:
     assert layout.visual_reasoning == {7}
     assert layout.visual_span == {6, 7, 8}
     assert layout.audio_reasoning == {10}
-
-
-def test_locate_layout_include_indicators_option() -> None:
-    markers = MarkerTable(video=MARKERS.video, audio=MARKERS.audio,
-                          tag_open=MARKERS.tag_open, tag_close=MARKERS.tag_close,
-                          include_indicators=True)
-    layout = locate_layout(SEQUENCE, markers)
-    assert layout.video_input == {0, 1, 2}
-    assert layout.audio_input == {3, 4, 5}
 
 
 def test_locate_layout_no_audio_tags_is_valid() -> None:

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import reference_consistency, reference_hash_vector
+from conftest import ScriptedSampler, reference_consistency, reference_hash_vector
 from sffuse.pem_pipeline import (
     Discard,
     DiscardReason,
@@ -25,7 +25,6 @@ from sffuse.pem_pipeline import (
     ProbeSetting,
     SampleSet,
     SamplingError,
-    ScriptedSampler,
     accuracy_rate,
     annotate,
     build_probe_prompt,

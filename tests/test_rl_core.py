@@ -16,7 +16,6 @@ from sffuse.rl_core import (
     read_rollout_groups,
     reward_acc,
     reward_mps,
-    reward_stage1,
     reward_stage2,
     score_trace,
 )
@@ -56,11 +55,6 @@ def test_reward_acc_missing_ans_tag() -> None:
 def test_reward_acc_normalization_pipeline() -> None:
     trace = GOOD.replace("<ans>collie</ans>", "<ans>  The   Collie. </ans>")
     assert reward_acc(trace, "the collie") == 1
-
-
-def test_reward_stage1_equals_mps() -> None:
-    assert reward_stage1(GOOD, PemLabel.AUDIO) == reward_mps(GOOD, PemLabel.AUDIO)
-    assert reward_stage1(BAD_STRUCTURE, PemLabel.AUDIO) == 0
 
 
 def test_reward_stage2_default_weights() -> None:

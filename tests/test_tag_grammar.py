@@ -13,8 +13,9 @@ from sffuse.tag_grammar import (
     read_trace_records,
     render_trace,
     validate_structure,
-    write_trace_records,
 )
+
+from conftest import write_trace_records
 
 WELL_FORMED = ("<mod>Audio</mod><v>sheep visible</v><a>barking only</a>"
                "<sum>dog barks</sum><ans>collie</ans>")
