@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
@@ -36,7 +37,12 @@ class FullyBlockedRowError(ValueError):
 
 @dataclass(frozen=True)
 class AttentionInputs:
-    """Queries/keys/values plus the visibility mask for one head."""
+    """Queries/keys/values plus the visibility mask for one head.
+
+    q, k and v are held as read-only copies, so the softmax weights, computed
+    on first use, stay valid for the life of the object and are shared by the
+    forward and the backward pass.
+    """
 
     q: np.ndarray
     k: np.ndarray
@@ -45,9 +51,7 @@ class AttentionInputs:
     scale: float | None = None
 
     def __post_init__(self) -> None:
-        q = np.asarray(self.q, dtype=float)
-        k = np.asarray(self.k, dtype=float)
-        v = np.asarray(self.v, dtype=float)
+        q, k, v = (np.array(arr, dtype=float) for arr in (self.q, self.k, self.v))
         if q.ndim != 2 or q.shape != k.shape or q.shape != v.shape:
             raise ValueError("q, k, v must share an (L, d) shape")
         if q.shape[1] < 1:
@@ -57,7 +61,10 @@ class AttentionInputs:
         for name, arr in (("q", q), ("k", k), ("v", v)):
             if not np.isfinite(arr).all():
                 raise ValueError(f"{name} contains non-finite entries")
+            arr.setflags(write=False)
         scale = self.scale if self.scale is not None else 1.0 / math.sqrt(q.shape[1])
+        if not math.isfinite(scale):
+            raise ValueError(f"scale must be finite, got {scale}")
         if scale <= 0:
             raise ValueError("scale must be positive")
         object.__setattr__(self, "q", q)
@@ -69,10 +76,24 @@ class AttentionInputs:
     def length(self) -> int:
         return self.q.shape[0]
 
+    @cached_property
+    def weights(self) -> AttentionWeights:
+        """Softmax of the scaled logits over visible cells, built in one
+        L x L buffer: blocked logits become -inf, whose exp is exactly 0."""
+        _check_rows_visible(self.mask)
+        w = self.q @ self.k.T
+        w *= self.scale
+        np.copyto(w, -np.inf, where=~self.mask.visible)
+        w -= w.max(axis=1, keepdims=True)
+        np.exp(w, out=w)
+        w /= w.sum(axis=1, keepdims=True)
+        return AttentionWeights._adopt(w)
+
 
 @dataclass(frozen=True)
 class AttentionWeights:
-    """Row-stochastic attention matrix; exactly zero at blocked cells."""
+    """Row-stochastic attention matrix; exactly zero at blocked cells.
+    The matrix is a read-only copy of the one passed in."""
 
     matrix: np.ndarray
 
@@ -84,6 +105,14 @@ class AttentionWeights:
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
 
+    @classmethod
+    def _adopt(cls, matrix: np.ndarray) -> AttentionWeights:
+        """Wrap a square float buffer that no one else holds, without a copy."""
+        matrix.setflags(write=False)
+        weights = object.__new__(cls)
+        object.__setattr__(weights, "matrix", matrix)
+        return weights
+
 
 def _check_rows_visible(mask: MaskMatrix) -> None:
     rows = np.nonzero(~mask.visible.any(axis=1))[0]
@@ -94,17 +123,12 @@ def _check_rows_visible(mask: MaskMatrix) -> None:
 def masked_attention(inputs: AttentionInputs) -> tuple[np.ndarray, AttentionWeights]:
     """Softmax attention over visible cells only.
 
-    Returns ``(output, weights)`` where ``output = weights @ v``. Blocked
-    cells carry weight exactly 0; every row sums to 1.
+    Returns ``(output, weights)`` where ``output = weights @ v`` and
+    ``weights`` is ``inputs.weights``. Blocked cells carry weight exactly 0;
+    every row sums to 1.
     """
-    _check_rows_visible(inputs.mask)
-    visible = inputs.mask.visible
-    logits = inputs.scale * (inputs.q @ inputs.k.T)
-    shifted = np.where(visible, logits, -np.inf)
-    shifted = shifted - shifted.max(axis=1, keepdims=True)
-    expd = np.where(visible, np.exp(shifted), 0.0)
-    weights = expd / expd.sum(axis=1, keepdims=True)
-    return weights @ inputs.v, AttentionWeights(weights)
+    weights = inputs.weights
+    return weights.matrix @ inputs.v, weights
 
 
 def attention_gradients(
@@ -112,19 +136,20 @@ def attention_gradients(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Analytic gradients of ``sum(output * d_output)`` w.r.t. q, k, v.
 
-    ``d_output`` defaults to all-ones (the element-sum loss). Blocked cells
-    contribute exactly zero gradient: their weights are zero, which zeroes
-    the softmax backward term.
+    ``d_output`` defaults to all-ones (the element-sum loss). The weights are
+    ``inputs.weights``, so a forward already run is not run again. Blocked
+    cells contribute exactly zero gradient: their weights are zero, which
+    zeroes the softmax backward term.
     """
     out_shape = inputs.q.shape
     upstream = np.ones(out_shape) if d_output is None else np.asarray(d_output, dtype=float)
     if upstream.shape != out_shape:
         raise ValueError("d_output must match the output shape")
-    _, weights = masked_attention(inputs)
-    w = weights.matrix
-    d_w = upstream @ inputs.v.T
+    w = inputs.weights.matrix
+    d_logits = upstream @ inputs.v.T
     d_v = w.T @ upstream
-    d_logits = w * (d_w - np.sum(w * d_w, axis=1, keepdims=True))
+    d_logits -= np.sum(w * d_logits, axis=1, keepdims=True)
+    d_logits *= w
     d_q = inputs.scale * (d_logits @ inputs.k)
     d_k = inputs.scale * (d_logits.T @ inputs.q)
     return d_q, d_k, d_v
@@ -365,5 +390,7 @@ def read_weights_jsonl(path: str | Path) -> list[np.ndarray]:
             raise ValueError(f"{path}:{lineno}: bad weights record: {exc!r}") from exc
         if layer.ndim != 2:
             raise ValueError(f"{path}:{lineno}: weights shape {list(layer.shape)} is not 2-D")
+        if not np.isfinite(layer).all():
+            raise ValueError(f"{path}:{lineno}: weights must be finite numbers")
         layers.append(layer)
     return layers

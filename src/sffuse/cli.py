@@ -24,7 +24,9 @@ from .jsonl import read_objects, str_fields
 
 
 def _dump(obj) -> str:
-    return json.dumps(obj, ensure_ascii=False, sort_keys=True)
+    # Strict JSON: a NaN or infinity raises ValueError instead of printing a
+    # token no JSON parser has to accept.
+    return json.dumps(obj, ensure_ascii=False, sort_keys=True, allow_nan=False)
 
 
 def _fail(message: str) -> int:

@@ -62,7 +62,10 @@ class RolloutGroup:
 
     def __post_init__(self) -> None:
         for name in ("rewards", "logp_new", "logp_old", "logp_ref"):
-            object.__setattr__(self, name, tuple(float(x) for x in getattr(self, name)))
+            values = tuple(float(x) for x in getattr(self, name))
+            if not all(map(math.isfinite, values)):
+                raise ValueError(f"{name} must hold finite numbers")
+            object.__setattr__(self, name, values)
         g = len(self.rewards)
         if g < 2:
             raise ValueError("a rollout group needs G >= 2 responses")

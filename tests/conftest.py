@@ -1,8 +1,8 @@
 """Shared fixtures: the L=6 layout, a brute-force mask oracle, loop-based
 reference encoders for the mask exports, loop-based references for the hash
-embedder and CoT consistency, a random valid-layout generator used by the
-property and acceptance suites, a scripted sampler, and writers for the trace
-and weights JSONL formats."""
+embedder and CoT consistency, the dense attention forward and backward, a
+random valid-layout generator used by the property and acceptance suites, a
+scripted sampler, and writers for the trace and weights JSONL formats."""
 
 from __future__ import annotations
 
@@ -110,9 +110,36 @@ def reference_consistency(cot_texts, embedder) -> float:
     return math.fsum(dots) / len(dots)
 
 
-def random_layout(rng: np.random.Generator, max_length: int = 64) -> TokenLayout:
+def reference_masked_attention(inputs) -> tuple[np.ndarray, np.ndarray]:
+    """The dense forward as first written, one full-size temporary per step;
+    ``masked_attention``'s output and weights must equal it byte for byte."""
+    visible = inputs.mask.visible
+    logits = inputs.scale * (inputs.q @ inputs.k.T)
+    shifted = np.where(visible, logits, -np.inf)
+    shifted = shifted - shifted.max(axis=1, keepdims=True)
+    expd = np.where(visible, np.exp(shifted), 0.0)
+    weights = expd / expd.sum(axis=1, keepdims=True)
+    return weights @ inputs.v, weights
+
+
+def reference_attention_gradients(inputs, d_output=None):
+    """The backward as first written, recomputing the forward;
+    ``attention_gradients`` must equal it byte for byte."""
+    out_shape = inputs.q.shape
+    upstream = np.ones(out_shape) if d_output is None else np.asarray(d_output, dtype=float)
+    _, w = reference_masked_attention(inputs)
+    d_w = upstream @ inputs.v.T
+    d_v = w.T @ upstream
+    d_logits = w * (d_w - np.sum(w * d_w, axis=1, keepdims=True))
+    d_q = inputs.scale * (d_logits @ inputs.k)
+    d_k = inputs.scale * (d_logits.T @ inputs.q)
+    return d_q, d_k, d_v
+
+
+def random_layout(rng: np.random.Generator, max_length: int = 64,
+                  min_length: int = 1) -> TokenLayout:
     """A random valid layout, covering degenerate role sets as well."""
-    length = int(rng.integers(1, max_length + 1))
+    length = int(rng.integers(min_length, max_length + 1))
     boundary = int(rng.integers(0, length + 1))
     input_positions = list(range(boundary))
     reasoning_positions = list(range(boundary, length))

@@ -1,8 +1,12 @@
 import math
+from functools import cached_property
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from sffuse import attention_core
 from sffuse.attention_core import (
     AttentionInputs,
     FullyBlockedRowError,
@@ -16,7 +20,14 @@ from sffuse.attention_core import (
 )
 from sffuse.mask_engine import MaskMatrix, TokenLayout, build_causal, build_composite
 
-from conftest import blocked_cells, brute_force_mask, random_layout, write_weights_jsonl
+from conftest import (
+    blocked_cells,
+    brute_force_mask,
+    random_layout,
+    reference_attention_gradients,
+    reference_masked_attention,
+    write_weights_jsonl,
+)
 
 # Measured once on seed 0 with the default sizes and frozen here; the probe
 # must reproduce it and must stay strictly positive.
@@ -118,6 +129,88 @@ def test_inputs_validation() -> None:
     with pytest.raises(ValueError, match="scale"):
         AttentionInputs(q=np.zeros((2, 2)), k=np.zeros((2, 2)),
                         v=np.zeros((2, 2)), mask=mask, scale=-1.0)
+
+
+@pytest.mark.parametrize("scale", [math.nan, math.inf])
+def test_inputs_reject_a_non_finite_scale(scale) -> None:
+    with pytest.raises(ValueError, match="scale must be finite"):
+        AttentionInputs(q=np.zeros((2, 2)), k=np.zeros((2, 2)),
+                        v=np.zeros((2, 2)), mask=build_causal(2), scale=scale)
+
+
+# (min, max) sequence length: a single token, short layouts, and L >= 256.
+LENGTHS = {"one": (1, 1), "short": (2, 40), "long": (256, 320)}
+
+
+@pytest.mark.parametrize("lengths", sorted(LENGTHS))
+@settings(max_examples=15, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), dim=st.sampled_from([1, 4, 64]),
+       scale=st.floats(1e-3, 10.0), default_upstream=st.booleans())
+def test_kernel_bytes_equal_the_dense_oracle(lengths, seed, dim, scale,
+                                             default_upstream) -> None:
+    rng = np.random.default_rng(seed)
+    low, high = LENGTHS[lengths]
+    layout = random_layout(rng, max_length=high, min_length=low)
+    inputs = AttentionInputs(
+        q=rng.normal(size=(layout.length, dim)), k=rng.normal(size=(layout.length, dim)),
+        v=rng.normal(size=(layout.length, dim)), mask=build_composite(layout), scale=scale)
+    d_output = None if default_upstream else rng.normal(size=(layout.length, dim))
+    output, weights = masked_attention(inputs)
+    gradients = attention_gradients(inputs, d_output)
+    ref_output, ref_weights = reference_masked_attention(inputs)
+    ref_gradients = reference_attention_gradients(inputs, d_output)
+    assert weights.matrix.tobytes() == ref_weights.tobytes()
+    assert output.tobytes() == ref_output.tobytes()
+    for got, want in zip(gradients, ref_gradients):
+        assert got.tobytes() == want.tobytes()
+
+
+def test_masked_attention_returns_the_cached_weights(fixture_layout) -> None:
+    inputs = random_inputs(np.random.default_rng(7), fixture_layout)
+    assert masked_attention(inputs)[1] is inputs.weights
+    assert masked_attention(inputs)[1] is inputs.weights
+
+
+def test_gradients_do_not_run_the_forward_again(fixture_layout, monkeypatch) -> None:
+    forward_calls, softmax_calls = [], []
+    forward = attention_core.masked_attention
+    softmax = AttentionInputs.__dict__["weights"].func
+
+    def counted_forward(inputs):
+        forward_calls.append(inputs)
+        return forward(inputs)
+
+    def counted_softmax(inputs):
+        softmax_calls.append(inputs)
+        return softmax(inputs)
+
+    counted = cached_property(counted_softmax)
+    counted.__set_name__(AttentionInputs, "weights")
+    monkeypatch.setattr(attention_core, "masked_attention", counted_forward)
+    monkeypatch.setattr(AttentionInputs, "weights", counted)
+    inputs = random_inputs(np.random.default_rng(8), fixture_layout)
+    attention_core.masked_attention(inputs)
+    attention_core.attention_gradients(inputs)
+    assert len(forward_calls) == 1
+    assert len(softmax_calls) == 1
+
+
+def test_inputs_hold_copies_of_the_callers_arrays(fixture_layout) -> None:
+    rng = np.random.default_rng(9)
+    q, k, v = (rng.normal(size=(fixture_layout.length, 4)) for _ in range(3))
+    mask = build_composite(fixture_layout)
+    inputs = AttentionInputs(q=q, k=k, v=v, mask=mask)
+    untouched = AttentionInputs(q=q.copy(), k=k, v=v, mask=mask)
+    q[:] = 5.0
+    assert inputs.weights.matrix.tobytes() == untouched.weights.matrix.tobytes()
+    assert attention_gradients(inputs)[1].tobytes() == attention_gradients(untouched)[1].tobytes()
+
+
+def test_inputs_and_weights_are_read_only(fixture_layout) -> None:
+    inputs = random_inputs(np.random.default_rng(10), fixture_layout)
+    for arr in (inputs.q, inputs.k, inputs.v, masked_attention(inputs)[1].matrix):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0, 0] = 1.0
 
 
 def test_mask_monotonicity_extra_block_renormalizes_upward(fixture_layout) -> None:
@@ -363,6 +456,15 @@ def test_read_weights_requires_a_2d_layer(tmp_path, line, message) -> None:
     path = tmp_path / "weights.jsonl"
     path.write_text(line + "\n", encoding="utf-8")
     with pytest.raises(ValueError, match=rf"weights\.jsonl:1: .*{message}"):
+        read_weights_jsonl(path)
+
+
+@pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity", "1e999"])
+def test_read_weights_rejects_non_finite_values(tmp_path, value) -> None:
+    path = tmp_path / "weights.jsonl"
+    path.write_text('{"shape": [1, 1], "data": [1.0]}\n'
+                    f'{{"shape": [1, 2], "data": [0.5, {value}]}}\n', encoding="utf-8")
+    with pytest.raises(ValueError, match=r"weights\.jsonl:2: weights must be finite"):
         read_weights_jsonl(path)
 
 

@@ -452,7 +452,46 @@ def test_grpo_step_group_error_names_the_group(capsys, tmp_path) -> None:
     assert err == "error: group g9: non-finite importance ratios\n"
 
 
+@pytest.mark.parametrize("value", ["NaN", "Infinity", "1e999"])
+def test_grpo_step_rejects_non_finite_rewards(tmp_path, capsys, value) -> None:
+    rollouts = tmp_path / "rollouts.jsonl"
+    rollouts.write_text(f'{{"rewards": [{value}, 1, 1, 1], "logp_new": [0, 0, 0, 0], '
+                        '"logp_old": [0, 0, 0, 0], "logp_ref": [0, 0, 0, 0]}\n',
+                        encoding="utf-8")
+    code = main(["grpo-step", "--rollouts", str(rollouts), "--json"])
+    captured = capsys.readouterr()
+    err = assert_one_error_line(code, captured.err)
+    assert captured.out == ""
+    assert err == f"error: {rollouts}:1: rewards must hold finite numbers\n"
+
+
+def test_grpo_step_json_output_is_strict(tmp_path, capsys) -> None:
+    # Finite inputs whose KL estimate overflows: the JSON summary would say Infinity.
+    rollouts = tmp_path / "rollouts.jsonl"
+    rollouts.write_text('{"rewards": [0, 1], "logp_new": [0, 0], "logp_old": [0, 0], '
+                        '"logp_ref": [1000, 0]}\n', encoding="utf-8")
+    with np.errstate(over="ignore"):
+        code = main(["grpo-step", "--rollouts", str(rollouts), "--json"])
+    captured = capsys.readouterr()
+    assert_one_error_line(code, captured.err)
+    assert captured.out == ""
+    assert "JSON" in captured.err
+
+
 # --- attn-report -----------------------------------------------------------------------
+
+def test_attn_report_rejects_non_finite_weights(tmp_path, capsys) -> None:
+    weights = tmp_path / "weights.jsonl"
+    data = [1.0 / 6] * 35 + ["NaN"]
+    weights.write_text('{"shape": [6, 6], "data": [%s]}\n' % ", ".join(map(str, data)),
+                       encoding="utf-8")
+    code = main(["attn-report", "--weights", str(weights), "--spec",
+                 str(DATA / "layout_l6.json"), "--json"])
+    captured = capsys.readouterr()
+    err = assert_one_error_line(code, captured.err)
+    assert captured.out == ""
+    assert err == f"error: {weights}:1: weights must be finite numbers\n"
+
 
 def test_attn_report_on_synthetic_weights(tmp_path, capsys) -> None:
     spec = {

@@ -1,5 +1,6 @@
 """Fuzz every file-reading subcommand: whatever bytes or JSON an input holds,
-the CLI exits 0, or exits 1 with exactly one ``error:`` line on stderr."""
+the CLI exits 0, or exits 1 with exactly one ``error:`` line on stderr. What a
+``--json`` run prints on exit 0 is strict JSON: no NaN or Infinity token."""
 
 import json
 from pathlib import Path
@@ -99,3 +100,46 @@ def test_any_input_exits_0_or_1_with_one_error_line(tmp_path, capsys, case, data
         assert len(err.splitlines()) == 1
     else:
         assert err == ""
+
+
+# Records that pass the loaders' shape checks, so any float (NaN and the
+# infinities included) reaches the numbers the command prints.
+NUMBERS = st.floats() | st.floats(-3, 12) | st.integers(-3, 12)
+def shaped(record: st.SearchStrategy) -> st.SearchStrategy:
+    rows = st.lists(record, min_size=1, max_size=3)
+    return rows.map(lambda rows: "".join(json.dumps(row) + "\n" for row in rows).encode())
+
+
+SHAPED_ROLLOUT = st.integers(2, 4).flatmap(lambda g: st.fixed_dictionaries(
+    {name: st.lists(NUMBERS, min_size=g, max_size=g)
+     for name in ("rewards", "logp_new", "logp_old", "logp_ref")}))
+SHAPED_WEIGHTS = st.fixed_dictionaries({
+    "shape": st.just([6, 6]),
+    "data": st.lists(st.floats(0, 1) | NUMBERS, min_size=36, max_size=36)})
+STRICT_CASES = {
+    "grpo-step": (CASES["grpo-step"][0], contents(ROLLOUT) | shaped(SHAPED_ROLLOUT)),
+    "attn-report-weights": (CASES["attn-report-weights"][0],
+                            contents(WEIGHTS) | shaped(SHAPED_WEIGHTS)),
+    "attn-report-spec": CASES["attn-report-spec"],
+}
+
+
+def _reject_constant(token: str):
+    raise ValueError(f"non-JSON constant {token} in --json output")
+
+
+@pytest.mark.parametrize("case", sorted(STRICT_CASES))
+@settings(max_examples=30, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_json_output_is_strict_json(tmp_path, capsys, case, data) -> None:
+    argv, strategy = STRICT_CASES[case]
+    fuzzed = tmp_path / "input"
+    fuzzed.write_bytes(data.draw(strategy, label=case))
+    (tmp_path / "weights.jsonl").write_text(WEIGHTS_L6 + "\n", encoding="utf-8")
+    with np.errstate(all="ignore"):
+        code = main([a.format(input=fuzzed, tmp=tmp_path) for a in argv] + ["--json"])
+    out = capsys.readouterr().out
+    assert code in (0, 1)
+    if code == 0:
+        json.loads(out, parse_constant=_reject_constant)

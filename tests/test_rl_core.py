@@ -257,6 +257,15 @@ def test_rollout_group_validation() -> None:
                      logp_ref=[0.0, 0.0])
 
 
+@pytest.mark.parametrize("field", ["rewards", "logp_new", "logp_old", "logp_ref"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_rollout_group_rejects_non_finite_values(field, value) -> None:
+    values = {name: [0.0, 1.0] for name in ("rewards", "logp_new", "logp_old", "logp_ref")}
+    values[field] = [value, 1.0]
+    with pytest.raises(ValueError, match=f"{field} must hold finite numbers"):
+        RolloutGroup(**values)
+
+
 def test_grpo_config_validation() -> None:
     with pytest.raises(ValueError):
         GrpoConfig(clip_alpha=1.5)
