@@ -160,6 +160,20 @@ def test_validate_mixed_hand_computed_means(capsys) -> None:
     assert summary["mean_acc"] == pytest.approx(0.5)
 
 
+def test_validate_diagnostics_match_golden(tmp_path, capsys) -> None:
+    # Valid traces (with whitespace between tags) and traces carrying each of
+    # the seven diagnostic kinds, alone and together.
+    out = tmp_path / "scored.jsonl"
+    code, stdout = run(capsys, "validate",
+                       "--traces", str(DATA / "traces_diagnostics.jsonl"),
+                       "--labels", str(DATA / "labels_diagnostics.jsonl"),
+                       "--out", str(out), "--json")
+    assert code == 0
+    assert out.read_bytes() == (DATA / "golden_validate.jsonl").read_bytes()
+    assert stdout == ('{"count": 20, "mean_acc": 0.15, "mean_mps": 0.15, '
+                      '"mean_stage2": 0.18}\n')
+
+
 def test_validate_id_mismatch(tmp_path, capsys) -> None:
     labels = tmp_path / "labels.jsonl"
     labels.write_text('{"id": "other", "pem": "Audio", "answer": "x"}\n',
