@@ -79,14 +79,22 @@ class AttentionInputs:
     @cached_property
     def weights(self) -> AttentionWeights:
         """Softmax of the scaled logits over visible cells, built in one
-        L x L buffer: blocked logits become -inf, whose exp is exactly 0."""
+        L x L buffer: blocked logits become -inf, whose exp is exactly 0.
+        Raises ValueError when a row's logits overflow."""
         _check_rows_visible(self.mask)
-        w = self.q @ self.k.T
-        w *= self.scale
-        np.copyto(w, -np.inf, where=~self.mask.visible)
-        w -= w.max(axis=1, keepdims=True)
-        np.exp(w, out=w)
-        w /= w.sum(axis=1, keepdims=True)
+        with np.errstate(over="ignore", invalid="ignore"):
+            w = self.q @ self.k.T
+            w *= self.scale
+            np.copyto(w, -np.inf, where=~self.mask.visible)
+            w -= w.max(axis=1, keepdims=True)
+            np.exp(w, out=w)
+            row_sums = w.sum(axis=1, keepdims=True)
+        # A row's largest cell is exp(0) = 1, so a sound row sums to >= 1;
+        # an overflowed logit turns its row's sum into NaN.
+        bad = np.flatnonzero(~(row_sums >= 1.0))
+        if bad.size:
+            raise ValueError(f"attention logits overflow in row {bad[0]}")
+        w /= row_sums
         return AttentionWeights._adopt(w)
 
 

@@ -137,8 +137,11 @@ def group_advantages(rewards: Sequence[float], eps_stab: float) -> list[float]:
     r = np.asarray(rewards, dtype=float)
     if (r == r[0]).all():
         return [0.0] * len(rewards)  # zero numerator exactly, no rounding residue
-    centered = r - r.mean()
-    denom = math.sqrt(float(np.mean(centered ** 2)) + eps_stab)
+    with np.errstate(over="ignore", invalid="ignore"):
+        centered = r - r.mean()
+        denom = math.sqrt(float(np.mean(centered ** 2)) + eps_stab)
+    if not math.isfinite(denom):
+        raise ValueError("reward variance overflows: rewards are too far apart")
     if denom == 0.0:
         return [0.0] * len(rewards)
     return (centered / denom).tolist()
@@ -154,7 +157,11 @@ def kl_estimate(logp_new: Sequence[float], logp_ref: Sequence[float]) -> float:
     if not (np.isfinite(new).all() and np.isfinite(ref).all()):
         raise ValueError("log-probabilities must be finite")
     delta = ref - new
-    return float(np.mean(np.exp(delta) - delta - 1.0))
+    with np.errstate(over="ignore", invalid="ignore"):
+        kl = float(np.mean(np.exp(delta) - delta - 1.0))
+    if not math.isfinite(kl):
+        raise ValueError("KL estimate overflows: logp_ref - logp_new is too large")
+    return kl
 
 
 @dataclass(frozen=True)
@@ -174,13 +181,17 @@ def grpo_objective(group: RolloutGroup, cfg: GrpoConfig) -> GrpoResult:
     with rho_i = exp(logp_new_i - logp_old_i).
     """
     advantages = np.asarray(group_advantages(group.rewards, cfg.eps_stab))
-    ratios = np.exp(np.asarray(group.logp_new) - np.asarray(group.logp_old))
-    if not np.isfinite(ratios).all():
-        raise ValueError("non-finite importance ratios")
-    clipped = np.clip(ratios, 1.0 - cfg.clip_alpha, 1.0 + cfg.clip_alpha)
-    terms = np.minimum(ratios * advantages, clipped * advantages)
+    with np.errstate(over="ignore", invalid="ignore"):
+        ratios = np.exp(np.asarray(group.logp_new) - np.asarray(group.logp_old))
+        if not np.isfinite(ratios).all():
+            raise ValueError("non-finite importance ratios")
+        clipped = np.clip(ratios, 1.0 - cfg.clip_alpha, 1.0 + cfg.clip_alpha)
+        terms = np.minimum(ratios * advantages, clipped * advantages)
+        surrogate = terms.mean()
     kl = kl_estimate(group.logp_new, group.logp_ref)
-    objective = float(terms.mean() - cfg.kl_beta * kl)
+    objective = float(surrogate - cfg.kl_beta * kl)
+    if not math.isfinite(objective):
+        raise ValueError("objective overflows: importance ratios are too large")
     return GrpoResult(
         objective=objective,
         advantages=tuple(advantages.tolist()),

@@ -24,6 +24,8 @@ from .jsonl import read_objects, str_fields
 TAG_NAMES = ("mod", "v", "a", "sum", "ans")
 
 _TAG_TOKEN = re.compile(r"</?(mod|v|a|sum|ans)>")
+# The one well-formed tag sequence: <mod></mod><v></v>...<ans></ans>.
+_CANONICAL = [literal for name in TAG_NAMES for literal in (f"<{name}>", f"</{name}>")]
 
 
 class PemLabel(enum.Enum):
@@ -40,11 +42,10 @@ class PemLabel(enum.Enum):
     @classmethod
     def from_text(cls, text: str) -> "PemLabel | None":
         """Match the exact serialized form after trimming whitespace; no case folding."""
-        stripped = text.strip()
-        for label in cls:
-            if stripped == label.value:
-                return label
-        return None
+        return _PEM_BY_TEXT.get(text.strip())
+
+
+_PEM_BY_TEXT = {label.value: label for label in PemLabel}
 
 
 class DiagnosticKind(enum.Enum):
@@ -84,86 +85,66 @@ class SfrTrace:
     spans: tuple[tuple[str, int, int], ...] = field(default=(), compare=False)
 
 
-@dataclass(frozen=True)
-class _TagToken:
-    name: str
-    closing: bool
-    start: int
-    end: int
-
-    @property
-    def literal(self) -> str:
-        return f"</{self.name}>" if self.closing else f"<{self.name}>"
+# A tag token is (literal, name, closing, start, end), in source order.
+_Token = tuple[str, str, bool, int, int]
 
 
-def _tokenize(text: str) -> list[_TagToken]:
-    tokens = []
-    for m in _TAG_TOKEN.finditer(text):
-        closing = m.group(0).startswith("</")
-        tokens.append(_TagToken(m.group(1), closing, m.start(), m.end()))
-    return tokens
+def _tokenize(text: str) -> list[_Token]:
+    return [(m[0], m[1], m[0][1] == "/", *m.span()) for m in _TAG_TOKEN.finditer(text)]
 
 
-def _check_counts(tokens: list[_TagToken]) -> list[ParseDiagnostic]:
+def _diagnose(tokens: list[_Token]) -> list[ParseDiagnostic]:
+    """Why a tag sequence is not the canonical one: the count defects of
+    every tag, else the first reversed or overlapping pair, else the first
+    tag out of place."""
+    opens: dict[str, list[_Token]] = {name: [] for name in TAG_NAMES}
+    closes: dict[str, list[_Token]] = {name: [] for name in TAG_NAMES}
+    for token in tokens:
+        (closes if token[2] else opens)[token[1]].append(token)
+
     diags = []
     for name in TAG_NAMES:
-        opens = [t for t in tokens if t.name == name and not t.closing]
-        closes = [t for t in tokens if t.name == name and t.closing]
-        if not opens and not closes:
+        name_opens, name_closes = opens[name], closes[name]
+        if not name_opens and not name_closes:
             diags.append(ParseDiagnostic(
                 DiagnosticKind.MISSING_TAG, 0, f"tag <{name}> not found"))
             continue
-        if opens and not closes:
+        if not name_closes:
             diags.append(ParseDiagnostic(
-                DiagnosticKind.UNCLOSED_TAG, opens[0].start,
+                DiagnosticKind.UNCLOSED_TAG, name_opens[0][3],
                 f"<{name}> is never closed"))
-        if closes and not opens:
+        if not name_opens:
             diags.append(ParseDiagnostic(
-                DiagnosticKind.MISSING_TAG, closes[0].start,
+                DiagnosticKind.MISSING_TAG, name_closes[0][3],
                 f"</{name}> has no opening <{name}>"))
-        for extra in opens[1:]:
+        for extra in name_opens[1:] + name_closes[1:]:
             diags.append(ParseDiagnostic(
-                DiagnosticKind.DUPLICATE_TAG, extra.start,
-                f"duplicate <{name}>"))
-        for extra in closes[1:]:
-            diags.append(ParseDiagnostic(
-                DiagnosticKind.DUPLICATE_TAG, extra.start,
-                f"duplicate </{name}>"))
-    return diags
+                DiagnosticKind.DUPLICATE_TAG, extra[3], f"duplicate {extra[0]}"))
+    if diags:
+        return diags
 
-
-def _check_pairing(tokens: list[_TagToken]) -> list[ParseDiagnostic]:
-    """Reversed pairs and nesting/overlap, given exactly one open+close per tag."""
-    pairs = {}
+    # Exactly one open and one close per tag from here on.
+    pairs = []
     for name in TAG_NAMES:
-        open_tok = next(t for t in tokens if t.name == name and not t.closing)
-        close_tok = next(t for t in tokens if t.name == name and t.closing)
-        if close_tok.start < open_tok.start:
+        (open_tok,), (close_tok,) = opens[name], closes[name]
+        if close_tok[3] < open_tok[3]:
             return [ParseDiagnostic(
-                DiagnosticKind.OUT_OF_ORDER, open_tok.start,
+                DiagnosticKind.OUT_OF_ORDER, open_tok[3],
                 f"<{name}> appears after </{name}>")]
-        pairs[name] = (open_tok.start, close_tok.end)
-    ordered = sorted(pairs.items(), key=lambda kv: kv[1][0])
-    for (outer_name, (o_start, o_end)), (inner_name, (i_start, i_end)) in zip(ordered, ordered[1:]):
-        if i_start < o_end:
+        pairs.append((open_tok[3], close_tok[4], name))
+    pairs.sort()
+    for (_, outer_end, outer_name), (inner_start, _, inner_name) in zip(pairs, pairs[1:]):
+        if inner_start < outer_end:
             return [ParseDiagnostic(
-                DiagnosticKind.NESTED_TAG, i_start,
+                DiagnosticKind.NESTED_TAG, inner_start,
                 f"<{inner_name}> span overlaps <{outer_name}> span")]
-    return []
 
-
-def _check_order(tokens: list[_TagToken]) -> list[ParseDiagnostic]:
-    expected = []
-    for name in TAG_NAMES:
-        expected.append(f"<{name}>")
-        expected.append(f"</{name}>")
-    observed = sorted(tokens, key=lambda t: t.start)
-    for want, got in zip(expected, observed):
-        if got.literal != want:
+    for want, got in zip(_CANONICAL, tokens):
+        if got[0] != want:
             return [ParseDiagnostic(
-                DiagnosticKind.OUT_OF_ORDER, got.start,
-                f"expected {want} but found {got.literal}")]
-    return []
+                DiagnosticKind.OUT_OF_ORDER, got[3],
+                f"expected {want} but found {got[0]}")]
+    raise AssertionError("a canonical tag sequence has no structural defect")
 
 
 def parse_trace(text: str) -> tuple[SfrTrace | None, list[ParseDiagnostic]]:
@@ -174,39 +155,26 @@ def parse_trace(text: str) -> tuple[SfrTrace | None, list[ParseDiagnostic]]:
     malformed input.
     """
     tokens = _tokenize(text)
-
-    diags = _check_counts(tokens)
-    if diags:
-        return None, diags
-    diags = _check_pairing(tokens)
-    if diags:
-        return None, diags
-    diags = _check_order(tokens)
-    if diags:
-        return None, diags
-
-    # Structure is sound; extract segments and run content checks.
-    open_tok = {t.name: t for t in tokens if not t.closing}
-    close_tok = {t.name: t for t in tokens if t.closing}
-    segments = {
-        name: text[open_tok[name].end:close_tok[name].start] for name in TAG_NAMES
-    }
-    spans = tuple(
-        (name, open_tok[name].start, close_tok[name].end) for name in TAG_NAMES
-    )
+    # Sound structure is exactly the canonical tag sequence, so the k-th
+    # tag name opens at token 2k and closes at token 2k + 1.
+    if [token[0] for token in tokens] != _CANONICAL:
+        return None, _diagnose(tokens)
+    opens, closes = tokens[0::2], tokens[1::2]
+    segments = [text[open_tok[4]:close_tok[3]] for open_tok, close_tok in zip(opens, closes)]
+    spans = tuple((name, open_tok[3], close_tok[4])
+                  for name, open_tok, close_tok in zip(TAG_NAMES, opens, closes))
 
     diags = []
-    pem = PemLabel.from_text(segments["mod"])
+    pem = PemLabel.from_text(segments[0])
     if pem is None:
         diags.append(ParseDiagnostic(
-            DiagnosticKind.UNKNOWN_PEM_VALUE, open_tok["mod"].end,
-            f"{segments['mod'].strip()!r} is not one of "
-            f"{[label.value for label in PemLabel]}"))
+            DiagnosticKind.UNKNOWN_PEM_VALUE, opens[0][4],
+            f"{segments[0].strip()!r} is not one of {list(_PEM_BY_TEXT)}"))
 
-    gaps = [(0, spans[0][1])]
-    gaps += [(spans[k][2], spans[k + 1][1]) for k in range(len(spans) - 1)]
-    gaps.append((spans[-1][2], len(text)))
-    for start, end in gaps:
+    # The gaps before the first span, between spans, and after the last.
+    gap_starts = [0, *(close_tok[4] for close_tok in closes)]
+    gap_ends = [*(open_tok[3] for open_tok in opens), len(text)]
+    for start, end in zip(gap_starts, gap_ends):
         gap = text[start:end]
         if gap.strip():
             offset = start + (len(gap) - len(gap.lstrip()))
@@ -218,10 +186,10 @@ def parse_trace(text: str) -> tuple[SfrTrace | None, list[ParseDiagnostic]]:
 
     trace = SfrTrace(
         pem=pem,
-        visual_text=segments["v"],
-        audio_text=segments["a"],
-        summary_text=segments["sum"],
-        answer_text=segments["ans"],
+        visual_text=segments[1],
+        audio_text=segments[2],
+        summary_text=segments[3],
+        answer_text=segments[4],
         spans=spans,
     )
     return trace, []

@@ -1,15 +1,18 @@
 """Shared fixtures: the L=6 layout, a brute-force mask oracle, loop-based
 reference encoders for the mask exports, loop-based references for the hash
-embedder and CoT consistency, the dense attention forward and backward, a
-random valid-layout generator used by the property and acceptance suites, a
-scripted sampler, and writers for the trace and weights JSONL formats."""
+embedder and CoT consistency, the dense attention forward and backward, the
+check-by-check trace parser, a random valid-layout generator used by the
+property and acceptance suites, a scripted sampler, and writers for the
+trace and weights JSONL formats."""
 
 from __future__ import annotations
 
 import hashlib
 import json
 import math
+import re
 import struct
+from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -17,6 +20,13 @@ import pytest
 
 from sffuse.mask_engine import MaskMatrix, TokenLayout
 from sffuse.pem_pipeline import Instance, ProbeSetting, SampleSet, SamplingError
+from sffuse.tag_grammar import (
+    TAG_NAMES,
+    DiagnosticKind,
+    ParseDiagnostic,
+    PemLabel,
+    SfrTrace,
+)
 
 
 @pytest.fixture
@@ -134,6 +144,157 @@ def reference_attention_gradients(inputs, d_output=None):
     d_q = inputs.scale * (d_logits @ inputs.k)
     d_k = inputs.scale * (d_logits.T @ inputs.q)
     return d_q, d_k, d_v
+
+
+# --- the trace parser as first written: one list scan per check -------------
+
+_REFERENCE_TAG_TOKEN = re.compile(r"</?(mod|v|a|sum|ans)>")
+
+
+@dataclass(frozen=True)
+class _ReferenceTagToken:
+    name: str
+    closing: bool
+    start: int
+    end: int
+
+    @property
+    def literal(self) -> str:
+        return f"</{self.name}>" if self.closing else f"<{self.name}>"
+
+
+def _reference_pem(text: str) -> PemLabel | None:
+    stripped = text.strip()
+    for label in PemLabel:
+        if stripped == label.value:
+            return label
+    return None
+
+
+def _reference_tokenize(text: str) -> list[_ReferenceTagToken]:
+    tokens = []
+    for m in _REFERENCE_TAG_TOKEN.finditer(text):
+        closing = m.group(0).startswith("</")
+        tokens.append(_ReferenceTagToken(m.group(1), closing, m.start(), m.end()))
+    return tokens
+
+
+def _reference_check_counts(tokens: list[_ReferenceTagToken]) -> list[ParseDiagnostic]:
+    diags = []
+    for name in TAG_NAMES:
+        opens = [t for t in tokens if t.name == name and not t.closing]
+        closes = [t for t in tokens if t.name == name and t.closing]
+        if not opens and not closes:
+            diags.append(ParseDiagnostic(
+                DiagnosticKind.MISSING_TAG, 0, f"tag <{name}> not found"))
+            continue
+        if opens and not closes:
+            diags.append(ParseDiagnostic(
+                DiagnosticKind.UNCLOSED_TAG, opens[0].start,
+                f"<{name}> is never closed"))
+        if closes and not opens:
+            diags.append(ParseDiagnostic(
+                DiagnosticKind.MISSING_TAG, closes[0].start,
+                f"</{name}> has no opening <{name}>"))
+        for extra in opens[1:]:
+            diags.append(ParseDiagnostic(
+                DiagnosticKind.DUPLICATE_TAG, extra.start,
+                f"duplicate <{name}>"))
+        for extra in closes[1:]:
+            diags.append(ParseDiagnostic(
+                DiagnosticKind.DUPLICATE_TAG, extra.start,
+                f"duplicate </{name}>"))
+    return diags
+
+
+def _reference_check_pairing(tokens: list[_ReferenceTagToken]) -> list[ParseDiagnostic]:
+    pairs = {}
+    for name in TAG_NAMES:
+        open_tok = next(t for t in tokens if t.name == name and not t.closing)
+        close_tok = next(t for t in tokens if t.name == name and t.closing)
+        if close_tok.start < open_tok.start:
+            return [ParseDiagnostic(
+                DiagnosticKind.OUT_OF_ORDER, open_tok.start,
+                f"<{name}> appears after </{name}>")]
+        pairs[name] = (open_tok.start, close_tok.end)
+    ordered = sorted(pairs.items(), key=lambda kv: kv[1][0])
+    for (outer_name, (o_start, o_end)), (inner_name, (i_start, i_end)) in zip(ordered, ordered[1:]):
+        if i_start < o_end:
+            return [ParseDiagnostic(
+                DiagnosticKind.NESTED_TAG, i_start,
+                f"<{inner_name}> span overlaps <{outer_name}> span")]
+    return []
+
+
+def _reference_check_order(tokens: list[_ReferenceTagToken]) -> list[ParseDiagnostic]:
+    expected = []
+    for name in TAG_NAMES:
+        expected.append(f"<{name}>")
+        expected.append(f"</{name}>")
+    observed = sorted(tokens, key=lambda t: t.start)
+    for want, got in zip(expected, observed):
+        if got.literal != want:
+            return [ParseDiagnostic(
+                DiagnosticKind.OUT_OF_ORDER, got.start,
+                f"expected {want} but found {got.literal}")]
+    return []
+
+
+def reference_parse_trace(text: str) -> tuple[SfrTrace | None, list[ParseDiagnostic]]:
+    """Counts, then pairing, then order, each a scan of the token list, then
+    the content checks; ``parse_trace`` must return the same trace, spans
+    and diagnostics."""
+    tokens = _reference_tokenize(text)
+
+    diags = _reference_check_counts(tokens)
+    if diags:
+        return None, diags
+    diags = _reference_check_pairing(tokens)
+    if diags:
+        return None, diags
+    diags = _reference_check_order(tokens)
+    if diags:
+        return None, diags
+
+    open_tok = {t.name: t for t in tokens if not t.closing}
+    close_tok = {t.name: t for t in tokens if t.closing}
+    segments = {
+        name: text[open_tok[name].end:close_tok[name].start] for name in TAG_NAMES
+    }
+    spans = tuple(
+        (name, open_tok[name].start, close_tok[name].end) for name in TAG_NAMES
+    )
+
+    diags = []
+    pem = _reference_pem(segments["mod"])
+    if pem is None:
+        diags.append(ParseDiagnostic(
+            DiagnosticKind.UNKNOWN_PEM_VALUE, open_tok["mod"].end,
+            f"{segments['mod'].strip()!r} is not one of "
+            f"{[label.value for label in PemLabel]}"))
+
+    gaps = [(0, spans[0][1])]
+    gaps += [(spans[k][2], spans[k + 1][1]) for k in range(len(spans) - 1)]
+    gaps.append((spans[-1][2], len(text)))
+    for start, end in gaps:
+        gap = text[start:end]
+        if gap.strip():
+            offset = start + (len(gap) - len(gap.lstrip()))
+            diags.append(ParseDiagnostic(
+                DiagnosticKind.STRAY_CONTENT, offset,
+                "non-whitespace content outside tags"))
+    if diags:
+        return None, sorted(diags, key=lambda d: d.offset)
+
+    trace = SfrTrace(
+        pem=pem,
+        visual_text=segments["v"],
+        audio_text=segments["a"],
+        summary_text=segments["sum"],
+        answer_text=segments["ans"],
+        spans=spans,
+    )
+    return trace, []
 
 
 def random_layout(rng: np.random.Generator, max_length: int = 64,

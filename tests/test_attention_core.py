@@ -1,4 +1,5 @@
 import math
+import warnings
 from functools import cached_property
 
 import numpy as np
@@ -136,6 +137,18 @@ def test_inputs_reject_a_non_finite_scale(scale) -> None:
     with pytest.raises(ValueError, match="scale must be finite"):
         AttentionInputs(q=np.zeros((2, 2)), k=np.zeros((2, 2)),
                         v=np.zeros((2, 2)), mask=build_causal(2), scale=scale)
+
+
+@pytest.mark.parametrize("q_row, row", [([1.0, 1.0], 0), ([0.0, 0.0], 1)])
+def test_weights_reject_overflowing_logits(q_row, row) -> None:
+    # Finite inputs whose scaled logits overflow: all-NaN weights before.
+    q = np.array([q_row, [1.0, 1.0], [0.0, 0.0]])
+    inputs = AttentionInputs(q=q, k=np.ones((3, 2)), v=np.ones((3, 2)),
+                             mask=build_causal(3), scale=1e308)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=rf"^attention logits overflow in row {row}$"):
+            masked_attention(inputs)
 
 
 # (min, max) sequence length: a single token, short layouts, and L >= 256.

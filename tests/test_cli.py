@@ -1,4 +1,5 @@
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -489,7 +490,30 @@ def test_grpo_step_json_output_is_strict(tmp_path, capsys) -> None:
     captured = capsys.readouterr()
     assert_one_error_line(code, captured.err)
     assert captured.out == ""
-    assert "JSON" in captured.err
+    assert captured.err == ("error: group 1: KL estimate overflows: "
+                            "logp_ref - logp_new is too large\n")
+
+
+@pytest.mark.parametrize("line, message", [
+    ('{"group_id": "g2", "rewards": [1e308, 1e308, -1e308], "logp_new": [0, 0, 0], '
+     '"logp_old": [0, 0, 0], "logp_ref": [0, 0, 0]}',
+     "error: group g2: reward variance overflows: rewards are too far apart\n"),
+    ('{"group_id": "g2", "rewards": [0, 1], "logp_new": [0, 0], "logp_old": [0, 0], '
+     '"logp_ref": [710, 0]}',
+     "error: group g2: KL estimate overflows: logp_ref - logp_new is too large\n"),
+])
+@pytest.mark.parametrize("mode", [[], ["--json"]])
+def test_grpo_step_overflow_is_one_error_line_naming_the_group(tmp_path, capsys, line,
+                                                               message, mode) -> None:
+    rollouts = tmp_path / "rollouts.jsonl"
+    rollouts.write_text(line + "\n", encoding="utf-8")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["grpo-step", "--rollouts", str(rollouts), *mode])
+    captured = capsys.readouterr()
+    assert_one_error_line(code, captured.err)
+    assert captured.out == ""
+    assert captured.err == message
 
 
 # --- attn-report -----------------------------------------------------------------------

@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -147,6 +148,33 @@ def test_kl_zero_for_identical_policies() -> None:
 def test_kl_ln2_closed_form() -> None:
     expected = 2.0 - math.log(2.0) - 1.0
     assert kl_estimate([0.0, 0.0], [math.log(2), math.log(2)]) == pytest.approx(expected)
+
+
+def test_advantages_reject_overflowing_rewards() -> None:
+    # The mean of these finite rewards overflows: NaN advantages before.
+    for rewards in ([1e308, 1e308, -1e308], [1e308, -1e308]):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="reward variance overflows"):
+                group_advantages(rewards, 1e-8)
+
+
+def test_kl_rejects_an_overflowing_estimate() -> None:
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="KL estimate overflows"):
+            kl_estimate([0.0, 0.0], [710.0, 0.0])
+        assert math.isfinite(kl_estimate([0.0, 0.0], [709.0, 0.0]))
+
+
+def test_objective_rejects_overflowing_surrogate_terms() -> None:
+    # Each ratio exp(709) is finite, but ratio times advantage is not.
+    group = RolloutGroup(rewards=[0.0] * 99 + [1.0], logp_new=[709.0] * 100,
+                         logp_old=[0.0] * 100, logp_ref=[709.0] * 100)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="objective overflows"):
+            grpo_objective(group, GrpoConfig())
 
 
 def test_kl_is_directional() -> None:

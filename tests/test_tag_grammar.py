@@ -3,8 +3,11 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sffuse.tag_grammar import (
+    TAG_NAMES,
     DiagnosticKind,
     ParseDiagnostic,
     PemLabel,
@@ -15,7 +18,7 @@ from sffuse.tag_grammar import (
     validate_structure,
 )
 
-from conftest import write_trace_records
+from conftest import reference_parse_trace, write_trace_records
 
 WELL_FORMED = ("<mod>Audio</mod><v>sheep visible</v><a>barking only</a>"
                "<sum>dog barks</sum><ans>collie</ans>")
@@ -218,6 +221,63 @@ def test_fuzz_with_tag_fragments() -> None:
                        for _ in range(count))
         ok, diags = validate_structure(text)
         assert ok or len(diags) >= 1
+
+
+_TAGS = [literal for name in TAG_NAMES for literal in (f"<{name}>", f"</{name}>")]
+_PEM_VALUES = ["Audio", "Visual", "Audio-Visual", " Visual\n", "audio", "Sound", ""]
+_NEAR_MISSES = ["<V>", "<vv>", "</", "<", ">", "< a>", "</ans >", "<mod/>"]
+_FILLER = [" ", "\n", "\t", "  \r\n", "word", "two birds", "collie."]
+
+_fragment_texts = st.lists(
+    st.sampled_from(_TAGS + _PEM_VALUES + _NEAR_MISSES + _FILLER), max_size=24,
+).map("".join)
+
+
+@st.composite
+def _mutated_renderings(draw) -> str:
+    """A rendered trace, as a list of tags and bodies, with up to three
+    tags or bodies dropped, duplicated, swapped or moved, stray text or
+    padding inserted, and any PEM value."""
+    bodies = st.sampled_from(_FILLER + _NEAR_MISSES + [""])
+    pieces = []
+    for name, body in zip(TAG_NAMES, [draw(st.sampled_from(_PEM_VALUES))]
+                          + [draw(bodies) for _ in range(4)]):
+        pieces += [f"<{name}>", body, f"</{name}>"]
+    for _ in range(draw(st.integers(0, 3))):
+        op = draw(st.sampled_from(["drop", "duplicate", "swap", "insert", "pad"]))
+        i = draw(st.integers(0, len(pieces) - 1))
+        j = draw(st.integers(0, len(pieces) - 1))
+        if op == "drop":
+            del pieces[i]
+        elif op == "duplicate":
+            pieces.insert(j, pieces[i])
+        elif op == "swap":
+            pieces[i], pieces[j] = pieces[j], pieces[i]
+        elif op == "insert":
+            pieces.insert(i, draw(st.sampled_from(_FILLER + _NEAR_MISSES + _TAGS)))
+        else:  # stray text or whitespace at the edge of a span
+            pieces.insert(3 * (i // 3), draw(st.sampled_from(_FILLER)))
+    return "".join(pieces)
+
+
+def _assert_parse_matches_reference(text: str) -> None:
+    trace, diags = parse_trace(text)
+    want_trace, want_diags = reference_parse_trace(text)
+    assert trace == want_trace
+    assert (trace and trace.spans) == (want_trace and want_trace.spans)
+    assert diags == want_diags
+
+
+@settings(max_examples=200, deadline=None)
+@given(_fragment_texts)
+def test_parse_of_tag_fragments_matches_reference(text) -> None:
+    _assert_parse_matches_reference(text)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_mutated_renderings())
+def test_parse_of_mutated_renderings_matches_reference(text) -> None:
+    _assert_parse_matches_reference(text)
 
 
 def test_trace_records_jsonl_round_trip(tmp_path) -> None:
