@@ -183,11 +183,11 @@ def grpo_objective(group: RolloutGroup, cfg: GrpoConfig) -> GrpoResult:
     advantages = np.asarray(group_advantages(group.rewards, cfg.eps_stab))
     with np.errstate(over="ignore", invalid="ignore"):
         ratios = np.exp(np.asarray(group.logp_new) - np.asarray(group.logp_old))
-        if not np.isfinite(ratios).all():
-            raise ValueError("non-finite importance ratios")
         clipped = np.clip(ratios, 1.0 - cfg.clip_alpha, 1.0 + cfg.clip_alpha)
         terms = np.minimum(ratios * advantages, clipped * advantages)
         surrogate = terms.mean()
+    if not np.isfinite(ratios).all():
+        raise ValueError("non-finite importance ratios")
     kl = kl_estimate(group.logp_new, group.logp_ref)
     objective = float(surrogate - cfg.kl_beta * kl)
     if not math.isfinite(objective):

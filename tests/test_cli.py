@@ -501,8 +501,8 @@ def test_grpo_step_json_output_is_strict(tmp_path, capsys) -> None:
     ('{"group_id": "g2", "rewards": [0, 1], "logp_new": [0, 0], "logp_old": [0, 0], '
      '"logp_ref": [710, 0]}',
      "error: group g2: KL estimate overflows: logp_ref - logp_new is too large\n"),
-])
-@pytest.mark.parametrize("mode", [[], ["--json"]])
+], ids=["rewards", "kl"])
+@pytest.mark.parametrize("mode", [[], ["--json"]], ids=["text", "json"])
 def test_grpo_step_overflow_is_one_error_line_naming_the_group(tmp_path, capsys, line,
                                                                message, mode) -> None:
     rollouts = tmp_path / "rollouts.jsonl"
