@@ -30,6 +30,9 @@ from .mask_engine import (
 
 DEFAULT_ALLOCATION_WINDOW = 16
 
+# Rows per panel of the softmax backward's row reduction.
+_PANEL_ROWS = 64
+
 
 class FullyBlockedRowError(ValueError):
     """A mask row has no visible cell, so its softmax is undefined."""
@@ -79,15 +82,17 @@ class AttentionInputs:
     @cached_property
     def weights(self) -> AttentionWeights:
         """Softmax of the scaled logits over visible cells, built in one
-        L x L buffer: blocked logits become -inf, whose exp is exactly 0.
-        Raises ValueError when a row's logits overflow."""
+        L x L buffer: the row max and ``exp`` read visible cells only, and
+        blocked cells are then set to exactly 0. Raises ValueError when a
+        row's logits overflow."""
         _check_rows_visible(self.mask)
+        visible = self.mask.visible
         with np.errstate(over="ignore", invalid="ignore"):
             w = self.q @ self.k.T
             w *= self.scale
-            np.copyto(w, -np.inf, where=~self.mask.visible)
-            w -= w.max(axis=1, keepdims=True)
-            np.exp(w, out=w)
+            w -= w.max(axis=1, keepdims=True, where=visible, initial=-np.inf)
+            np.exp(w, out=w, where=visible)
+            np.copyto(w, 0.0, where=~visible)
             row_sums = w.sum(axis=1, keepdims=True)
         # A row's largest cell is exp(0) = 1, so a sound row sums to >= 1;
         # an overflowed logit turns its row's sum into NaN.
@@ -156,8 +161,18 @@ def attention_gradients(
     w = inputs.weights.matrix
     d_logits = upstream @ inputs.v.T
     d_v = w.T @ upstream
-    d_logits -= np.sum(w * d_logits, axis=1, keepdims=True)
-    d_logits *= w
+    # Softmax backward d = w * (d - rowsum(w * d)), one panel of rows at a
+    # time, so w * d needs only a panel-sized buffer. Each row sum reads one
+    # contiguous row, so its bytes do not depend on the panel height.
+    length = len(w)
+    panel = np.empty((min(_PANEL_ROWS, length), length))
+    for r0 in range(0, length, _PANEL_ROWS):
+        w_rows = w[r0:r0 + _PANEL_ROWS]
+        d_rows = d_logits[r0:r0 + _PANEL_ROWS]
+        products = panel[:len(w_rows)]
+        np.multiply(w_rows, d_rows, out=products)
+        d_rows -= products.sum(axis=1, keepdims=True)
+        d_rows *= w_rows
     d_q = inputs.scale * (d_logits @ inputs.k)
     d_k = inputs.scale * (d_logits.T @ inputs.q)
     return d_q, d_k, d_v
@@ -389,11 +404,16 @@ def leakage_probe(
 
 def read_weights_jsonl(path: str | Path) -> list[np.ndarray]:
     """One layer per line, in line order: ``{"layer", "shape": [L, L],
-    "data": [row-major values]}``; ``layer`` is not read."""
+    "data": [row-major values]}``; ``layer`` is not read, and each shape
+    entry must be a positive JSON integer (numpy would infer a -1)."""
     layers = []
     for lineno, obj in read_objects(path):
+        shape = obj.get("shape")
+        if not isinstance(shape, list) or not all(
+                type(size) is int and size > 0 for size in shape):
+            raise ValueError(f"{path}:{lineno}: weights shape must be a list of positive integers")
         try:
-            layer = np.asarray(obj["data"], dtype=float).reshape(tuple(obj["shape"]))
+            layer = np.asarray(obj["data"], dtype=float).reshape(shape)
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"{path}:{lineno}: bad weights record: {exc!r}") from exc
         if layer.ndim != 2:

@@ -11,6 +11,7 @@ one ``error:`` line and exit status 1 (the loaders name ``path:line``).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -224,7 +225,9 @@ def cmd_leakage(args: argparse.Namespace) -> int:
 
 # --- parser ------------------------------------------------------------------------
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process; callers only parse with it."""
     parser = argparse.ArgumentParser(
         prog="sffuse",
         description="Separate-then-fuse reasoning toolkit: annotation, trace "

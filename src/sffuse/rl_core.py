@@ -143,7 +143,13 @@ def group_advantages(rewards: Sequence[float], eps_stab: float) -> list[float]:
     if not math.isfinite(denom):
         raise ValueError("reward variance overflows: rewards are too far apart")
     if denom == 0.0:
-        return [0.0] * len(rewards)
+        # Only with eps_stab == 0: distinct rewards whose squared deviations
+        # underflow. Advantages do not depend on the rewards' scale, so redo
+        # the sums on the rewards times the exact power of two that brings
+        # the largest |reward| into [0.5, 1).
+        r = np.ldexp(r, -math.frexp(float(np.abs(r).max()))[1])
+        centered = r - r.mean()
+        denom = math.sqrt(float(np.mean(centered ** 2)))
     return (centered / denom).tolist()
 
 

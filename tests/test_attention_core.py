@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 from functools import cached_property
 
@@ -151,22 +152,39 @@ def test_weights_reject_overflowing_logits(q_row, row) -> None:
             masked_attention(inputs)
 
 
-# (min, max) sequence length: a single token, short layouts, and L >= 256.
-LENGTHS = {"one": (1, 1), "short": (2, 40), "long": (256, 320)}
+# (min, max) sequence length: a single token, short layouts, L >= 256, and
+# lengths on either side of one and two 64-row backward panels.
+LENGTHS = {"one": (1, 1), "short": (2, 40), "long": (256, 320),
+           **{f"panel{n}": (n, n) for n in (63, 64, 65, 128, 129)}}
+
+
+def oracle_test_mask(rng, layout, kind):
+    """The layout's composite mask, or a non-causal one over its length:
+    every cell visible, or random cells with at least one visible per row."""
+    n = layout.length
+    if kind == "composite":
+        return build_composite(layout)
+    if kind == "all-visible":
+        return MaskMatrix(np.ones((n, n), dtype=bool))
+    visible = rng.random((n, n)) < rng.random()
+    visible[np.arange(n), rng.integers(0, n, size=n)] = True
+    return MaskMatrix(visible)
 
 
 @pytest.mark.parametrize("lengths", sorted(LENGTHS))
 @settings(max_examples=15, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), dim=st.sampled_from([1, 4, 64]),
-       scale=st.floats(1e-3, 10.0), default_upstream=st.booleans())
+       scale=st.floats(1e-3, 10.0), default_upstream=st.booleans(),
+       mask_kind=st.sampled_from(["composite", "random", "all-visible"]))
 def test_kernel_bytes_equal_the_dense_oracle(lengths, seed, dim, scale,
-                                             default_upstream) -> None:
+                                             default_upstream, mask_kind) -> None:
     rng = np.random.default_rng(seed)
     low, high = LENGTHS[lengths]
     layout = random_layout(rng, max_length=high, min_length=low)
     inputs = AttentionInputs(
         q=rng.normal(size=(layout.length, dim)), k=rng.normal(size=(layout.length, dim)),
-        v=rng.normal(size=(layout.length, dim)), mask=build_composite(layout), scale=scale)
+        v=rng.normal(size=(layout.length, dim)), mask=oracle_test_mask(rng, layout, mask_kind),
+        scale=scale)
     d_output = None if default_upstream else rng.normal(size=(layout.length, dim))
     output, weights = masked_attention(inputs)
     gradients = attention_gradients(inputs, d_output)
@@ -176,6 +194,41 @@ def test_kernel_bytes_equal_the_dense_oracle(lengths, seed, dim, scale,
     assert output.tobytes() == ref_output.tobytes()
     for got, want in zip(gradients, ref_gradients):
         assert got.tobytes() == want.tobytes()
+
+
+def test_an_overflowing_blocked_logit_gets_weight_zero() -> None:
+    # q[0] . k[1] = 1e400 = inf at the causally blocked cell (0, 1); every
+    # visible logit is finite, so exp must never see the blocked one.
+    q = np.array([[1e200, 0.0], [0.0, 1.0]])
+    k = np.array([[0.0, 1.0], [1e200, 0.0]])
+    inputs = AttentionInputs(q=q, k=k, v=np.ones((2, 2)), mask=build_causal(2), scale=1.0)
+    with np.errstate(over="ignore"):
+        assert np.isinf((q @ k.T)[0, 1])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        output, weights = masked_attention(inputs)
+        gradients = attention_gradients(inputs)
+    assert np.isfinite(weights.matrix).all()
+    assert weights.matrix[0].tolist() == [1.0, 0.0]
+    assert np.isfinite(output).all()
+    assert all(np.isfinite(grad).all() for grad in gradients)
+
+
+def test_gradients_peak_below_two_weight_matrices() -> None:
+    # The softmax backward keeps one L x L matrix (the logit gradients) plus
+    # a panel of rows; a second full-size temporary would reach 2 L^2 floats.
+    n = 512
+    rng = np.random.default_rng(11)
+    inputs = AttentionInputs(q=rng.normal(size=(n, 64)), k=rng.normal(size=(n, 64)),
+                             v=rng.normal(size=(n, 64)), mask=build_causal(n))
+    inputs.weights  # computed before the measured call
+    tracemalloc.start()
+    try:
+        attention_gradients(inputs)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * n * n * 8
 
 
 def test_masked_attention_returns_the_cached_weights(fixture_layout) -> None:
@@ -469,6 +522,17 @@ def test_read_weights_requires_a_2d_layer(tmp_path, line, message) -> None:
     path = tmp_path / "weights.jsonl"
     path.write_text(line + "\n", encoding="utf-8")
     with pytest.raises(ValueError, match=rf"weights\.jsonl:1: .*{message}"):
+        read_weights_jsonl(path)
+
+
+@pytest.mark.parametrize("shape", ["[-1, 2]", "[2, -1]", "[0, 0]", "[2.0, 2]", "[true, 4]",
+                                   '"2x2"', "null", "{}"])
+def test_read_weights_rejects_shapes_that_are_not_positive_integers(tmp_path, shape) -> None:
+    # [-1, 2] with four values would load as a 2 x 2 layer if numpy inferred the -1.
+    path = tmp_path / "weights.jsonl"
+    path.write_text(f'{{"shape": {shape}, "data": [0.5, 0.5, 0.5, 0.5]}}\n', encoding="utf-8")
+    with pytest.raises(ValueError, match=r"^.*weights\.jsonl:1: weights shape must be a list "
+                                         r"of positive integers$"):
         read_weights_jsonl(path)
 
 

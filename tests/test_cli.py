@@ -531,6 +531,18 @@ def test_attn_report_rejects_non_finite_weights(tmp_path, capsys) -> None:
     assert err == f"error: {weights}:1: weights must be finite numbers\n"
 
 
+def test_attn_report_rejects_a_negative_weights_shape(tmp_path, capsys) -> None:
+    weights = tmp_path / "weights.jsonl"
+    weights.write_text('{"shape": [-1, 6], "data": [%s]}\n' % ", ".join(["0.25"] * 36),
+                       encoding="utf-8")
+    code = main(["attn-report", "--weights", str(weights), "--spec",
+                 str(DATA / "layout_l6.json")])
+    captured = capsys.readouterr()
+    err = assert_one_error_line(code, captured.err)
+    assert captured.out == ""
+    assert err == f"error: {weights}:1: weights shape must be a list of positive integers\n"
+
+
 def test_attn_report_on_synthetic_weights(tmp_path, capsys) -> None:
     spec = {
         "length": 10,
@@ -633,6 +645,16 @@ def test_parser_defaults_are_the_library_defaults() -> None:
     assert (grpo.alpha, grpo.beta, grpo.eps) == (cfg.clip_alpha, cfg.kl_beta, cfg.eps_stab)
     report = parser.parse_args(["attn-report", "--weights", "w", "--spec", "s"])
     assert report.last_k == DEFAULT_ALLOCATION_WINDOW
+
+
+def test_parser_is_built_once_and_parses_each_call_afresh(capsys) -> None:
+    assert build_parser() is build_parser()
+    code, stdout = run(capsys, "leakage", "--seed", "0", "--json")
+    assert code == 0
+    assert json.loads(stdout)["seed"] == 0
+    code, stdout = run(capsys, "leakage", "--seed", "1")
+    assert code == 0
+    assert stdout.startswith("seed 1 (with asymmetric mask): direct_leakage=0.0 ")
 
 
 def test_help_lists_subcommands(capsys) -> None:

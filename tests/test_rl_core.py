@@ -101,6 +101,16 @@ def test_advantages_all_equal_rewards() -> None:
     assert group_advantages([0.7, 0.7], 0.0) == [0.0, 0.0]
 
 
+@pytest.mark.parametrize("tiny", [1e-300, 5e-324])
+def test_advantages_with_zero_eps_survive_underflowing_deviations(tiny) -> None:
+    # The squared deviations underflow to 0; the group is not all equal.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert group_advantages([tiny, 0.0], 0.0) == [1.0, -1.0]
+        assert group_advantages([0.0, tiny, tiny, 0.0], 0.0) == [-1.0, 1.0, 1.0, -1.0]
+        assert group_advantages([tiny, tiny], 0.0) == [0.0, 0.0]
+
+
 def test_advantages_hand_computed() -> None:
     # mean 0.5, population std 0.5
     assert group_advantages([1, 0, 0, 1], 0.0) == pytest.approx([1, -1, -1, 1])
