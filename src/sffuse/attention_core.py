@@ -158,6 +158,8 @@ def attention_gradients(
     upstream = np.ones(out_shape) if d_output is None else np.asarray(d_output, dtype=float)
     if upstream.shape != out_shape:
         raise ValueError("d_output must match the output shape")
+    if d_output is not None and not np.isfinite(upstream).all():
+        raise ValueError("d_output contains non-finite entries")
     w = inputs.weights.matrix
     d_logits = upstream @ inputs.v.T
     d_v = w.T @ upstream

@@ -98,6 +98,29 @@ class TokenLayout:
             flags[name] = arr
         return MappingProxyType(flags)
 
+    @cached_property
+    def _row_table(self) -> tuple[np.ndarray, np.ndarray]:
+        """Visible keys per query position, stated once from ``BLOCKED_ROLE_PAIRS``.
+
+        Returns ``(table, codes)``: one length-L row of visible keys for each
+        distinct set of rules that some query position triggers, and each
+        position's index into those rows. Causality is not applied; a
+        caller keeps keys ``<= i`` of row ``codes[i]``. Both are read-only.
+        """
+        flags = self.role_flags
+        triggered = np.zeros(self.length, dtype=np.intp)
+        for bit, (query, _) in enumerate(BLOCKED_ROLE_PAIRS):
+            triggered[flags[query]] |= 1 << bit
+        rule_sets, codes = np.unique(triggered, return_inverse=True)
+        table = np.ones((rule_sets.size, self.length), dtype=bool)
+        for row, rules in zip(table, rule_sets.tolist()):
+            for bit, (_, key) in enumerate(BLOCKED_ROLE_PAIRS):
+                if rules >> bit & 1:
+                    row &= ~flags[key]
+        table.setflags(write=False)
+        codes.setflags(write=False)
+        return table, codes
+
 
 @dataclass(frozen=True, eq=False)
 class MaskMatrix:
@@ -136,32 +159,26 @@ def build_causal(length: int) -> MaskMatrix:
 
 
 def build_composite(layout: TokenLayout) -> MaskMatrix:
-    """Causal visibility with every ``BLOCKED_ROLE_PAIRS`` cell cleared, in
-    one L x L matrix: a cell is visible iff it is causal and no rule blocks it."""
-    visible = np.tri(layout.length, dtype=bool)
-    flags = layout.role_flags
-    for query, key in BLOCKED_ROLE_PAIRS:
-        visible[np.ix_(flags[query], flags[key])] = False
+    """Causal visibility with every ``BLOCKED_ROLE_PAIRS`` cell cleared: row i
+    is the layout's row-table row for position i, cut to keys <= i."""
+    table, codes = layout._row_table
+    visible = table[codes]
+    visible &= np.tri(layout.length, dtype=bool)
     return MaskMatrix(visible)
 
 
 def incremental_row(layout: TokenLayout, i: int) -> np.ndarray:
     """Visibility row for query position ``i`` over keys 0..i.
 
-    Equals row ``i`` of the composite mask restricted to columns <= i, computed
-    with O(i) boolean work over the layout's cached role flags and no LxL
-    materialization; this is the decode-time path where each step appends a
-    single query row.
+    Equals row ``i`` of the composite mask restricted to columns <= i. It is
+    a read-only view into the layout's row table, built once in O(L), so
+    each call is O(1) with no allocation and no LxL materialization; this
+    is the decode-time path where each step appends a single query row.
     """
     if not 0 <= i < layout.length:
         raise IndexError(f"row {i} out of range [0, {layout.length})")
-    row = np.ones(i + 1, dtype=bool)
-    flags = layout.role_flags
-    for query, key in BLOCKED_ROLE_PAIRS:
-        if flags[query][i]:
-            row &= ~flags[key][: i + 1]
-    row.setflags(write=False)
-    return row
+    table, codes = layout._row_table
+    return table[codes[i], : i + 1]
 
 
 @dataclass(frozen=True)
@@ -180,10 +197,7 @@ class MarkerTable:
     tag_close: Mapping[str, int] = field(default_factory=dict)
 
 
-def _find_pair(tokens: Sequence[int], start_id: int, end_id: int,
-               label: str) -> tuple[int, int] | None:
-    starts = [k for k, t in enumerate(tokens) if t == start_id]
-    ends = [k for k, t in enumerate(tokens) if t == end_id]
+def _pair(starts: list[int], ends: list[int], label: str) -> tuple[int, int] | None:
     if not starts and not ends:
         return None
     if len(starts) > 1 or len(ends) > 1:
@@ -207,17 +221,21 @@ def locate_layout(tokens: Sequence[int], markers: MarkerTable) -> TokenLayout:
     if not tokens:
         raise LayoutError("empty token sequence")
 
-    video = _find_pair(tokens, markers.video[0], markers.video[1], "video")
-    audio = _find_pair(tokens, markers.audio[0], markers.audio[1], "audio")
-
-    pairs: dict[str, tuple[int, int]] = {}
-    for name in ("mod", "v", "a", "sum", "ans"):
-        if name not in markers.tag_open or name not in markers.tag_close:
-            continue
-        pair = _find_pair(tokens, markers.tag_open[name],
-                          markers.tag_close[name], f"<{name}>")
-        if pair is not None:
-            pairs[name] = pair
+    tags = [name for name in ("mod", "v", "a", "sum", "ans")
+            if name in markers.tag_open and name in markers.tag_close]
+    ids = [markers.video, markers.audio]
+    ids += [(markers.tag_open[name], markers.tag_close[name]) for name in tags]
+    labels = ["video", "audio"] + [f"<{name}>" for name in tags]
+    # One pass collects every position of every marker id; ids may coincide.
+    positions: dict[int, list[int]] = {marker: [] for pair in ids for marker in pair}
+    for k, token in enumerate(tokens):
+        hits = positions.get(token)
+        if hits is not None:
+            hits.append(k)
+    found = [_pair(positions[start], positions[end], label)
+             for (start, end), label in zip(ids, labels)]
+    video, audio = found[:2]
+    pairs = {name: pair for name, pair in zip(tags, found[2:]) if pair is not None}
 
     spans = sorted(pairs.items(), key=lambda kv: kv[1][0])
     for (outer, (o_start, o_end)), (inner, (i_start, _)) in zip(spans, spans[1:]):
@@ -313,6 +331,14 @@ def mask_to_text(mask: MaskMatrix) -> str:
 
 def mask_from_text(text: str) -> MaskMatrix:
     """Inverse of ``mask_to_text``; blank lines are skipped."""
+    # An exact grid of 0/1 rows, each ending in "\n", is read in one pass;
+    # any other text is diagnosed line by line below.
+    width = text.find("\n")
+    if width > 0 and len(text) % (width + 1) == 0 and text.isascii():
+        grid = np.frombuffer(text.encode("ascii"), dtype=np.uint8).reshape(-1, width + 1)
+        cells = grid[:, :width]
+        if (grid[:, width] == ord("\n")).all() and ((cells | 1) == ord("1")).all():
+            return MaskMatrix(cells == ord("1"))
     rows = [line for line in text.splitlines() if line]
     if not rows:
         raise ValueError("mask text has no rows")

@@ -32,7 +32,7 @@ class RewardConfig:
     lambda_mps: float = 0.2
 
     def __post_init__(self) -> None:
-        if self.lambda_acc < 0 or self.lambda_mps < 0:
+        if not (self.lambda_acc >= 0.0 and self.lambda_mps >= 0.0):  # NaN fails too
             raise ValueError("reward weights must be nonnegative")
 
 
@@ -45,9 +45,9 @@ class GrpoConfig:
     def __post_init__(self) -> None:
         if not 0.0 < self.clip_alpha < 1.0:
             raise ValueError("clip_alpha must lie in (0, 1)")
-        if self.kl_beta < 0.0:
+        if not self.kl_beta >= 0.0:  # NaN fails too
             raise ValueError("kl_beta must be nonnegative")
-        if self.eps_stab <= 0.0:
+        if not self.eps_stab > 0.0:  # NaN fails too
             raise ValueError("eps_stab must be positive")
 
 
@@ -132,7 +132,7 @@ def group_advantages(rewards: Sequence[float], eps_stab: float) -> list[float]:
     """
     if len(rewards) < 2:
         raise ValueError("need at least 2 rewards")
-    if eps_stab < 0:
+    if not eps_stab >= 0.0:  # NaN fails too
         raise ValueError("eps_stab must be nonnegative")
     r = np.asarray(rewards, dtype=float)
     if (r == r[0]).all():

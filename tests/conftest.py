@@ -1,5 +1,7 @@
 """Shared fixtures: the L=6 layout, a brute-force mask oracle, loop-based
-reference encoders for the mask exports, loop-based references for the hash
+reference encoders for the mask exports, the row loop, line-by-line text
+reader and per-pair layout scan of the mask decode path as first written,
+loop-based references for the hash
 embedder and CoT consistency, the dense attention forward and backward, the
 check-by-check trace parser, a random valid-layout generator used by the
 property and acceptance suites, a scripted sampler, and writers for the
@@ -18,7 +20,13 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 import pytest
 
-from sffuse.mask_engine import MaskMatrix, TokenLayout
+from sffuse.mask_engine import (
+    BLOCKED_ROLE_PAIRS,
+    LayoutError,
+    MarkerTable,
+    MaskMatrix,
+    TokenLayout,
+)
 from sffuse.pem_pipeline import Instance, ProbeSetting, SampleSet, SamplingError
 from sffuse.tag_grammar import (
     TAG_NAMES,
@@ -89,6 +97,114 @@ def reference_mask_to_rle(mask: MaskMatrix) -> bytes:
     out += struct.pack("<IBI", mask.length, int(bool(flat[0])), len(runs))
     out += struct.pack(f"<{len(runs)}I", *runs)
     return bytes(out)
+
+
+
+# --- the mask decode path as first written -----------------------------------
+
+def reference_incremental_row(layout: TokenLayout, i: int) -> np.ndarray:
+    """The row loop as first written, a fresh row and one pass per rule;
+    ``incremental_row`` must return equal rows."""
+    if not 0 <= i < layout.length:
+        raise IndexError(f"row {i} out of range [0, {layout.length})")
+    row = np.ones(i + 1, dtype=bool)
+    flags = layout.role_flags
+    for query, key in BLOCKED_ROLE_PAIRS:
+        if flags[query][i]:
+            row &= ~flags[key][: i + 1]
+    row.setflags(write=False)
+    return row
+
+
+def _reference_find_pair(tokens: Sequence[int], start_id: int, end_id: int,
+                         label: str) -> tuple[int, int] | None:
+    starts = [k for k, t in enumerate(tokens) if t == start_id]
+    ends = [k for k, t in enumerate(tokens) if t == end_id]
+    if not starts and not ends:
+        return None
+    if len(starts) > 1 or len(ends) > 1:
+        raise LayoutError(f"duplicated {label} marker")
+    if not starts or not ends:
+        raise LayoutError(f"unpaired {label} marker")
+    if ends[0] < starts[0]:
+        raise LayoutError(f"{label} end marker precedes its start")
+    return starts[0], ends[0]
+
+
+def reference_locate_layout(tokens: Sequence[int], markers: MarkerTable) -> TokenLayout:
+    """The layout scan as first written, two list scans per marker pair;
+    ``locate_layout`` must return the same layout or ``LayoutError`` message."""
+    tokens = list(tokens)
+    if not tokens:
+        raise LayoutError("empty token sequence")
+
+    video = _reference_find_pair(tokens, markers.video[0], markers.video[1], "video")
+    audio = _reference_find_pair(tokens, markers.audio[0], markers.audio[1], "audio")
+
+    pairs: dict[str, tuple[int, int]] = {}
+    for name in ("mod", "v", "a", "sum", "ans"):
+        if name not in markers.tag_open or name not in markers.tag_close:
+            continue
+        pair = _reference_find_pair(tokens, markers.tag_open[name],
+                                    markers.tag_close[name], f"<{name}>")
+        if pair is not None:
+            pairs[name] = pair
+
+    spans = sorted(pairs.items(), key=lambda kv: kv[1][0])
+    for (outer, (o_start, o_end)), (inner, (i_start, _)) in zip(spans, spans[1:]):
+        if i_start < o_end:
+            raise LayoutError(
+                f"NestedTag: <{inner}> pair inside or crossing <{outer}> pair")
+
+    indicator_edge = max(
+        [pos for pair in (video, audio) if pair is not None for pos in pair],
+        default=-1,
+    )
+    tag_edge = min((start for start, _ in pairs.values()), default=len(tokens))
+    if tag_edge <= indicator_edge:
+        raise LayoutError("reasoning tags precede input markers")
+
+    def interior(pair: tuple[int, int] | None) -> frozenset[int]:
+        if pair is None:
+            return frozenset()
+        start, end = pair
+        return frozenset(range(start + 1, end))
+
+    visual_span = frozenset()
+    if "v" in pairs:
+        start, end = pairs["v"]
+        visual_span = frozenset(range(start, end + 1))
+
+    return TokenLayout(
+        length=len(tokens),
+        video_input=interior(video),
+        audio_input=interior(audio),
+        visual_reasoning=interior(pairs.get("v")),
+        audio_reasoning=interior(pairs.get("a")),
+        visual_span=visual_span,
+        summary_span=interior(pairs.get("sum")),
+    )
+
+
+def reference_mask_from_text(text: str) -> MaskMatrix:
+    """The line-by-line text reader as first written; ``mask_from_text``
+    must return the same mask or error message."""
+    rows = [line for line in text.splitlines() if line]
+    if not rows:
+        raise ValueError("mask text has no rows")
+    width = len(rows[0])
+    ragged = next((k for k, line in enumerate(rows) if len(line) != width), None)
+    if ragged is not None:
+        raise ValueError(
+            f"mask text row {ragged} has {len(rows[ragged])} cells, row 0 has {width}")
+    # "replace" maps each non-ASCII character to one "?", keeping positions.
+    codes = np.frombuffer("".join(rows).encode("ascii", "replace"), dtype=np.uint8)
+    bad = np.flatnonzero((codes | 1) != ord("1"))  # "0" and "1" differ in bit 0 only
+    if bad.size:
+        row, col = divmod(int(bad[0]), width)
+        raise ValueError(
+            f"mask text row {row} column {col}: {rows[row][col]!r} is not 0 or 1")
+    return MaskMatrix((codes == ord("1")).reshape(len(rows), width))
 
 
 def reference_hash_vector(text: str, dim: int) -> np.ndarray:

@@ -152,6 +152,21 @@ def test_weights_reject_overflowing_logits(q_row, row) -> None:
             masked_attention(inputs)
 
 
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+def test_gradients_reject_a_non_finite_d_output(value) -> None:
+    # An all-inf d_output gave NaN gradients and three RuntimeWarnings.
+    inputs = AttentionInputs(q=np.ones((2, 2)), k=np.ones((2, 2)), v=np.ones((2, 2)),
+                             mask=build_causal(2))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="^d_output contains non-finite entries$"):
+            attention_gradients(inputs, np.full((2, 2), value))
+        d_output = np.ones((2, 2))
+        d_output[1, 0] = value
+        with pytest.raises(ValueError, match="^d_output contains non-finite entries$"):
+            attention_gradients(inputs, d_output)
+
+
 # (min, max) sequence length: a single token, short layouts, L >= 256, and
 # lengths on either side of one and two 64-row backward panels.
 LENGTHS = {"one": (1, 1), "short": (2, 40), "long": (256, 320),

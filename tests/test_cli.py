@@ -467,6 +467,16 @@ def test_grpo_step_group_error_names_the_group(capsys, tmp_path) -> None:
     assert err == "error: group g9: non-finite importance ratios\n"
 
 
+@pytest.mark.parametrize("flag, field", [("--beta", "kl_beta"), ("--eps", "eps_stab"),
+                                         ("--alpha", "clip_alpha")])
+def test_grpo_step_rejects_a_nan_setting(capsys, flag, field) -> None:
+    code = main(["grpo-step", "--rollouts", str(DATA / "rollouts_equal.jsonl"), flag, "nan"])
+    captured = capsys.readouterr()
+    err = assert_one_error_line(code, captured.err)
+    assert captured.out == ""
+    assert err.startswith(f"error: {field} must ")
+
+
 @pytest.mark.parametrize("value", ["NaN", "Infinity", "1e999"])
 def test_grpo_step_rejects_non_finite_rewards(tmp_path, capsys, value) -> None:
     rollouts = tmp_path / "rollouts.jsonl"

@@ -3,6 +3,8 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sffuse.mask_engine import (
     LayoutError,
@@ -25,9 +27,24 @@ from conftest import (
     blocked_cells,
     brute_force_mask,
     random_layout,
+    reference_incremental_row,
+    reference_locate_layout,
+    reference_mask_from_text,
     reference_mask_to_rle,
     reference_mask_to_text,
 )
+
+
+def outcome(func, *args):
+    """``("ok", result)`` or the exception's type and message."""
+    try:
+        return "ok", func(*args)
+    except Exception as exc:  # the oracle comparison covers every error
+        return type(exc), str(exc)
+
+
+# (min, max) layout length: a single token, short layouts and L >= 256.
+LENGTHS = {"one": (1, 1), "short": (2, 64), "long": (256, 320)}
 
 
 # --- causal -----------------------------------------------------------------
@@ -200,6 +217,72 @@ def test_incremental_rows_agree_with_full_matrix() -> None:
             assert incremental_row(layout, i).tolist() == full[i, : i + 1].tolist()
 
 
+@pytest.mark.parametrize("lengths", sorted(LENGTHS))
+@settings(max_examples=10, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_rows_and_composite_equal_the_oracles(lengths, seed) -> None:
+    low, high = LENGTHS[lengths]
+    layout = random_layout(np.random.default_rng(seed), max_length=high, min_length=low)
+    for i in range(layout.length):
+        row, expected = incremental_row(layout, i), reference_incremental_row(layout, i)
+        assert row.dtype == expected.dtype and row.shape == expected.shape
+        assert row.tobytes() == expected.tobytes()
+    for i in (-1, layout.length):
+        assert outcome(incremental_row, layout, i) == outcome(
+            reference_incremental_row, layout, i)
+    assert build_composite(layout) == brute_force_mask(layout)
+
+
+def test_rows_are_read_only_views() -> None:
+    layout = random_layout(np.random.default_rng(5), max_length=300, min_length=256)
+    for i in (0, layout.length // 2, layout.length - 1):
+        row = incremental_row(layout, i)
+        assert not row.flags.owndata  # a view into the layout's row table
+        assert not row.flags.writeable
+        with pytest.raises(ValueError):
+            row.setflags(write=True)
+        with pytest.raises(ValueError):
+            row[0] = not row[0]
+        assert row.tobytes() == reference_incremental_row(layout, i).tobytes()
+
+
+# Each takes a valid grid's text and returns a mutated text.
+TEXT_MUTATIONS = {
+    "none": lambda text, k: text,
+    "crlf": lambda text, k: text.replace("\n", "\r\n"),
+    "vertical tab": lambda text, k: text.replace("\n", "\x0b"),
+    "line separator": lambda text, k: text.replace("\n", "\u2028", k + 1),
+    "blank lines": lambda text, k: text.replace("\n", "\n\n", k + 1),
+    "leading blank line": lambda text, k: "\n" + text,
+    "no final newline": lambda text, k: text[:-1],
+    "last row runs on": lambda text, k: text[:-1] + "1",
+    "a 2": lambda text, k: text[:k] + "2" + text[k + 1:],
+    "an e acute": lambda text, k: text[:k] + "\u00e9" + text[k + 1:],
+    "a space": lambda text, k: text[:k] + " " + text[k + 1:],
+    "ragged": lambda text, k: text[:k] + text[k + 1:],
+    "extra cell": lambda text, k: text[:k] + "1" + text[k:],
+    "extra row": lambda text, k: text + text[:text.index("\n") + 1],
+    "extra column": lambda text, k: text.replace("\n", "0\n"),
+    "empty": lambda text, k: "",
+}
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), length=st.sampled_from([1, 2, 7, 40, 300]),
+       mutation=st.sampled_from(sorted(TEXT_MUTATIONS)))
+def test_text_reader_equals_the_oracle_on_grids_and_mutations(seed, length, mutation) -> None:
+    rng = np.random.default_rng(seed)
+    text = mask_to_text(MaskMatrix(rng.random((length, length)) < 0.5))
+    text = TEXT_MUTATIONS[mutation](text, int(rng.integers(0, len(text))))
+    assert outcome(mask_from_text, text) == outcome(reference_mask_from_text, text)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.text(alphabet="01\n\r\x0b\u2028\u00e92 ", max_size=40))
+def test_text_reader_equals_the_oracle_on_arbitrary_text(text) -> None:
+    assert outcome(mask_from_text, text) == outcome(reference_mask_from_text, text)
+
+
 # --- locate_layout ------------------------------------------------------------------
 
 MARKERS = MarkerTable(
@@ -250,6 +333,68 @@ def test_locate_layout_tags_before_inputs_rejected() -> None:
     sequence = [110, 7, 111, 100, 5, 101]
     with pytest.raises(LayoutError, match="precede"):
         locate_layout(sequence, MARKERS)
+
+
+# Marker tables: the standard one, one whose tag tables lack a name on one
+# side (that pair is not located), and one whose ids coincide.
+MARKER_TABLES = {
+    "standard": MARKERS,
+    "partial tags": MarkerTable(
+        video=(100, 101), audio=(102, 103),
+        tag_open={"mod": 118, "v": 110, "a": 112, "sum": 114},
+        tag_close={"v": 111, "a": 113, "sum": 115, "ans": 117}),
+    "shared ids": MarkerTable(
+        video=(100, 101), audio=(101, 103),
+        tag_open={"mod": 118, "v": 110, "a": 110, "sum": 114, "ans": 116},
+        tag_close={"mod": 119, "v": 111, "a": 113, "sum": 114, "ans": 117}),
+}
+
+
+def render_stream(rng: np.random.Generator) -> list[int]:
+    """A valid stream under ``MARKERS``: optional input pairs, then optional
+    tag pairs in order, each around 0-3 payload tokens."""
+    payload = lambda: [int(t) for t in rng.integers(0, 100, size=rng.integers(0, 4))]
+    tokens = []
+    for start, end in (MARKERS.video, MARKERS.audio):
+        if rng.random() < 0.8:
+            tokens += [start, *payload(), end]
+    for name in ("mod", "v", "a", "sum", "ans"):
+        if rng.random() < 0.8:
+            tokens += [MARKERS.tag_open[name], *payload(), MARKERS.tag_close[name]]
+    return tokens or [5]
+
+
+def mutate_stream(rng: np.random.Generator, tokens: list[int]) -> list[int]:
+    """Duplicate, drop, swap or move tokens, so markers get duplicated,
+    unpaired, reversed or nested."""
+    tokens = list(tokens)
+    for _ in range(int(rng.integers(0, 4))):
+        kind, k = rng.integers(0, 4), int(rng.integers(0, len(tokens)))
+        if kind == 0:
+            tokens.insert(int(rng.integers(0, len(tokens) + 1)), tokens[k])
+        elif kind == 1 and len(tokens) > 1:
+            del tokens[k]
+        elif kind == 2:
+            j = int(rng.integers(0, len(tokens)))
+            tokens[k], tokens[j] = tokens[j], tokens[k]
+        else:
+            tokens.insert(int(rng.integers(0, len(tokens))), tokens.pop(k))
+    return tokens
+
+
+@pytest.mark.parametrize("table", sorted(MARKER_TABLES))
+@settings(max_examples=300, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_locate_layout_equals_the_oracle_on_mutated_streams(table, seed) -> None:
+    rng = np.random.default_rng(seed)
+    tokens = mutate_stream(rng, render_stream(rng))
+    markers = MARKER_TABLES[table]
+    assert outcome(locate_layout, tokens, markers) == outcome(
+        reference_locate_layout, tokens, markers)
+
+
+def test_locate_layout_equals_the_oracle_on_the_empty_stream() -> None:
+    assert outcome(locate_layout, [], MARKERS) == outcome(reference_locate_layout, [], MARKERS)
 
 
 # --- layout specs ---------------------------------------------------------------------

@@ -94,6 +94,12 @@ def test_reward_config_validation() -> None:
         RewardConfig(lambda_acc=-0.1)
 
 
+@pytest.mark.parametrize("field", ["lambda_acc", "lambda_mps"])
+def test_reward_config_rejects_nan_weights(field) -> None:
+    with pytest.raises(ValueError, match="reward weights must be nonnegative"):
+        RewardConfig(**{field: math.nan})
+
+
 # --- advantages -----------------------------------------------------------------
 
 def test_advantages_all_equal_rewards() -> None:
@@ -311,6 +317,21 @@ def test_grpo_config_validation() -> None:
         GrpoConfig(kl_beta=-0.1)
     with pytest.raises(ValueError):
         GrpoConfig(eps_stab=0.0)
+
+
+@pytest.mark.parametrize("field, message", [
+    ("clip_alpha", "clip_alpha must lie in"),
+    ("kl_beta", "kl_beta must be nonnegative"),
+    ("eps_stab", "eps_stab must be positive"),
+])
+def test_grpo_config_rejects_nan(field, message) -> None:
+    with pytest.raises(ValueError, match=message):
+        GrpoConfig(**{field: math.nan})
+
+
+def test_advantages_reject_a_nan_eps() -> None:
+    with pytest.raises(ValueError, match="eps_stab must be nonnegative"):
+        group_advantages([0.0, 1.0], math.nan)
 
 
 # --- GRPO gradient fidelity -----------------------------------------------------------
