@@ -46,8 +46,6 @@ from .rl_core import (
     group_advantages,
     grpo_objective,
     kl_estimate,
-    reward_acc,
-    reward_mps,
     reward_stage2,
     score_trace,
 )
@@ -103,8 +101,6 @@ __all__ = [
     "masked_attention",
     "parse_trace",
     "render_trace",
-    "reward_acc",
-    "reward_mps",
     "reward_stage2",
     "score_trace",
     "solvable",

@@ -20,7 +20,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .jsonl import read_objects
+from .jsonl import is_number_list, read_objects
 from .mask_engine import (
     MaskMatrix,
     TokenLayout,
@@ -406,21 +406,25 @@ def leakage_probe(
 
 def read_weights_jsonl(path: str | Path) -> list[np.ndarray]:
     """One layer per line, in line order: ``{"layer", "shape": [L, L],
-    "data": [row-major values]}``; ``layer`` is not read, and each shape
-    entry must be a positive JSON integer (numpy would infer a -1)."""
+    "data": [row-major values]}``; ``layer`` is not read, each shape entry
+    must be a positive JSON integer (numpy would infer a -1), and each data
+    entry a JSON number."""
     layers = []
     for lineno, obj in read_objects(path):
+        place = f"{path}:{lineno}"
         shape = obj.get("shape")
         if not isinstance(shape, list) or not all(
                 type(size) is int and size > 0 for size in shape):
-            raise ValueError(f"{path}:{lineno}: weights shape must be a list of positive integers")
+            raise ValueError(f"{place}: weights shape must be a list of positive integers")
+        if len(shape) != 2:
+            raise ValueError(f"{place}: weights shape {shape} is not 2-D")
+        if not is_number_list(obj.get("data")):
+            raise ValueError(f"{place}: bad weights record: data must be a list of numbers")
         try:
             layer = np.asarray(obj["data"], dtype=float).reshape(shape)
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ValueError(f"{path}:{lineno}: bad weights record: {exc!r}") from exc
-        if layer.ndim != 2:
-            raise ValueError(f"{path}:{lineno}: weights shape {list(layer.shape)} is not 2-D")
+        except ValueError as exc:
+            raise ValueError(f"{place}: bad weights record: {exc!r}") from exc
         if not np.isfinite(layer).all():
-            raise ValueError(f"{path}:{lineno}: weights must be finite numbers")
+            raise ValueError(f"{place}: weights must be finite numbers")
         layers.append(layer)
     return layers

@@ -62,7 +62,7 @@ def cmd_annotate(args: argparse.Namespace) -> int:
     result = pem_pipeline.annotate(dataset, sampler, embedder, pipeline_cfg)
     pem_pipeline.write_jsonl(args.out, result.labeled)
     report_path = args.report or f"{args.out}.stats.json"
-    Path(report_path).write_text(_dump(result.stats.to_dict()) + "\n", encoding="utf-8")
+    Path(report_path).write_text(_dump(asdict(result.stats)) + "\n", encoding="utf-8")
     if args.records:
         pem_pipeline.write_jsonl(args.records, (r.to_dict() for r in result.records))
 

@@ -1,4 +1,5 @@
-"""Application configuration: one documented home for every numeric default.
+"""Application configuration: the ``--config`` file of ``annotate`` (the
+``pipeline`` section) and ``validate`` (the ``rewards`` section).
 
 Values marked "fixed by the training recipe" are the constants the whole
 artifact is calibrated against; the rest are declared engineering defaults.
@@ -8,10 +9,12 @@ artifact is calibrated against; the rest are declared engineering defaults.
   pipeline.tau_cons     = 0.8   inclusive consistency threshold; recipe value
   rewards.lambda_acc    = 1.0   stage-2 answer-accuracy weight; recipe value
   rewards.lambda_mps    = 0.2   stage-2 structure-reward weight; recipe value
-  last_k                = 16    layer window for attention allocation; recipe value
 
-The GRPO defaults live in ``rl_core.GrpoConfig`` and are set per run with the
-``grpo-step`` flags; the leakage probe takes its seed from ``--seed``.
+``last_k`` is validated but read by no subcommand: ``attn-report`` takes its
+layer window from ``--last-k``, whose default is
+``attention_core.DEFAULT_ALLOCATION_WINDOW``. The GRPO defaults live in
+``rl_core.GrpoConfig`` and are set per run with the ``grpo-step`` flags; the
+leakage probe takes its seed from ``--seed``.
 """
 
 from __future__ import annotations

@@ -6,6 +6,8 @@ import json
 from pathlib import Path
 from typing import Iterator
 
+_NUMBER_TYPES = frozenset((int, float))
+
 
 def _decode(text: str, place: str, invalid: str = "invalid JSON") -> object:
     """One JSON document. A syntax error, or nesting deeper than the decoder
@@ -64,3 +66,9 @@ def str_fields(place: str, obj: dict, *names: str,
             raise ValueError(f"{place}: field '{name}' must be a string")
         values.append(value)
     return tuple(values)
+
+
+def is_number_list(value: object) -> bool:
+    """True iff ``value`` decoded from a JSON array of numbers: a list whose
+    every element is an int or a float (a bool is neither)."""
+    return isinstance(value, list) and set(map(type, value)) <= _NUMBER_TYPES

@@ -22,6 +22,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .jsonl import read_document
+from .tag_grammar import TAG_NAMES
 
 
 class LayoutError(ValueError):
@@ -221,7 +222,7 @@ def locate_layout(tokens: Sequence[int], markers: MarkerTable) -> TokenLayout:
     if not tokens:
         raise LayoutError("empty token sequence")
 
-    tags = [name for name in ("mod", "v", "a", "sum", "ans")
+    tags = [name for name in TAG_NAMES
             if name in markers.tag_open and name in markers.tag_close]
     ids = [markers.video, markers.audio]
     ids += [(markers.tag_open[name], markers.tag_close[name]) for name in tags]

@@ -30,7 +30,7 @@ from typing import Callable, Iterable, Mapping, Protocol, Sequence
 
 import numpy as np
 
-from .jsonl import read_objects, str_fields
+from .jsonl import is_number_list, read_objects, str_fields
 from .normalize import answers_match
 from .tag_grammar import PemLabel
 
@@ -55,9 +55,6 @@ class ProbeSetting(enum.Enum):
     A = "A"
     V = "V"
     AV = "AV"
-
-
-PROBE_SETTINGS = (ProbeSetting.A, ProbeSetting.V, ProbeSetting.AV)
 
 
 @dataclass(frozen=True)
@@ -141,7 +138,7 @@ class PemRecord:
             decision = {"kind": "discard", "reason": self.decision.reason.value}
         return {
             "id": self.instance_id,
-            "settings": {s.value: self.settings[s].to_dict() for s in PROBE_SETTINGS},
+            "settings": {s.value: self.settings[s].to_dict() for s in ProbeSetting},
             "decision": decision,
         }
 
@@ -243,6 +240,16 @@ def solvable(accuracy: float, cot_consistency: float, cfg: PipelineConfig) -> bo
 
 # --- Decision table ----------------------------------------------------------
 
+_DECISIONS = {
+    (True, False, True): PemLabel.AUDIO,
+    (False, True, True): PemLabel.VISUAL,
+    (False, False, True): PemLabel.AUDIO_VISUAL,
+    (True, True, True): Discard(DiscardReason.TRIVIALLY_EASY),
+    (False, False, False): Discard(DiscardReason.UNSOLVABLE),
+}
+_CONTRADICTORY = Discard(DiscardReason.CONTRADICTORY)
+
+
 def decide_pem(solvable_a: bool, solvable_v: bool, solvable_av: bool) -> PemLabel | Discard:
     """Total decision over the 8 solvability patterns.
 
@@ -252,18 +259,7 @@ def decide_pem(solvable_a: bool, solvable_v: bool, solvable_av: bool) -> PemLabe
     reading of (1,1,0)); all-solvable carries no modality signal and
     nothing-solvable is unusable.
     """
-    pattern = (solvable_a, solvable_v, solvable_av)
-    if pattern == (True, False, True):
-        return PemLabel.AUDIO
-    if pattern == (False, True, True):
-        return PemLabel.VISUAL
-    if pattern == (False, False, True):
-        return PemLabel.AUDIO_VISUAL
-    if pattern == (True, True, True):
-        return Discard(DiscardReason.TRIVIALLY_EASY)
-    if pattern == (False, False, False):
-        return Discard(DiscardReason.UNSOLVABLE)
-    return Discard(DiscardReason.CONTRADICTORY)
+    return _DECISIONS.get((solvable_a, solvable_v, solvable_av), _CONTRADICTORY)
 
 
 # --- Batch annotation ---------------------------------------------------------
@@ -277,17 +273,6 @@ class PipelineStats:
     label_counts: dict[str, int]
     discard_counts: dict[str, int]
     failures: tuple[dict, ...]
-
-    def to_dict(self) -> dict:
-        return {
-            "total": self.total,
-            "labeled": self.labeled,
-            "discarded": self.discarded,
-            "failed": self.failed,
-            "label_counts": dict(self.label_counts),
-            "discard_counts": dict(self.discard_counts),
-            "failures": list(self.failures),
-        }
 
 
 @dataclass(frozen=True)
@@ -324,7 +309,7 @@ def annotate(
 
     def process(instance: Instance) -> tuple[PemRecord, str]:
         sample_sets: dict[ProbeSetting, SampleSet] = {}
-        for setting in PROBE_SETTINGS:
+        for setting in ProbeSetting:
             samples = sampler.sample(instance, setting, cfg.n)
             if len(samples.samples) != cfg.n:
                 raise SamplingError(
@@ -359,25 +344,18 @@ def annotate(
     else:
         with ThreadPoolExecutor(max_workers=cfg.parallelism) as pool:
             results = list(pool.map(guarded, dataset))
-    outcomes: dict[str, tuple[PemRecord, str]] = {}
-    failures: dict[str, dict] = {}
-    for instance, result in zip(dataset, results):
-        if isinstance(result, dict):
-            failures[instance.id] = result
-        else:
-            outcomes[instance.id] = result
-
-    by_id = {inst.id: inst for inst in dataset}
-    records = []
-    labeled = []
+    records, labeled, failures = [], [], []
     label_counts = {label.serialized: 0 for label in PemLabel}
     discard_counts = {reason.value: 0 for reason in DiscardReason}
-    for instance_id in sorted(outcomes):
-        record, av_cot = outcomes[instance_id]
+    for instance, result in sorted(zip(dataset, results), key=lambda pair: pair[0].id):
+        if isinstance(result, dict):
+            failures.append(result)
+            continue
+        record, av_cot = result
         records.append(record)
         if isinstance(record.decision, PemLabel):
             label_counts[record.decision.serialized] += 1
-            labeled.append(labeled_export(by_id[instance_id], record, av_cot))
+            labeled.append(labeled_export(instance, record, av_cot))
         else:
             discard_counts[record.decision.reason.value] += 1
 
@@ -388,7 +366,7 @@ def annotate(
         failed=len(failures),
         label_counts=label_counts,
         discard_counts=discard_counts,
-        failures=tuple(failures[key] for key in sorted(failures)),
+        failures=tuple(failures),
     )
     return AnnotationResult(tuple(records), tuple(labeled), stats)
 
@@ -404,7 +382,7 @@ def labeled_export(instance: Instance, record: PemRecord, cot: str) -> dict:
                   "video_ref": instance.media.video_ref},
         "gold_answer": instance.gold_answer,
         "pem": record.decision.serialized,
-        "evidence": {s.value: record.settings[s].to_dict() for s in PROBE_SETTINGS},
+        "evidence": {s.value: record.settings[s].to_dict() for s in ProbeSetting},
         "cot": cot,
     }
     if instance.choices is not None:
@@ -461,7 +439,7 @@ def _scripted_pattern(instance: Instance) -> set[ProbeSetting]:
         (instance.media.audio_ref, instance.media.video_ref, instance.question))
     match = _SOLVABLE_MARKER.search(haystack)
     if match is None:
-        return set(PROBE_SETTINGS)
+        return set(ProbeSetting)
     if match.group(1) == "none":
         return set()
     return {ProbeSetting(token) for token in match.group(1).split(",")}
@@ -564,17 +542,14 @@ def _post(endpoint: EndpointConfig, transport: Transport, token: str | None,
     raise error(f"{what}: {last_error}")
 
 
-def load_prompt_template(setting: ProbeSetting, prompt_dir: str | Path | None = None) -> str:
+def load_prompt_template(setting: ProbeSetting) -> str:
     """Editable prompt fixture for one probe setting."""
-    name = _PROMPT_FILES[setting]
-    if prompt_dir is not None:
-        return (Path(prompt_dir) / name).read_text(encoding="utf-8")
-    return resources.files("sffuse").joinpath("prompts", name).read_text(encoding="utf-8")
+    return resources.files("sffuse").joinpath(
+        "prompts", _PROMPT_FILES[setting]).read_text(encoding="utf-8")
 
 
-def build_probe_prompt(instance: Instance, setting: ProbeSetting,
-                       prompt_dir: str | Path | None = None) -> str:
-    template = load_prompt_template(setting, prompt_dir)
+def build_probe_prompt(instance: Instance, setting: ProbeSetting) -> str:
+    template = load_prompt_template(setting)
     if instance.choices:
         choices_block = "Choices: " + " | ".join(instance.choices)
     else:
@@ -607,14 +582,12 @@ class HttpSampler:
         self,
         endpoint: EndpointConfig,
         token: str | None = None,
-        prompt_dir: str | Path | None = None,
         transport: Transport = _urllib_transport,
     ):
         if not endpoint.base_url:
             raise ValueError("endpoint base_url is required")
         self.endpoint = endpoint
         self.token = token
-        self.prompt_dir = prompt_dir
         self.transport = transport
 
     def _media_payload(self, instance: Instance, setting: ProbeSetting) -> dict:
@@ -632,7 +605,7 @@ class HttpSampler:
             "model": self.endpoint.model,
             "messages": [
                 {"role": "user",
-                 "content": build_probe_prompt(instance, setting, self.prompt_dir)},
+                 "content": build_probe_prompt(instance, setting)},
             ],
             "media": self._media_payload(instance, setting),
             "n": n,
@@ -682,4 +655,6 @@ class HttpEmbedder:
         if len(vectors) != len(texts):
             raise EmbeddingError(
                 f"embedder returned {len(vectors)} vectors for {len(texts)} texts")
+        if not all(map(is_number_list, vectors)):
+            raise EmbeddingError("embedder returned an embedding that is not a list of numbers")
         return np.asarray(vectors, dtype=float)

@@ -19,9 +19,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .jsonl import read_objects, str_fields
+from .jsonl import is_number_list, read_objects, str_fields
 from .normalize import answers_match
-from .tag_grammar import ParseDiagnostic, PemLabel, SfrTrace, parse_trace
+from .tag_grammar import ParseDiagnostic, PemLabel, parse_trace
 
 
 @dataclass(frozen=True)
@@ -89,30 +89,27 @@ class TraceScore:
     diagnostics: tuple[ParseDiagnostic, ...]
 
 
-def _mps(trace: SfrTrace | None, gold_pem: PemLabel) -> int:
-    return 1 if trace is not None and trace.pem == gold_pem else 0
-
-
-def _acc(trace: SfrTrace | None, ground_truth: str) -> int:
-    return 1 if trace is not None and answers_match(trace.answer_text, ground_truth) else 0
-
-
 def score_trace(output_text: str, gold_pem: PemLabel, ground_truth: str,
                 cfg: RewardConfig = RewardConfig()) -> TraceScore:
-    """Parse once and score: stage 2 is ``lambda_acc * acc + lambda_mps * mps``."""
+    """Parse once and score. The modality-preference & structure reward is 1
+    iff the trace is structurally valid and its PEM matches gold; the
+    accuracy reward is 1 iff the answer segment equals the ground truth
+    after normalization. Stage 2 is ``lambda_acc * acc + lambda_mps * mps``."""
     trace, diags = parse_trace(output_text)
-    r_mps, r_acc = _mps(trace, gold_pem), _acc(trace, ground_truth)
+    r_mps = int(trace is not None and trace.pem == gold_pem)
+    r_acc = int(trace is not None and answers_match(trace.answer_text, ground_truth))
     return TraceScore(r_mps, r_acc, cfg.lambda_acc * r_acc + cfg.lambda_mps * r_mps, tuple(diags))
 
 
+# One field of ``score_trace`` each; the placeholder gold answer or label does
+# not affect the field read. They stay only because the benchmark's per-layer
+# metrics name them (rl_core.reward_mps.self_s, rl_core.reward_acc.self_s).
 def reward_mps(output_text: str, gold_pem: PemLabel) -> int:
-    """1 iff the trace is structurally valid and its PEM matches gold."""
-    return _mps(parse_trace(output_text)[0], gold_pem)
+    return score_trace(output_text, gold_pem, "").r_mps
 
 
 def reward_acc(output_text: str, ground_truth: str) -> int:
-    """1 iff the answer segment equals the ground truth after normalization."""
-    return _acc(parse_trace(output_text)[0], ground_truth)
+    return score_trace(output_text, PemLabel.AUDIO, ground_truth).r_acc
 
 
 def reward_stage2(
@@ -179,6 +176,18 @@ class GrpoResult:
     kl: float
 
 
+def _clipped_ratios(group: RolloutGroup, cfg: GrpoConfig) -> tuple[np.ndarray, ...]:
+    """Advantages, importance ratios rho_i = exp(logp_new_i - logp_old_i) and
+    the ratios clipped to [1 - alpha, 1 + alpha]; a ratio that overflows
+    raises."""
+    advantages = np.asarray(group_advantages(group.rewards, cfg.eps_stab))
+    with np.errstate(over="ignore", invalid="ignore"):
+        ratios = np.exp(np.asarray(group.logp_new) - np.asarray(group.logp_old))
+    if not np.isfinite(ratios).all():
+        raise ValueError("non-finite importance ratios")
+    return advantages, ratios, np.clip(ratios, 1.0 - cfg.clip_alpha, 1.0 + cfg.clip_alpha)
+
+
 def grpo_objective(group: RolloutGroup, cfg: GrpoConfig) -> GrpoResult:
     """Clipped group-relative surrogate minus the KL penalty.
 
@@ -186,14 +195,10 @@ def grpo_objective(group: RolloutGroup, cfg: GrpoConfig) -> GrpoResult:
                 - kl_beta * KL(new || ref)
     with rho_i = exp(logp_new_i - logp_old_i).
     """
-    advantages = np.asarray(group_advantages(group.rewards, cfg.eps_stab))
+    advantages, ratios, clipped = _clipped_ratios(group, cfg)
     with np.errstate(over="ignore", invalid="ignore"):
-        ratios = np.exp(np.asarray(group.logp_new) - np.asarray(group.logp_old))
-        clipped = np.clip(ratios, 1.0 - cfg.clip_alpha, 1.0 + cfg.clip_alpha)
         terms = np.minimum(ratios * advantages, clipped * advantages)
         surrogate = terms.mean()
-    if not np.isfinite(ratios).all():
-        raise ValueError("non-finite importance ratios")
     kl = kl_estimate(group.logp_new, group.logp_ref)
     objective = float(surrogate - cfg.kl_beta * kl)
     if not math.isfinite(objective):
@@ -213,19 +218,18 @@ def grpo_gradient_logp_new(group: RolloutGroup, cfg: GrpoConfig) -> np.ndarray:
     Advantages depend only on rewards, so the surrogate contributes
     A_i * rho_i / G on the unclipped branch and 0 where the clip binds; the
     KL estimator contributes -beta * (1 - exp(logp_ref - logp_new)) / G.
+    Raises where ``grpo_objective`` would: on a ratio or a KL term that
+    overflows.
     """
-    g = group.size
-    advantages = np.asarray(group_advantages(group.rewards, cfg.eps_stab))
-    new = np.asarray(group.logp_new)
-    ratios = np.exp(new - np.asarray(group.logp_old))
-    clipped = np.clip(ratios, 1.0 - cfg.clip_alpha, 1.0 + cfg.clip_alpha)
-    unclipped_term = ratios * advantages
-    clipped_term = clipped * advantages
-    surrogate_grad = np.where(
-        unclipped_term <= clipped_term, advantages * ratios, 0.0)
-    delta = np.asarray(group.logp_ref) - new
-    kl_grad = 1.0 - np.exp(delta)
-    return (surrogate_grad - cfg.kl_beta * kl_grad) / g
+    advantages, ratios, clipped = _clipped_ratios(group, cfg)
+    with np.errstate(over="ignore", invalid="ignore"):
+        surrogate_grad = np.where(
+            ratios * advantages <= clipped * advantages, advantages * ratios, 0.0)
+        kl_grad = 1.0 - np.exp(np.asarray(group.logp_ref) - np.asarray(group.logp_new))
+        grad = (surrogate_grad - cfg.kl_beta * kl_grad) / group.size
+    if not np.isfinite(grad).all():
+        raise ValueError("gradient overflows: log-probabilities are too far apart")
+    return grad
 
 
 def read_rollout_groups(path: str | Path) -> list[tuple[str, RolloutGroup]]:
@@ -238,7 +242,7 @@ def read_rollout_groups(path: str | Path) -> list[tuple[str, RolloutGroup]]:
             values = obj.get(name)
             if name not in obj:
                 raise ValueError(f"{place}: missing field '{name}'")
-            if not (isinstance(values, list) and all(type(x) in (int, float) for x in values)):
+            if not is_number_list(values):
                 raise ValueError(f"{place}: field '{name}' must be a list of numbers")
         try:
             group = RolloutGroup(**{name: obj[name] for name in names})

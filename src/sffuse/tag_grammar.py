@@ -23,7 +23,7 @@ from .jsonl import read_objects, str_fields
 
 TAG_NAMES = ("mod", "v", "a", "sum", "ans")
 
-_TAG_TOKEN = re.compile(r"</?(mod|v|a|sum|ans)>")
+_TAG_TOKEN = re.compile(f"</?({'|'.join(TAG_NAMES)})>")
 # The one well-formed tag sequence: <mod></mod><v></v>...<ans></ans>.
 _CANONICAL = [literal for name in TAG_NAMES for literal in (f"<{name}>", f"</{name}>")]
 
@@ -201,14 +201,9 @@ def validate_structure(text: str) -> tuple[bool, list[ParseDiagnostic]]:
 
 def render_trace(trace: SfrTrace) -> str:
     """Canonical serialization: no whitespace between tags."""
-    pem = trace.pem.serialized
-    return (
-        f"<mod>{pem}</mod>"
-        f"<v>{trace.visual_text}</v>"
-        f"<a>{trace.audio_text}</a>"
-        f"<sum>{trace.summary_text}</sum>"
-        f"<ans>{trace.answer_text}</ans>"
-    )
+    segments = (trace.pem.serialized, trace.visual_text, trace.audio_text,
+                trace.summary_text, trace.answer_text)
+    return "".join(f"<{name}>{text}</{name}>" for name, text in zip(TAG_NAMES, segments))
 
 
 def read_trace_records(path: str | Path) -> list[tuple[str, str]]:

@@ -540,6 +540,18 @@ def test_read_weights_requires_a_2d_layer(tmp_path, line, message) -> None:
         read_weights_jsonl(path)
 
 
+@pytest.mark.parametrize("data", ['["0.5", true]', "[0.5, true]", "[false, 0.5]",
+                                  "[0.5, null]", '"0.5"', "0.5", "{}"])
+def test_read_weights_rejects_data_that_is_not_json_numbers(tmp_path, data) -> None:
+    # ["0.5", true] would load as [0.5, 1.0] if numpy coerced it.
+    path = tmp_path / "weights.jsonl"
+    path.write_text('{"shape": [1, 1], "data": [1.0]}\n'
+                    f'{{"shape": [1, 2], "data": {data}}}\n', encoding="utf-8")
+    with pytest.raises(ValueError, match=r"weights\.jsonl:2: bad weights record: "
+                                         r"data must be a list of numbers$"):
+        read_weights_jsonl(path)
+
+
 @pytest.mark.parametrize("shape", ["[-1, 2]", "[2, -1]", "[0, 0]", "[2.0, 2]", "[true, 4]",
                                    '"2x2"', "null", "{}"])
 def test_read_weights_rejects_shapes_that_are_not_positive_integers(tmp_path, shape) -> None:

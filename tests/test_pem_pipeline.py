@@ -522,6 +522,19 @@ def test_http_embedder_stub() -> None:
     assert consistency(["a", "b"], embedder) == pytest.approx(1.0)
 
 
+@pytest.mark.parametrize("embedding", [["0.5", True], [0.5, True], [0.5, None],
+                                       [[0.5], [1.0]], 0.5, "0.5"],
+                         ids=["string-and-bool", "bool", "null", "nested", "number", "string"])
+def test_http_embedder_rejects_an_entry_that_is_not_a_number(embedding) -> None:
+    def transport(url, payload, headers, timeout):
+        return {"data": [{"embedding": embedding} for _ in payload["input"]]}
+
+    embedder = HttpEmbedder(EndpointConfig(base_url="http://x/embed"),
+                            transport=transport)
+    with pytest.raises(EmbeddingError, match="not a list of numbers"):
+        embedder.embed(["a", "b"])
+
+
 def test_http_embedder_payload_holds_distinct_texts() -> None:
     inputs = []
 

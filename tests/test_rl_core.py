@@ -6,6 +6,8 @@ import warnings
 import numpy as np
 import pytest
 
+from conftest import reference_parse_trace
+from sffuse.normalize import answers_match
 from sffuse.rl_core import (
     GrpoConfig,
     RewardConfig,
@@ -15,8 +17,6 @@ from sffuse.rl_core import (
     grpo_objective,
     kl_estimate,
     read_rollout_groups,
-    reward_acc,
-    reward_mps,
     reward_stage2,
     score_trace,
 )
@@ -30,32 +30,32 @@ BAD_STRUCTURE = "<mod>Audio</mod><v>sheep</v><ans>collie</ans>"
 # --- rewards -------------------------------------------------------------------
 
 def test_reward_mps_correct_label() -> None:
-    assert reward_mps(GOOD, PemLabel.AUDIO) == 1
+    assert score_trace(GOOD, PemLabel.AUDIO, "collie").r_mps == 1
 
 
 def test_reward_mps_label_mismatch() -> None:
-    assert reward_mps(GOOD, PemLabel.VISUAL) == 0
+    assert score_trace(GOOD, PemLabel.VISUAL, "collie").r_mps == 0
 
 
 def test_reward_mps_malformed() -> None:
-    assert reward_mps(BAD_STRUCTURE, PemLabel.AUDIO) == 0
+    assert score_trace(BAD_STRUCTURE, PemLabel.AUDIO, "collie").r_mps == 0
 
 
 def test_reward_acc_case_fold() -> None:
-    assert reward_acc(GOOD, "Collie") == 1
+    assert score_trace(GOOD, PemLabel.AUDIO, "Collie").r_acc == 1
 
 
 def test_reward_acc_mismatch() -> None:
-    assert reward_acc(GOOD, "sheep") == 0
+    assert score_trace(GOOD, PemLabel.AUDIO, "sheep").r_acc == 0
 
 
 def test_reward_acc_missing_ans_tag() -> None:
-    assert reward_acc(BAD_STRUCTURE, "collie") == 0
+    assert score_trace(BAD_STRUCTURE, PemLabel.AUDIO, "collie").r_acc == 0
 
 
 def test_reward_acc_normalization_pipeline() -> None:
     trace = GOOD.replace("<ans>collie</ans>", "<ans>  The   Collie. </ans>")
-    assert reward_acc(trace, "the collie") == 1
+    assert score_trace(trace, PemLabel.AUDIO, "the collie").r_acc == 1
 
 
 def test_reward_stage2_default_weights() -> None:
@@ -64,14 +64,18 @@ def test_reward_stage2_default_weights() -> None:
     assert reward_stage2(GOOD, PemLabel.AUDIO, "sheep") == pytest.approx(0.2)
 
 
-def test_score_trace_equals_the_single_rewards() -> None:
+def test_score_trace_equals_the_reference_predicates() -> None:
     texts = [GOOD, BAD_STRUCTURE, GOOD.replace("collie", "the Collie!"),
              GOOD.replace("Audio", "Visual"), GOOD + " stray", ""]
     cfg = RewardConfig(lambda_acc=0.7, lambda_mps=0.3)
     for text, gold_pem, answer in itertools.product(texts, PemLabel, ["collie", "sheep"]):
         score = score_trace(text, gold_pem, answer, cfg)
-        assert score.r_mps == reward_mps(text, gold_pem)
-        assert score.r_acc == reward_acc(text, answer)
+        trace, diags = reference_parse_trace(text)
+        assert score.r_mps == int(trace is not None and trace.pem == gold_pem)
+        assert score.r_acc == int(trace is not None and answers_match(trace.answer_text, answer))
+        assert score.diagnostics == tuple(diags)
+        assert (rl_core.reward_mps(text, gold_pem), rl_core.reward_acc(text, answer)) == (
+            score.r_mps, score.r_acc)
         assert score.r_stage2 == reward_stage2(text, gold_pem, answer, cfg)
         assert score.r_stage2 == 0.7 * score.r_acc + 0.3 * score.r_mps
 
@@ -191,6 +195,24 @@ def test_objective_rejects_overflowing_surrogate_terms() -> None:
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match="objective overflows"):
             grpo_objective(group, GrpoConfig())
+
+
+@pytest.mark.parametrize("field, objective_error, gradient_error", [
+    ("logp_new", "non-finite importance ratios", "non-finite importance ratios"),
+    ("logp_ref", "KL estimate overflows", "gradient overflows"),
+])
+def test_gradient_rejects_an_overflow_like_the_objective(field, objective_error,
+                                                         gradient_error) -> None:
+    # exp(1000) overflows: as the first ratio when logp_new holds it, and as
+    # exp(logp_ref - logp_new) in the KL term when logp_ref does.
+    logps = {"logp_new": [0.0, 0.0], "logp_old": [0.0, 0.0], "logp_ref": [0.0, 0.0]}
+    group = RolloutGroup(rewards=[1.0, 0.0], **{**logps, field: [1000.0, 0.0]})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=objective_error):
+            grpo_objective(group, GrpoConfig())
+        with pytest.raises(ValueError, match=gradient_error):
+            grpo_gradient_logp_new(group, GrpoConfig())
 
 
 def test_kl_is_directional() -> None:
