@@ -38,7 +38,7 @@ class FullyBlockedRowError(ValueError):
     """A mask row has no visible cell, so its softmax is undefined."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AttentionInputs:
     """Queries/keys/values plus the visibility mask for one head.
 
@@ -103,10 +103,11 @@ class AttentionInputs:
         return AttentionWeights._adopt(w)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AttentionWeights:
     """Row-stochastic attention matrix; exactly zero at blocked cells.
-    The matrix is a read-only copy of the one passed in."""
+    The matrix is a read-only copy of the one passed in. Objects compare by
+    identity; compare matrices with ``np.array_equal``."""
 
     matrix: np.ndarray
 

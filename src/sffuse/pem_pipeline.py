@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import enum
 import hashlib
+import http.client
 import json
 import math
 import re
@@ -153,6 +154,12 @@ class EndpointConfig:
     timeout: float = 30.0
     retries: int = 2
     auth_env: str = "SFFUSE_API_TOKEN"
+
+    def __post_init__(self) -> None:
+        if not self.retries >= 0:
+            raise ValueError("retries must be >= 0")
+        if not 0.0 < self.timeout < math.inf:  # NaN fails too
+            raise ValueError("timeout must be finite and > 0")
 
 
 @dataclass(frozen=True)
@@ -523,23 +530,45 @@ def _urllib_transport(url: str, payload: dict, headers: dict, timeout: float) ->
         return json.loads(response.read().decode("utf-8"))
 
 
-def _post(endpoint: EndpointConfig, transport: Transport, token: str | None,
-          payload: dict, error: type[PipelineError], what: str) -> dict:
-    """POST with an optional bearer token, retrying timeouts, connection
-    errors, 429 and 5xx up to ``endpoint.retries`` times; then, or at once on
-    any other HTTP status, raise ``error("{what}: {last error}")``."""
-    headers = {"Authorization": f"Bearer {token}"} if token else {}
-    last_error: Exception | None = None
-    for _ in range(endpoint.retries + 1):
-        try:
-            return transport(endpoint.base_url, payload, headers, endpoint.timeout)
-        except (urllib.error.URLError, TimeoutError, ConnectionError) as exc:
-            last_error = exc
-            # Other HTTP statuses (a 401, a 404) would fail the same way again.
-            if isinstance(exc, urllib.error.HTTPError) and not (
-                    exc.code == 429 or 500 <= exc.code < 600):
-                break
-    raise error(f"{what}: {last_error}")
+class _Endpoint:
+    """An HTTP endpoint's settings, bearer token and transport, and the one
+    POST path with retries; a subclass sets its ``role`` and ``error`` type."""
+
+    role: str
+    error: type[PipelineError]
+
+    def __init__(self, endpoint: EndpointConfig, token: str | None = None,
+                 transport: Transport = _urllib_transport):
+        if not endpoint.base_url:
+            raise ValueError(f"{self.role} base_url is required")
+        self.endpoint = endpoint
+        self.token = token
+        self.transport = transport
+
+    def _request(self, payload: dict, what: str) -> dict:
+        """POST with an optional bearer token and return the JSON object
+        answered. Timeouts, connection errors, cut-short answers, 429 and 5xx
+        are retried up to ``endpoint.retries`` times; then, or at once on any
+        other HTTP status, raise ``error("{what}: {last error}")``. An answer
+        that is not a JSON object raises ``error`` at once."""
+        headers = {"Authorization": f"Bearer {self.token}"} if self.token else {}
+        last_error: Exception | None = None
+        for _ in range(self.endpoint.retries + 1):
+            try:
+                response = self.transport(
+                    self.endpoint.base_url, payload, headers, self.endpoint.timeout)
+            except (urllib.error.URLError, http.client.HTTPException, TimeoutError,
+                    ConnectionError) as exc:
+                last_error = exc
+                # Other HTTP statuses (a 401, a 404) would fail the same way again.
+                if isinstance(exc, urllib.error.HTTPError) and not (
+                        exc.code == 429 or 500 <= exc.code < 600):
+                    break
+                continue
+            if not isinstance(response, dict):
+                raise self.error(f"{what}: the answer is not a JSON object")
+            return response
+        raise self.error(f"{what}: {last_error}")
 
 
 def load_prompt_template(setting: ProbeSetting) -> str:
@@ -569,7 +598,7 @@ def parse_completion(content: str) -> tuple[str, str]:
     return matches[-1], content
 
 
-class HttpSampler:
+class HttpSampler(_Endpoint):
     """Chat-completion endpoint adapter for modality probing.
 
     Builds the per-setting probing prompt, forwards the relevant opaque
@@ -578,17 +607,8 @@ class HttpSampler:
     typed SamplingError.
     """
 
-    def __init__(
-        self,
-        endpoint: EndpointConfig,
-        token: str | None = None,
-        transport: Transport = _urllib_transport,
-    ):
-        if not endpoint.base_url:
-            raise ValueError("endpoint base_url is required")
-        self.endpoint = endpoint
-        self.token = token
-        self.transport = transport
+    role = "endpoint"
+    error = SamplingError
 
     def _media_payload(self, instance: Instance, setting: ProbeSetting) -> dict:
         media = {}
@@ -611,8 +631,8 @@ class HttpSampler:
             "n": n,
             "temperature": self.endpoint.temperature,
         }
-        response = _post(self.endpoint, self.transport, self.token, payload, SamplingError,
-                         f"endpoint unreachable for {instance.id}/{setting.value}")
+        response = self._request(
+            payload, f"endpoint unreachable for {instance.id}/{setting.value}")
         choices = response.get("choices")
         if not isinstance(choices, list) or len(choices) != n:
             raise SamplingError(
@@ -629,25 +649,15 @@ class HttpSampler:
         return SampleSet(setting=setting, samples=tuple(samples))
 
 
-class HttpEmbedder:
+class HttpEmbedder(_Endpoint):
     """Embedding endpoint adapter: {model, input: [...]} in, vectors out."""
 
-    def __init__(
-        self,
-        endpoint: EndpointConfig,
-        token: str | None = None,
-        transport: Transport = _urllib_transport,
-    ):
-        if not endpoint.base_url:
-            raise ValueError("embedder base_url is required")
-        self.endpoint = endpoint
-        self.token = token
-        self.transport = transport
+    role = "embedder"
+    error = EmbeddingError
 
     def embed(self, texts: Sequence[str]) -> np.ndarray:
         payload = {"model": self.endpoint.model, "input": list(texts)}
-        response = _post(self.endpoint, self.transport, self.token, payload, EmbeddingError,
-                         "embedder unreachable")
+        response = self._request(payload, "embedder unreachable")
         try:
             vectors = [row["embedding"] for row in response["data"]]
         except (KeyError, TypeError) as exc:

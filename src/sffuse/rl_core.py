@@ -159,8 +159,8 @@ def kl_estimate(logp_new: Sequence[float], logp_ref: Sequence[float]) -> float:
         raise ValueError("logp_new and logp_ref must have equal lengths")
     if not (np.isfinite(new).all() and np.isfinite(ref).all()):
         raise ValueError("log-probabilities must be finite")
-    delta = ref - new
     with np.errstate(over="ignore", invalid="ignore"):
+        delta = ref - new
         kl = float(np.mean(np.exp(delta) - delta - 1.0))
     if not math.isfinite(kl):
         raise ValueError("KL estimate overflows: logp_ref - logp_new is too large")

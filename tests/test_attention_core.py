@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from sffuse import attention_core
 from sffuse.attention_core import (
     AttentionInputs,
+    AttentionWeights,
     FullyBlockedRowError,
     attention_allocation,
     attention_gradients,
@@ -292,6 +293,17 @@ def test_inputs_and_weights_are_read_only(fixture_layout) -> None:
     for arr in (inputs.q, inputs.k, inputs.v, masked_attention(inputs)[1].matrix):
         with pytest.raises(ValueError, match="read-only"):
             arr[0, 0] = 1.0
+
+
+@pytest.mark.parametrize("size", [1, 2])
+def test_attention_objects_compare_and_hash_by_identity(fixture_layout, size) -> None:
+    first, second = AttentionWeights(np.eye(size)), AttentionWeights(np.eye(size))
+    inputs = random_inputs(np.random.default_rng(11), fixture_layout)
+    twin = AttentionInputs(q=inputs.q, k=inputs.k, v=inputs.v, mask=inputs.mask)
+    assert first == first and first != second
+    assert inputs == inputs and inputs != twin
+    assert len({first, second, inputs, twin}) == 4
+    assert np.array_equal(first.matrix, second.matrix)
 
 
 def test_mask_monotonicity_extra_block_renormalizes_upward(fixture_layout) -> None:

@@ -1,4 +1,7 @@
+import http.client
+import io
 import json
+import urllib.request
 import warnings
 from pathlib import Path
 
@@ -322,6 +325,49 @@ def test_annotate_without_labels_says_why(tmp_path, capsys) -> None:
     assert captured.out.startswith("labeled 0 / 1 instances")
 
 
+def annotate_live(tmp_path, pipeline: dict) -> list[str]:
+    """argv for ``annotate`` on one instance with endpoints (not ``--mock``)."""
+    dataset = tmp_path / "instances.jsonl"
+    dataset.write_text('{"id": "i", "question": "q", "gold_answer": "g"}\n', encoding="utf-8")
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"pipeline": pipeline}), encoding="utf-8")
+    return ["annotate", "--in", str(dataset), "--out", str(tmp_path / "o.jsonl"),
+            "--config", str(config)]
+
+
+@pytest.mark.parametrize("pipeline, role", [
+    ({}, "endpoint"),
+    ({"endpoint": {"base_url": "http://chat"}}, "embedder"),
+], ids=["no-chat-url", "no-embedder-url"])
+def test_annotate_without_an_endpoint_url_says_use_mock(tmp_path, capsys, pipeline,
+                                                        role) -> None:
+    code = main(annotate_live(tmp_path, pipeline))
+    err = assert_one_error_line(code, capsys.readouterr().err)
+    assert err == f"error: {role} base_url is required (use --mock for offline runs)\n"
+
+
+def answer_not_an_object(request, timeout):
+    return io.BytesIO(b"[]")
+
+
+def answer_cut_short(request, timeout):
+    raise http.client.IncompleteRead(b"{", 10)
+
+
+@pytest.mark.parametrize("urlopen", [answer_not_an_object, answer_cut_short],
+                         ids=["list-answer", "incomplete-read"])
+def test_annotate_unusable_endpoint_answer_is_a_recorded_failure(tmp_path, capsys,
+                                                                 monkeypatch, urlopen) -> None:
+    monkeypatch.setattr(urllib.request, "urlopen", urlopen)
+    code = main(annotate_live(tmp_path, {
+        "n": 2, "endpoint": {"base_url": "http://chat", "retries": 1},
+        "embedder_endpoint": {"base_url": "http://embed"}}))
+    captured = capsys.readouterr()
+    assert assert_one_error_line(code, captured.err) == "error: 1 of 1 instances failed\n"
+    assert captured.out == (
+        f"labeled 0 / 1 instances (0 discarded, 1 failed) -> {tmp_path}/o.jsonl\n")
+
+
 def test_validate_unwritable_output_is_one_error_line(tmp_path, capsys) -> None:
     code = main(["validate", "--traces", str(DATA / "traces_perfect.jsonl"),
                  "--labels", str(DATA / "labels_perfect.jsonl"),
@@ -524,6 +570,19 @@ def test_grpo_step_overflow_is_one_error_line_naming_the_group(tmp_path, capsys,
     assert_one_error_line(code, captured.err)
     assert captured.out == ""
     assert captured.err == message
+
+
+def test_grpo_step_kl_subtraction_overflow_is_one_error_line(tmp_path, capsys) -> None:
+    rollouts = tmp_path / "rollouts.jsonl"
+    rollouts.write_text('{"group_id": "g", "rewards": [1, 0], "logp_new": [-1e308, 0], '
+                        '"logp_old": [0, 0], "logp_ref": [1e308, 0]}\n', encoding="utf-8")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["grpo-step", "--rollouts", str(rollouts)])
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert assert_one_error_line(code, captured.err) == (
+        "error: group g: KL estimate overflows: logp_ref - logp_new is too large\n")
 
 
 # --- attn-report -----------------------------------------------------------------------

@@ -3,6 +3,7 @@ import json
 import pytest
 
 from sffuse.config import AppConfig, ConfigError, config_from_dict, load_config
+from sffuse.pem_pipeline import EndpointConfig
 from sffuse.rl_core import GrpoConfig
 
 
@@ -61,6 +62,30 @@ def test_invalid_values_rejected() -> None:
         GrpoConfig(clip_alpha=2.0)
     with pytest.raises(ConfigError):
         config_from_dict({"pipeline": {"mystery_knob": 1}})
+
+
+@pytest.mark.parametrize("section", ["endpoint", "embedder_endpoint"])
+@pytest.mark.parametrize("values, message", [
+    ({"retries": -1}, "retries must be >= 0"),
+    ({"timeout": 0}, "timeout must be finite and > 0"),
+    ({"timeout": -1.5}, "timeout must be finite and > 0"),
+])
+def test_endpoint_values_the_client_cannot_use_rejected(section, values, message) -> None:
+    with pytest.raises(ConfigError, match=message):
+        config_from_dict({"pipeline": {section: values}})
+
+
+@pytest.mark.parametrize("values, message", [
+    ({"retries": -1}, "retries must be >= 0"),
+    ({"retries": float("nan")}, "retries must be >= 0"),
+    ({"timeout": 0.0}, "timeout must be finite and > 0"),
+    ({"timeout": float("nan")}, "timeout must be finite and > 0"),
+    ({"timeout": float("inf")}, "timeout must be finite and > 0"),
+])
+def test_endpoint_config_rejects_values_the_client_cannot_use(values, message) -> None:
+    with pytest.raises(ValueError, match=message):
+        EndpointConfig(**values)
+    assert EndpointConfig(retries=0, timeout=1e-3).retries == 0
 
 
 def test_missing_or_invalid_file(tmp_path) -> None:

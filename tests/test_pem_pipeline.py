@@ -1,3 +1,4 @@
+import http.client
 import itertools
 import math
 import urllib.error
@@ -570,6 +571,72 @@ def test_http_adapters_retry_only_transient_statuses(adapter, code, calls) -> No
         with pytest.raises(EmbeddingError, match=f"HTTP Error {code}"):
             HttpEmbedder(endpoint, transport=transport).embed(["a", "b"])
     assert len(attempts) == calls
+
+
+def call_adapter(adapter, transport, retries=2):
+    """Send one request through the named HTTP adapter."""
+    endpoint = EndpointConfig(base_url="http://x/api", retries=retries)
+    if adapter == "sampler":
+        return HttpSampler(endpoint, transport=transport).sample(
+            make_instance(), ProbeSetting.A, 2)
+    return HttpEmbedder(endpoint, transport=transport).embed(["a", "b"])
+
+
+ADAPTER_ERRORS = {"sampler": SamplingError, "embedder": EmbeddingError}
+
+
+@pytest.mark.parametrize("answer", [[], "x", None], ids=["list", "string", "null"])
+@pytest.mark.parametrize("adapter", ["sampler", "embedder"])
+def test_http_adapters_reject_an_answer_that_is_not_an_object(adapter, answer) -> None:
+    attempts = []
+
+    def transport(url, payload, headers, timeout):
+        attempts.append(1)
+        return answer
+
+    with pytest.raises(ADAPTER_ERRORS[adapter], match=": the answer is not a JSON object$"):
+        call_adapter(adapter, transport)
+    assert len(attempts) == 1
+
+
+def cut_short(url, payload, headers, timeout):
+    raise http.client.IncompleteRead(b"{", 10)
+
+
+@pytest.mark.parametrize("adapter", ["sampler", "embedder"])
+def test_http_adapters_retry_a_cut_short_answer(adapter) -> None:
+    attempts = []
+
+    def transport(*request):
+        attempts.append(1)
+        cut_short(*request)
+
+    with pytest.raises(ADAPTER_ERRORS[adapter], match="unreachable.*IncompleteRead"):
+        call_adapter(adapter, transport, retries=2)
+    assert len(attempts) == 3
+
+
+@pytest.mark.parametrize("transport", [lambda *a: ["not", "an", "object"], cut_short],
+                         ids=["list-answer", "incomplete-read"])
+def test_annotate_records_an_unusable_endpoint_answer(transport) -> None:
+    sampler = HttpSampler(EndpointConfig(base_url="http://x/chat", retries=1),
+                          transport=transport)
+    result = annotate([make_instance()], sampler, HashEmbedder(), PipelineConfig(n=2))
+    assert (result.stats.labeled, result.stats.discarded, result.stats.failed) == (0, 0, 1)
+    assert result.stats.failures[0]["id"] == "x1"
+    assert result.stats.failures[0]["error"].startswith("endpoint unreachable for x1/")
+
+
+def test_http_embedder_sends_the_bearer_token() -> None:
+    seen = {}
+
+    def transport(url, payload, headers, timeout):
+        seen.update(url=url, headers=headers)
+        return {"data": [{"embedding": [1.0, 0.0]} for _ in payload["input"]]}
+
+    HttpEmbedder(EndpointConfig(base_url="http://x/embed"), token="sekrit",
+                 transport=transport).embed(["a"])
+    assert seen == {"url": "http://x/embed", "headers": {"Authorization": "Bearer sekrit"}}
 
 
 def test_probe_prompt_templates() -> None:

@@ -187,6 +187,14 @@ def test_kl_rejects_an_overflowing_estimate() -> None:
         assert math.isfinite(kl_estimate([0.0, 0.0], [709.0, 0.0]))
 
 
+def test_kl_rejects_an_overflowing_difference_without_a_warning() -> None:
+    # Each log-prob is finite, but logp_ref - logp_new is not.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="KL estimate overflows"):
+            kl_estimate([-1e308, 0.0], [1e308, 0.0])
+
+
 def test_objective_rejects_overflowing_surrogate_terms() -> None:
     # Each ratio exp(709) is finite, but ratio times advantage is not.
     group = RolloutGroup(rewards=[0.0] * 99 + [1.0], logp_new=[709.0] * 100,
