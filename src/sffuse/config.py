@@ -68,7 +68,10 @@ def _build(cls, obj, name: str):
                     or isinstance(value, float) and not math.isfinite(value)):
                 raise ConfigError(f"{where} must be {noun}")
         values[key] = value
-    return cls(**values)  # an unknown field is a TypeError naming it
+    try:
+        return cls(**values)  # an unknown field is a TypeError naming it
+    except ValueError as exc:  # a section's own check, e.g. retries >= 0
+        raise ConfigError(f"{name}: {exc}") from None
 
 
 def config_from_dict(obj: dict) -> AppConfig:

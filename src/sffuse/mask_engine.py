@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 from pathlib import Path
 from types import MappingProxyType
 from typing import Mapping, Sequence
@@ -125,17 +125,26 @@ class TokenLayout:
 
 @dataclass(frozen=True, eq=False)
 class MaskMatrix:
-    """Immutable square visibility matrix. True = visible, False = blocked."""
+    """Immutable square visibility matrix. True = visible, False = blocked.
+    The matrix is a read-only copy of the one passed in."""
 
     visible: np.ndarray
 
     def __post_init__(self) -> None:
-        arr = np.asarray(self.visible, dtype=bool)
-        if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
+        self._seal(np.array(self.visible, dtype=bool))
+
+    @classmethod
+    def _adopt(cls, visible: np.ndarray) -> MaskMatrix:
+        """Wrap a fresh boolean buffer that no one else holds, without a copy."""
+        mask = object.__new__(cls)
+        mask._seal(visible)
+        return mask
+
+    def _seal(self, visible: np.ndarray) -> None:
+        if visible.dtype != bool or visible.ndim != 2 or visible.shape[0] != visible.shape[1]:
             raise ValueError("mask must be a square matrix")
-        arr = arr.copy()
-        arr.setflags(write=False)
-        object.__setattr__(self, "visible", arr)
+        visible.setflags(write=False)
+        object.__setattr__(self, "visible", visible)
 
     @property
     def length(self) -> int:
@@ -152,11 +161,20 @@ class MaskMatrix:
         return hash((self.length, self.visible.tobytes()))
 
 
+@lru_cache(maxsize=4)
+def _causal_triangle(length: int) -> np.ndarray:
+    """The L x L lower triangle, diagonal included, shared by every mask of
+    that length; read-only, so a view of it cannot be made writable."""
+    tri = np.tri(length, dtype=bool)
+    tri.setflags(write=False)
+    return tri
+
+
 def build_causal(length: int) -> MaskMatrix:
     """Plain causal mask: cell (i, j) visible iff j <= i."""
     if length < 1:
         raise ValueError("length must be >= 1")
-    return MaskMatrix(np.tri(length, dtype=bool))
+    return MaskMatrix._adopt(_causal_triangle(length).view())
 
 
 def build_composite(layout: TokenLayout) -> MaskMatrix:
@@ -164,8 +182,8 @@ def build_composite(layout: TokenLayout) -> MaskMatrix:
     is the layout's row-table row for position i, cut to keys <= i."""
     table, codes = layout._row_table
     visible = table[codes]
-    visible &= np.tri(layout.length, dtype=bool)
-    return MaskMatrix(visible)
+    visible &= _causal_triangle(layout.length)
+    return MaskMatrix._adopt(visible)
 
 
 def incremental_row(layout: TokenLayout, i: int) -> np.ndarray:
@@ -317,17 +335,33 @@ def layout_from_spec(spec: Mapping) -> TokenLayout:
 
 
 def load_layout_spec(path: str | Path) -> TokenLayout:
-    return layout_from_spec(read_document(path, "invalid layout spec"))
+    """The layout spec in the file at ``path``; every error names ``path``."""
+    spec = read_document(path, "invalid layout spec")
+    try:
+        return layout_from_spec(spec)
+    except ValueError as exc:
+        raise type(exc)(f"{path}: {exc}") from None
 
 
 # --- Mask export formats --------------------------------------------------
 
+def _text_grid(mask: MaskMatrix) -> np.ndarray:
+    """The text export's bytes as an (L, L+1) uint8 grid."""
+    n = mask.length
+    grid = np.empty((n, n + 1), dtype=np.uint8)
+    grid[:, n] = ord("\n")
+    np.add(mask.visible, ord("0"), out=grid[:, :n], dtype=np.uint8)
+    return grid
+
+
 def mask_to_text(mask: MaskMatrix) -> str:
     """Dense grid of 0/1 characters, one row per line. 1 = visible."""
-    n = mask.length
-    grid = np.full((n, n + 1), ord("\n"), dtype=np.uint8)
-    np.add(mask.visible, ord("0"), out=grid[:, :n], dtype=np.uint8)
-    return grid.tobytes().decode("ascii")
+    return str(_text_grid(mask).data, "ascii")
+
+
+def write_mask_text(mask: MaskMatrix, path: str | Path) -> None:
+    """Write ``mask_to_text(mask)`` to ``path`` as ASCII, straight from its grid."""
+    Path(path).write_bytes(_text_grid(mask).data)
 
 
 def mask_from_text(text: str) -> MaskMatrix:
@@ -338,8 +372,10 @@ def mask_from_text(text: str) -> MaskMatrix:
     if width > 0 and len(text) % (width + 1) == 0 and text.isascii():
         grid = np.frombuffer(text.encode("ascii"), dtype=np.uint8).reshape(-1, width + 1)
         cells = grid[:, :width]
-        if (grid[:, width] == ord("\n")).all() and ((cells | 1) == ord("1")).all():
-            return MaskMatrix(cells == ord("1"))
+        # Reductions only: "0" and "1" are the adjacent codes 48 and 49.
+        if ((grid[:, width] == ord("\n")).all()
+                and cells.min() >= ord("0") and cells.max() <= ord("1")):
+            return MaskMatrix._adopt(cells == ord("1"))
     rows = [line for line in text.splitlines() if line]
     if not rows:
         raise ValueError("mask text has no rows")
@@ -355,7 +391,7 @@ def mask_from_text(text: str) -> MaskMatrix:
         row, col = divmod(int(bad[0]), width)
         raise ValueError(
             f"mask text row {row} column {col}: {rows[row][col]!r} is not 0 or 1")
-    return MaskMatrix((codes == ord("1")).reshape(len(rows), width))
+    return MaskMatrix._adopt((codes == ord("1")).reshape(len(rows), width))
 
 
 _RLE_MAGIC = b"MRL1"
@@ -389,4 +425,4 @@ def mask_from_rle(blob: bytes) -> MaskMatrix:
     if int(runs.sum(dtype=np.uint64)) != length * length:
         raise ValueError("run lengths do not cover the grid")
     bits = np.arange(n_runs) % 2 != first_bit
-    return MaskMatrix(np.repeat(bits, runs).reshape(length, length))
+    return MaskMatrix._adopt(np.repeat(bits, runs).reshape(length, length))

@@ -411,13 +411,18 @@ def read_instances(path: str | Path) -> list[Instance]:
             raise ValueError(f"{place}: choices must be a list of strings")
         instance_id, question, gold_answer = str_fields(
             place, obj, "id", "question", "gold_answer")
-        instances.append(Instance(
-            id=instance_id,
-            question=question,
-            media=MediaRefs(*str_fields(place, media, "audio_ref", "video_ref", default="")),
-            gold_answer=gold_answer,
-            choices=tuple(choices) if "choices" in obj else None,
-        ))
+        refs = MediaRefs(*str_fields(place, media, "audio_ref", "video_ref", default=""))
+        try:
+            instance = Instance(
+                id=instance_id,
+                question=question,
+                media=refs,
+                gold_answer=gold_answer,
+                choices=tuple(choices) if "choices" in obj else None,
+            )
+        except ValueError as exc:
+            raise ValueError(f"{place}: {exc}") from None
+        instances.append(instance)
     return instances
 
 

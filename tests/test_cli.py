@@ -449,6 +449,7 @@ def test_malformed_layout_spec_is_one_error_line(tmp_path, capsys, command, spec
     lines = captured.err.splitlines()
     assert len(lines) == 1
     assert lines[0].startswith("error: ") and field in lines[0]
+    assert f"error: {spec_path}: " in lines[0]
 
 
 def test_mask_unwritable_output_is_one_error_line(tmp_path, capsys) -> None:

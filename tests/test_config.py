@@ -75,6 +75,20 @@ def test_endpoint_values_the_client_cannot_use_rejected(section, values, message
         config_from_dict({"pipeline": {section: values}})
 
 
+@pytest.mark.parametrize("obj, line", [
+    ({"pipeline": {"endpoint": {"retries": -1}}},
+     "config.pipeline.endpoint: retries must be >= 0"),
+    ({"pipeline": {"embedder_endpoint": {"retries": -1}}},
+     "config.pipeline.embedder_endpoint: retries must be >= 0"),
+    ({"pipeline": {"tau_acc": 1.5}}, "config.pipeline: tau_acc must lie in (0, 1]"),
+    ({"last_k": 0}, "config: last_k must be >= 1"),
+])
+def test_section_check_errors_name_the_section(obj, line) -> None:
+    with pytest.raises(ConfigError) as info:
+        config_from_dict(obj)
+    assert str(info.value) == line
+
+
 @pytest.mark.parametrize("values, message", [
     ({"retries": -1}, "retries must be >= 0"),
     ({"retries": float("nan")}, "retries must be >= 0"),

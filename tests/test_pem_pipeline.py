@@ -419,6 +419,8 @@ INSTANCE = '{"id": "x", "question": "q", "gold_answer": "a"'
     ('{"id": "x", "question": "q", "gold_answer": 3}', "field 'gold_answer' must be a string"),
     (INSTANCE + ', "media": {"audio_ref": 1}}', "field 'audio_ref' must be a string"),
     (INSTANCE + ', "media": {"video_ref": null}}', "field 'video_ref' must be a string"),
+    ('{"id": "b", "question": "q", "gold_answer": ""}',
+     "instance 'b': gold_answer must be nonempty"),
 ])
 def test_read_instances_rejects_malformed_records(tmp_path, line, message) -> None:
     path = tmp_path / "bad.jsonl"
