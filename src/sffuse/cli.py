@@ -145,7 +145,7 @@ def cmd_mask(args: argparse.Namespace) -> int:
     if args.out or args.rle or args.row is None:
         mask = mask_engine.build_composite(layout)
         if args.out:
-            mask_engine.write_mask_text(mask, args.out)
+            Path(args.out).write_bytes(mask_engine.mask_to_text(mask).encode("ascii"))
         if args.rle:
             Path(args.rle).write_bytes(mask_engine.mask_to_rle(mask))
         if args.row is None and not args.out and not args.rle:

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import cached_property
 from pathlib import Path
 from types import MappingProxyType
 from typing import Mapping, Sequence
@@ -161,20 +161,11 @@ class MaskMatrix:
         return hash((self.length, self.visible.tobytes()))
 
 
-@lru_cache(maxsize=4)
-def _causal_triangle(length: int) -> np.ndarray:
-    """The L x L lower triangle, diagonal included, shared by every mask of
-    that length; read-only, so a view of it cannot be made writable."""
-    tri = np.tri(length, dtype=bool)
-    tri.setflags(write=False)
-    return tri
-
-
 def build_causal(length: int) -> MaskMatrix:
     """Plain causal mask: cell (i, j) visible iff j <= i."""
     if length < 1:
         raise ValueError("length must be >= 1")
-    return MaskMatrix._adopt(_causal_triangle(length).view())
+    return MaskMatrix._adopt(np.tri(length, dtype=bool))
 
 
 def build_composite(layout: TokenLayout) -> MaskMatrix:
@@ -182,7 +173,7 @@ def build_composite(layout: TokenLayout) -> MaskMatrix:
     is the layout's row-table row for position i, cut to keys <= i."""
     table, codes = layout._row_table
     visible = table[codes]
-    visible &= _causal_triangle(layout.length)
+    visible &= np.tri(layout.length, dtype=bool)
     return MaskMatrix._adopt(visible)
 
 
@@ -345,23 +336,13 @@ def load_layout_spec(path: str | Path) -> TokenLayout:
 
 # --- Mask export formats --------------------------------------------------
 
-def _text_grid(mask: MaskMatrix) -> np.ndarray:
-    """The text export's bytes as an (L, L+1) uint8 grid."""
+def mask_to_text(mask: MaskMatrix) -> str:
+    """Dense grid of 0/1 characters, one row per line. 1 = visible."""
     n = mask.length
     grid = np.empty((n, n + 1), dtype=np.uint8)
     grid[:, n] = ord("\n")
     np.add(mask.visible, ord("0"), out=grid[:, :n], dtype=np.uint8)
-    return grid
-
-
-def mask_to_text(mask: MaskMatrix) -> str:
-    """Dense grid of 0/1 characters, one row per line. 1 = visible."""
-    return str(_text_grid(mask).data, "ascii")
-
-
-def write_mask_text(mask: MaskMatrix, path: str | Path) -> None:
-    """Write ``mask_to_text(mask)`` to ``path`` as ASCII, straight from its grid."""
-    Path(path).write_bytes(_text_grid(mask).data)
+    return str(grid.data, "ascii")
 
 
 def mask_from_text(text: str) -> MaskMatrix:

@@ -21,7 +21,6 @@ from sffuse.mask_engine import (
     mask_from_text,
     mask_to_rle,
     mask_to_text,
-    write_mask_text,
 )
 
 from conftest import (
@@ -71,20 +70,6 @@ def test_causal_l64_count_matches_brute_enumeration() -> None:
 def test_causal_rejects_zero_length() -> None:
     with pytest.raises(ValueError):
         build_causal(0)
-
-
-def test_causal_masks_share_a_triangle_no_mask_can_write() -> None:
-    # Every causal mask of one length views one cached triangle, so neither
-    # a cell write nor re-enabling writes may reach it.
-    first = build_causal(5)
-    assert build_causal(5).visible.base is first.visible.base
-    with pytest.raises(ValueError):
-        first.visible[0, 1] = True
-    with pytest.raises(ValueError):
-        first.visible.setflags(write=True)
-    layout = TokenLayout(length=5, video_input={0}, audio_input={1},
-                         visual_reasoning={2}, audio_reasoning={3}, visual_span={2})
-    assert build_composite(layout) == brute_force_mask(layout)
 
 
 def test_mask_matrix_copies_a_callers_matrix() -> None:
@@ -538,16 +523,6 @@ def test_mask_rle_rejects_malformed_records(blob, message) -> None:
 def test_mask_text_rejects_malformed_grids(text, message) -> None:
     with pytest.raises(ValueError, match=message):
         mask_from_text(text)
-
-
-def test_write_mask_text_writes_the_text_export(tmp_path) -> None:
-    rng = np.random.default_rng(31)
-    masks = [MaskMatrix(rng.random((n, n)) < 0.5) for n in rng.integers(1, 48, size=40)]
-    masks += [build_causal(1), MaskMatrix(np.zeros((1, 1), dtype=bool))]
-    path = tmp_path / "mask.txt"
-    for mask in masks:
-        write_mask_text(mask, path)
-        assert path.read_bytes() == mask_to_text(mask).encode("ascii")
 
 
 def test_mask_matrix_is_immutable(fixture_layout) -> None:
