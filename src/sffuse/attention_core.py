@@ -20,7 +20,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .jsonl import is_number_list, read_objects
+from .jsonl import is_number_list, read_records
 from .mask_engine import (
     MaskMatrix,
     TokenLayout,
@@ -410,22 +410,21 @@ def read_weights_jsonl(path: str | Path) -> list[np.ndarray]:
     "data": [row-major values]}``; ``layer`` is not read, each shape entry
     must be a positive JSON integer (numpy would infer a -1), and each data
     entry a JSON number."""
-    layers = []
-    for lineno, obj in read_objects(path):
-        place = f"{path}:{lineno}"
+    def build(obj: dict, lineno: int) -> np.ndarray:
         shape = obj.get("shape")
         if not isinstance(shape, list) or not all(
                 type(size) is int and size > 0 for size in shape):
-            raise ValueError(f"{place}: weights shape must be a list of positive integers")
+            raise ValueError("weights shape must be a list of positive integers")
         if len(shape) != 2:
-            raise ValueError(f"{place}: weights shape {shape} is not 2-D")
+            raise ValueError(f"weights shape {shape} is not 2-D")
         if not is_number_list(obj.get("data")):
-            raise ValueError(f"{place}: bad weights record: data must be a list of numbers")
+            raise ValueError("bad weights record: data must be a list of numbers")
         try:
             layer = np.asarray(obj["data"], dtype=float).reshape(shape)
         except ValueError as exc:
-            raise ValueError(f"{place}: bad weights record: {exc!r}") from exc
+            raise ValueError(f"bad weights record: {exc!r}") from exc
         if not np.isfinite(layer).all():
-            raise ValueError(f"{place}: weights must be finite numbers")
-        layers.append(layer)
-    return layers
+            raise ValueError("weights must be finite numbers")
+        return layer
+
+    return read_records(path, build)

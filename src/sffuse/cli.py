@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
+import math
 import os
 import sys
 from collections import Counter
@@ -21,13 +21,7 @@ from pathlib import Path
 
 from . import attention_core, mask_engine, pem_pipeline, rl_core, tag_grammar
 from .config import load_config
-from .jsonl import read_objects, str_fields
-
-
-def _dump(obj) -> str:
-    # Strict JSON: a NaN or infinity raises ValueError instead of printing a
-    # token no JSON parser has to accept.
-    return json.dumps(obj, ensure_ascii=False, sort_keys=True, allow_nan=False)
+from .jsonl import dumps, read_records, str_fields
 
 
 def _fail(message: str) -> int:
@@ -62,7 +56,7 @@ def cmd_annotate(args: argparse.Namespace) -> int:
     result = pem_pipeline.annotate(dataset, sampler, embedder, pipeline_cfg)
     pem_pipeline.write_jsonl(args.out, result.labeled)
     report_path = args.report or f"{args.out}.stats.json"
-    Path(report_path).write_text(_dump(asdict(result.stats)) + "\n", encoding="utf-8")
+    Path(report_path).write_text(dumps(asdict(result.stats)) + "\n", encoding="utf-8")
     if args.records:
         pem_pipeline.write_jsonl(args.records, (r.to_dict() for r in result.records))
 
@@ -73,7 +67,7 @@ def cmd_annotate(args: argparse.Namespace) -> int:
         "out": str(args.out),
         "report": str(report_path),
     }
-    print(_dump(summary) if args.json else
+    print(dumps(summary) if args.json else
           f"labeled {result.stats.labeled} / {result.stats.total} instances "
           f"({result.stats.discarded} discarded, {result.stats.failed} failed) -> {args.out}")
     if result.stats.failed:
@@ -88,8 +82,7 @@ def cmd_annotate(args: argparse.Namespace) -> int:
 def cmd_validate(args: argparse.Namespace) -> int:
     cfg = load_config(args.config)
     traces = tag_grammar.read_trace_records(args.traces)
-    labels = [str_fields(f"{args.labels}:{lineno}", obj, "id", "pem", "answer")
-              for lineno, obj in read_objects(args.labels)]
+    labels = read_records(args.labels, lambda obj, _: str_fields(obj, "id", "pem", "answer"))
 
     for kind, ids in (("trace", [t[0] for t in traces]), ("label", [t[0] for t in labels])):
         repeated = sorted(k for k, n in Counter(ids).items() if n > 1)
@@ -118,8 +111,6 @@ def cmd_validate(args: argparse.Namespace) -> int:
             "diagnostics": [d.to_dict() for d in score.diagnostics],
         })
 
-    if args.out:
-        pem_pipeline.write_jsonl(args.out, rows)
     count = len(rows)
     summary = {
         "count": count,
@@ -127,7 +118,13 @@ def cmd_validate(args: argparse.Namespace) -> int:
         "mean_acc": sum(r["r_acc"] for r in rows) / count,
         "mean_stage2": sum(r["r_stage2"] for r in rows) / count,
     }
-    print(_dump(summary) if args.json else
+    # An infinite row makes the mean infinite too, so this one check covers
+    # every row; nothing is written when it fails.
+    if not math.isfinite(summary["mean_stage2"]):
+        return _fail("mean_stage2 overflows: reward weights are too large")
+    if args.out:
+        pem_pipeline.write_jsonl(args.out, rows)
+    print(dumps(summary) if args.json else
           f"{count} traces: mean_mps={summary['mean_mps']:.4f} "
           f"mean_acc={summary['mean_acc']:.4f} mean_stage2={summary['mean_stage2']:.4f}")
     return 0
@@ -176,7 +173,7 @@ def cmd_grpo_step(args: argparse.Namespace) -> int:
             "kl": outcome.kl,
         })
     if args.json:
-        print(_dump({"groups": results}))
+        print(dumps({"groups": results}))
     else:
         for row in results:
             print(f"group {row['group_id']}: objective={row['objective']:.6f} "
@@ -197,7 +194,7 @@ def cmd_attn_report(args: argparse.Namespace) -> int:
     report = attention_core.attention_allocation(
         layers, layout, last_k=min(args.last_k, len(layers)))
     if args.json:
-        print(_dump(asdict(report)))
+        print(dumps(asdict(report)))
     else:
         print(f"last {report.window} layers: audio={report.audio_fraction:.4f} "
               f"visual={report.visual_fraction:.4f}")
@@ -215,7 +212,7 @@ def cmd_attn_report(args: argparse.Namespace) -> int:
 def cmd_leakage(args: argparse.Namespace) -> int:
     report = attention_core.leakage_probe(args.seed, use_maam=not args.no_maam)
     if args.json:
-        print(_dump(asdict(report)))
+        print(dumps(asdict(report)))
     else:
         mode = "with asymmetric mask" if report.use_maam else "causal only"
         print(f"seed {report.seed} ({mode}): direct_leakage={report.direct_leakage} "

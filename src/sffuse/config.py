@@ -10,8 +10,7 @@ artifact is calibrated against; the rest are declared engineering defaults.
   rewards.lambda_acc    = 1.0   stage-2 answer-accuracy weight; recipe value
   rewards.lambda_mps    = 0.2   stage-2 structure-reward weight; recipe value
 
-``last_k`` is validated but read by no subcommand: ``attn-report`` takes its
-layer window from ``--last-k``, whose default is
+``attn-report`` takes its layer window from ``--last-k``, whose default is
 ``attention_core.DEFAULT_ALLOCATION_WINDOW``. The GRPO defaults live in
 ``rl_core.GrpoConfig`` and are set per run with the ``grpo-step`` flags; the
 leakage probe takes its seed from ``--seed``.
@@ -23,7 +22,6 @@ import math
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
-from .attention_core import DEFAULT_ALLOCATION_WINDOW
 from .jsonl import read_document
 from .pem_pipeline import EndpointConfig, PipelineConfig
 from .rl_core import RewardConfig
@@ -33,11 +31,6 @@ from .rl_core import RewardConfig
 class AppConfig:
     pipeline: PipelineConfig = field(default_factory=PipelineConfig)
     rewards: RewardConfig = field(default_factory=RewardConfig)
-    last_k: int = DEFAULT_ALLOCATION_WINDOW
-
-    def __post_init__(self) -> None:
-        if self.last_k < 1:
-            raise ValueError("last_k must be >= 1")
 
 
 class ConfigError(ValueError):

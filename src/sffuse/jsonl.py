@@ -1,10 +1,13 @@
-"""The one JSON decoder behind every file loader."""
+"""The one JSON boundary: the decoder behind every file loader and the
+encoder behind every JSON output."""
 
 from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Iterator
+from typing import Callable, TypeVar
+
+_T = TypeVar("_T")
 
 _NUMBER_TYPES = frozenset((int, float))
 
@@ -35,35 +38,49 @@ def read_document(path: str | Path, invalid: str = "invalid JSON") -> object:
     return _decode(text, str(path), invalid)
 
 
-def read_objects(path: str | Path) -> Iterator[tuple[int, dict]]:
-    """Yield ``(line number, record)`` per non-blank line; a line holding
-    anything but a JSON object raises ``ValueError("path:line: ...")``, and
-    a file that is not UTF-8 text ``ValueError("path: ...")``."""
+def read_records(path: str | Path, build: Callable[[dict, int], _T]) -> list[_T]:
+    """``build(record, line number)`` for each non-blank line, in line order.
+    Each record is built as its line is read, so the first fault in the file
+    is the one raised: a line holding anything but a JSON object, or a
+    ValueError from ``build``, raises ``ValueError("path:line: ...")``, and a
+    file that is not UTF-8 text ``ValueError("path: ...")``."""
+    records = []
     with open(path, encoding="utf-8") as fh:
         try:
             for lineno, line in enumerate(fh, start=1):
                 if not line.strip():
                     continue
-                obj = _decode(line, f"{path}:{lineno}")
+                place = f"{path}:{lineno}"
+                obj = _decode(line, place)
                 if not isinstance(obj, dict):
                     raise ValueError(
-                        f"{path}:{lineno}: expected a JSON object, got {type(obj).__name__}")
-                yield lineno, obj
+                        f"{place}: expected a JSON object, got {type(obj).__name__}")
+                try:
+                    records.append(build(obj, lineno))
+                except ValueError as exc:
+                    raise ValueError(f"{place}: {exc}") from exc
         except UnicodeDecodeError as exc:
             raise _not_utf8(path, exc) from None
+    return records
 
 
-def str_fields(place: str, obj: dict, *names: str,
-               default: str | None = None) -> tuple[str, ...]:
+def dumps(obj: object) -> str:
+    """The one JSON encoder: sorted keys, UTF-8 text as is, and strict, so a
+    NaN or infinity raises ValueError instead of writing a token no JSON
+    parser has to accept."""
+    return json.dumps(obj, ensure_ascii=False, sort_keys=True, allow_nan=False)
+
+
+def str_fields(obj: dict, *names: str, default: str | None = None) -> tuple[str, ...]:
     """The named fields of ``obj``, each a JSON string; an absent one is
-    ``default``, or an error if there is none. Errors start with ``place``."""
+    ``default``, or an error if there is none."""
     values = []
     for name in names:
         if name not in obj and default is None:
-            raise ValueError(f"{place}: missing field '{name}'")
+            raise ValueError(f"missing field '{name}'")
         value = obj.get(name, default)
         if not isinstance(value, str):
-            raise ValueError(f"{place}: field '{name}' must be a string")
+            raise ValueError(f"field '{name}' must be a string")
         values.append(value)
     return tuple(values)
 

@@ -31,7 +31,7 @@ from typing import Callable, Iterable, Mapping, Protocol, Sequence
 
 import numpy as np
 
-from .jsonl import is_number_list, read_objects, str_fields
+from .jsonl import dumps, is_number_list, read_records, str_fields
 from .normalize import answers_match
 from .tag_grammar import PemLabel
 
@@ -134,7 +134,7 @@ class PemRecord:
 
     def to_dict(self) -> dict:
         if isinstance(self.decision, PemLabel):
-            decision = {"kind": "label", "label": self.decision.serialized}
+            decision = {"kind": "label", "label": self.decision.value}
         else:
             decision = {"kind": "discard", "reason": self.decision.reason.value}
         return {
@@ -146,7 +146,9 @@ class PemRecord:
 
 @dataclass(frozen=True)
 class EndpointConfig:
-    """HTTP chat-completion endpoint settings; token read from the environment."""
+    """HTTP chat-completion endpoint settings; token read from the environment.
+    The embedder sends only ``{model, input}``, so ``temperature`` is not read
+    for ``embedder_endpoint``."""
 
     base_url: str = ""
     model: str = "probe-model"
@@ -352,7 +354,7 @@ def annotate(
         with ThreadPoolExecutor(max_workers=cfg.parallelism) as pool:
             results = list(pool.map(guarded, dataset))
     records, labeled, failures = [], [], []
-    label_counts = {label.serialized: 0 for label in PemLabel}
+    label_counts = {label.value: 0 for label in PemLabel}
     discard_counts = {reason.value: 0 for reason in DiscardReason}
     for instance, result in sorted(zip(dataset, results), key=lambda pair: pair[0].id):
         if isinstance(result, dict):
@@ -361,7 +363,7 @@ def annotate(
         record, av_cot = result
         records.append(record)
         if isinstance(record.decision, PemLabel):
-            label_counts[record.decision.serialized] += 1
+            label_counts[record.decision.value] += 1
             labeled.append(labeled_export(instance, record, av_cot))
         else:
             discard_counts[record.decision.reason.value] += 1
@@ -388,7 +390,7 @@ def labeled_export(instance: Instance, record: PemRecord, cot: str) -> dict:
         "media": {"audio_ref": instance.media.audio_ref,
                   "video_ref": instance.media.video_ref},
         "gold_answer": instance.gold_answer,
-        "pem": record.decision.serialized,
+        "pem": record.decision.value,
         "evidence": {s.value: record.settings[s].to_dict() for s in ProbeSetting},
         "cot": cot,
     }
@@ -400,37 +402,30 @@ def labeled_export(instance: Instance, record: PemRecord, cot: str) -> dict:
 # --- Dataset I/O ---------------------------------------------------------------
 
 def read_instances(path: str | Path) -> list[Instance]:
-    instances = []
-    for lineno, obj in read_objects(path):
-        place = f"{path}:{lineno}"
+    def build(obj: dict, lineno: int) -> Instance:
         media = obj.get("media", {})
         choices = obj.get("choices", [])
         if not isinstance(media, dict):
-            raise ValueError(f"{place}: media must be an object")
+            raise ValueError("media must be an object")
         if not (isinstance(choices, list) and all(isinstance(c, str) for c in choices)):
-            raise ValueError(f"{place}: choices must be a list of strings")
-        instance_id, question, gold_answer = str_fields(
-            place, obj, "id", "question", "gold_answer")
-        refs = MediaRefs(*str_fields(place, media, "audio_ref", "video_ref", default=""))
-        try:
-            instance = Instance(
-                id=instance_id,
-                question=question,
-                media=refs,
-                gold_answer=gold_answer,
-                choices=tuple(choices) if "choices" in obj else None,
-            )
-        except ValueError as exc:
-            raise ValueError(f"{place}: {exc}") from None
-        instances.append(instance)
-    return instances
+            raise ValueError("choices must be a list of strings")
+        instance_id, question, gold_answer = str_fields(obj, "id", "question", "gold_answer")
+        return Instance(
+            id=instance_id,
+            question=question,
+            media=MediaRefs(*str_fields(media, "audio_ref", "video_ref", default="")),
+            gold_answer=gold_answer,
+            choices=tuple(choices) if "choices" in obj else None,
+        )
+
+    return read_records(path, build)
 
 
 def write_jsonl(path: str | Path, rows: Iterable[dict]) -> int:
     count = 0
     with open(path, "w", encoding="utf-8") as fh:
         for row in rows:
-            fh.write(json.dumps(row, ensure_ascii=False, sort_keys=True))
+            fh.write(dumps(row))
             fh.write("\n")
             count += 1
     return count

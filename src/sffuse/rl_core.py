@@ -19,7 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .jsonl import is_number_list, read_objects, str_fields
+from .jsonl import is_number_list, read_records, str_fields
 from .normalize import answers_match
 from .tag_grammar import ParseDiagnostic, PemLabel, parse_trace
 
@@ -235,18 +235,17 @@ def grpo_gradient_logp_new(group: RolloutGroup, cfg: GrpoConfig) -> np.ndarray:
 def read_rollout_groups(path: str | Path) -> list[tuple[str, RolloutGroup]]:
     """JSONL rollout records: {group_id, rewards[], logp_new[], logp_old[], logp_ref[]};
     each list must hold JSON numbers only."""
-    groups, names = [], [f.name for f in fields(RolloutGroup)]
-    for lineno, obj in read_objects(path):
-        place = f"{path}:{lineno}"
+    names = [f.name for f in fields(RolloutGroup)]
+
+    def build(obj: dict, lineno: int) -> tuple[str, RolloutGroup]:
         for name in names:
-            values = obj.get(name)
             if name not in obj:
-                raise ValueError(f"{place}: missing field '{name}'")
-            if not is_number_list(values):
-                raise ValueError(f"{place}: field '{name}' must be a list of numbers")
-        try:
-            group = RolloutGroup(**{name: obj[name] for name in names})
-        except ValueError as exc:
-            raise ValueError(f"{place}: {exc}") from None
-        groups.append((str_fields(place, obj, "group_id", default=str(lineno))[0], group))
-    return groups
+                raise ValueError(f"missing field '{name}'")
+            if not is_number_list(obj[name]):
+                raise ValueError(f"field '{name}' must be a list of numbers")
+        # The group is checked before its id, so a record with both faults
+        # names the group's.
+        group = RolloutGroup(**{name: obj[name] for name in names})
+        return str_fields(obj, "group_id", default=str(lineno))[0], group
+
+    return read_records(path, build)

@@ -19,7 +19,7 @@ import re
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .jsonl import read_objects, str_fields
+from .jsonl import read_records, str_fields
 
 TAG_NAMES = ("mod", "v", "a", "sum", "ans")
 
@@ -34,10 +34,6 @@ class PemLabel(enum.Enum):
     AUDIO = "Audio"
     VISUAL = "Visual"
     AUDIO_VISUAL = "Audio-Visual"
-
-    @property
-    def serialized(self) -> str:
-        return self.value
 
     @classmethod
     def from_text(cls, text: str) -> "PemLabel | None":
@@ -201,14 +197,11 @@ def validate_structure(text: str) -> tuple[bool, list[ParseDiagnostic]]:
 
 def render_trace(trace: SfrTrace) -> str:
     """Canonical serialization: no whitespace between tags."""
-    segments = (trace.pem.serialized, trace.visual_text, trace.audio_text,
+    segments = (trace.pem.value, trace.visual_text, trace.audio_text,
                 trace.summary_text, trace.answer_text)
     return "".join(f"<{name}>{text}</{name}>" for name, text in zip(TAG_NAMES, segments))
 
 
 def read_trace_records(path: str | Path) -> list[tuple[str, str]]:
     """Read one-per-line ``{id, text}`` JSONL records."""
-    records = []
-    for lineno, obj in read_objects(path):
-        records.append(str_fields(f"{path}:{lineno}", obj, "id", "text"))
-    return records
+    return read_records(path, lambda obj, _: str_fields(obj, "id", "text"))

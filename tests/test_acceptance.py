@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from sffuse.attention_core import (
+    DEFAULT_ALLOCATION_WINDOW,
     AttentionInputs,
     attention_gradients,
     gradient_check,
@@ -188,7 +189,7 @@ def test_acceptance_6_recipe_constants() -> None:
     assert defaults.pipeline.tau_cons == 0.8
     assert defaults.rewards.lambda_acc == 1.0
     assert defaults.rewards.lambda_mps == 0.2
-    assert defaults.last_k == 16
+    assert DEFAULT_ALLOCATION_WINDOW == 16
 
     assert PipelineConfig() == PipelineConfig(n=8, tau_acc=0.75, tau_cons=0.8)
     assert RewardConfig() == RewardConfig(lambda_acc=1.0, lambda_mps=0.2)

@@ -57,7 +57,6 @@ CONFIG = st.fixed_dictionaries({}, optional={
     "pipeline": records("n", "tau_acc", "tau_cons", "parallelism", "endpoint",
                         "embedder_endpoint"),
     "rewards": records("lambda_acc", "lambda_mps"),
-    "last_k": json_values,
 })
 
 # (argv with {input} in place of the fuzzed file, its content strategy)

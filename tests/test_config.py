@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from sffuse.attention_core import DEFAULT_ALLOCATION_WINDOW
 from sffuse.config import AppConfig, ConfigError, config_from_dict, load_config
 from sffuse.pem_pipeline import EndpointConfig
 from sffuse.rl_core import GrpoConfig
@@ -16,7 +17,7 @@ def test_defaults_are_the_documented_constants() -> None:
     assert cfg.rewards.lambda_mps == 0.2
     assert GrpoConfig().clip_alpha == 0.2
     assert GrpoConfig().eps_stab == 1e-8
-    assert cfg.last_k == 16
+    assert DEFAULT_ALLOCATION_WINDOW == 16
 
 
 def test_load_none_gives_defaults() -> None:
@@ -30,7 +31,6 @@ def test_load_nested_sections(tmp_path) -> None:
                      "endpoint": {"base_url": "http://probe", "timeout": 5.0},
                      "embedder_endpoint": {"base_url": "http://embed"}},
         "rewards": {"lambda_mps": 0.5},
-        "last_k": 8,
     }), encoding="utf-8")
     cfg = load_config(path)
     assert cfg.pipeline.n == 4
@@ -39,7 +39,6 @@ def test_load_nested_sections(tmp_path) -> None:
     assert cfg.pipeline.endpoint.timeout == 5.0
     assert cfg.pipeline.embedder_endpoint.base_url == "http://embed"
     assert cfg.rewards.lambda_mps == 0.5
-    assert cfg.last_k == 8
 
 
 def test_unknown_section_rejected() -> None:
@@ -47,10 +46,11 @@ def test_unknown_section_rejected() -> None:
         config_from_dict({"optimizer": {}})
 
 
-@pytest.mark.parametrize("section", ["grpo", "seed"])
+@pytest.mark.parametrize("section", ["grpo", "seed", "last_k"])
 def test_unread_sections_rejected(section) -> None:
-    # grpo-step takes its constants from flags and leakage its seed from
-    # --seed, so a config file that sets these is refused, not ignored.
+    # grpo-step takes its constants from flags, leakage its seed from --seed
+    # and attn-report its window from --last-k, so a config file that sets
+    # these is refused, not ignored.
     with pytest.raises(ConfigError, match=rf"unknown config sections: \['{section}'\]"):
         config_from_dict({section: {"clip_alpha": 0.1} if section == "grpo" else 7})
 
@@ -81,7 +81,6 @@ def test_endpoint_values_the_client_cannot_use_rejected(section, values, message
     ({"pipeline": {"embedder_endpoint": {"retries": -1}}},
      "config.pipeline.embedder_endpoint: retries must be >= 0"),
     ({"pipeline": {"tau_acc": 1.5}}, "config.pipeline: tau_acc must lie in (0, 1]"),
-    ({"last_k": 0}, "config: last_k must be >= 1"),
 ])
 def test_section_check_errors_name_the_section(obj, line) -> None:
     with pytest.raises(ConfigError) as info:
@@ -124,7 +123,6 @@ def test_missing_or_invalid_file(tmp_path) -> None:
      r"pipeline\.endpoint\.base_url must be a string"),
     ({"pipeline": {"embedder_endpoint": []}}, r"pipeline\.embedder_endpoint must be an object"),
     ({"rewards": [1]}, "rewards must be an object"),
-    ({"last_k": "8"}, r"config\.last_k must be an integer"),
 ])
 def test_values_of_the_wrong_json_type_rejected(obj, message) -> None:
     with pytest.raises(ConfigError, match=message):
