@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -296,14 +296,16 @@ def attention_allocation(
 
 # --- Synthetic leakage probe -----------------------------------------------
 
-DEFAULT_LEAKAGE_SIZES: dict[str, int] = {
-    "video": 8,
-    "audio": 8,
-    "question": 4,
-    "visual_reasoning": 6,
-    "audio_reasoning": 6,
-    "summary": 4,
-}
+# No role holds the question at 16-19 or the <a> tags at 28 and 35.
+DEFAULT_LEAKAGE_LAYOUT = TokenLayout(
+    length=40,
+    video_input=range(0, 8),
+    audio_input=range(8, 16),
+    visual_reasoning=range(21, 27),
+    audio_reasoning=range(29, 35),
+    visual_span=range(20, 28),
+    summary_span=range(36, 40),
+)
 
 _LEAKAGE_LAYERS = 3
 _LEAKAGE_DIM = 16
@@ -327,46 +329,13 @@ class LeakageReport:
     direct_leakage: float
 
 
-def leakage_layout(sizes: Mapping[str, int]) -> TokenLayout:
-    """Sequential synthetic layout: video, audio, question, v-span (with
-    boundary tags), a-span (with boundary tags), summary."""
-    cursor = 0
-
-    def take(count: int) -> frozenset[int]:
-        nonlocal cursor
-        span = frozenset(range(cursor, cursor + count))
-        cursor += count
-        return span
-
-    video = take(sizes.get("video", 0))
-    audio = take(sizes.get("audio", 0))
-    take(sizes.get("question", 0))
-    n_visual = sizes.get("visual_reasoning", 0)
-    visual_span = take(n_visual + 2) if n_visual else frozenset()
-    visual_inner = frozenset(sorted(visual_span)[1:-1]) if visual_span else frozenset()
-    n_audio_r = sizes.get("audio_reasoning", 0)
-    audio_span = take(n_audio_r + 2) if n_audio_r else frozenset()
-    audio_inner = frozenset(sorted(audio_span)[1:-1]) if audio_span else frozenset()
-    summary = take(sizes.get("summary", 0))
-    if cursor == 0:
-        raise ValueError("layout sizes produce an empty sequence")
-    return TokenLayout(
-        length=cursor,
-        video_input=video,
-        audio_input=audio,
-        visual_reasoning=visual_inner,
-        audio_reasoning=audio_inner,
-        visual_span=visual_span,
-        summary_span=summary,
-    )
-
-
 def leakage_probe(
     seed: int,
-    layout_sizes: Mapping[str, int] | None = None,
+    layout: TokenLayout = DEFAULT_LEAKAGE_LAYOUT,
     use_maam: bool = True,
 ) -> LeakageReport:
-    """Run a seeded random attention stack and measure direct leakage.
+    """Run a seeded random attention stack over ``layout`` and measure direct
+    leakage.
 
     With the asymmetric mask the leakage is exactly zero by construction;
     without it the causal-only stack places measurable mass on the blocked
@@ -374,8 +343,6 @@ def leakage_probe(
     """
     if seed < 0:
         raise ValueError(f"seed must be a non-negative integer, got {seed}")
-    sizes = dict(DEFAULT_LEAKAGE_SIZES if layout_sizes is None else layout_sizes)
-    layout = leakage_layout(sizes)
     causal = build_causal(layout.length)
     composite = build_composite(layout)
     blocked = causal.visible & ~composite.visible  # causal cells the rules block

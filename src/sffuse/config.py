@@ -67,8 +67,10 @@ def _build(cls, obj, name: str):
         raise ConfigError(f"{name}: {exc}") from None
 
 
-def config_from_dict(obj: dict) -> AppConfig:
-    """Build and validate an AppConfig from a parsed key-value record."""
+def config_from_dict(obj: object) -> AppConfig:
+    """Build and validate an AppConfig from a parsed JSON document."""
+    if not isinstance(obj, dict):
+        raise ConfigError("config root must be an object")
     unknown = set(obj) - {f.name for f in fields(AppConfig)}
     if unknown:
         raise ConfigError(f"unknown config sections: {sorted(unknown)}")
@@ -79,15 +81,13 @@ def config_from_dict(obj: dict) -> AppConfig:
 
 
 def load_config(path: str | Path | None) -> AppConfig:
-    """Load a JSON config file; None yields the documented defaults."""
+    """Load a JSON config file; None yields the documented defaults. Every
+    error is a ConfigError that names ``path``."""
     if path is None:
         return AppConfig()
     try:
-        obj = read_document(path, "not valid JSON")
+        return read_document(path, config_from_dict, "not valid JSON")
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
-    if not isinstance(obj, dict):
-        raise ConfigError("config root must be an object")
-    return config_from_dict(obj)
+    except ValueError as exc:  # a decode error, or one config_from_dict raised
+        raise ConfigError(str(exc)) from exc

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Callable, TypeVar
+from typing import Callable, Iterable, TypeVar
 
 _T = TypeVar("_T")
 
@@ -28,14 +28,20 @@ def _not_utf8(path: str | Path, exc: UnicodeDecodeError) -> ValueError:
     return ValueError(f"{path}: not UTF-8 text: {exc.reason}")
 
 
-def read_document(path: str | Path, invalid: str = "invalid JSON") -> object:
-    """The file at ``path`` decoded as one JSON document; errors name ``path``."""
+def read_document(path: str | Path, build: Callable[[object], _T], invalid: str) -> _T:
+    """``build`` of the file at ``path`` decoded as one JSON document. Every
+    error names ``path``: a decode error says ``invalid``, and a ValueError
+    from ``build`` is raised again, of the same type, as ``path: ...``."""
     with open(path, encoding="utf-8") as fh:
         try:
             text = fh.read()
         except UnicodeDecodeError as exc:
             raise _not_utf8(path, exc) from None
-    return _decode(text, str(path), invalid)
+    document = _decode(text, str(path), invalid)
+    try:
+        return build(document)
+    except ValueError as exc:
+        raise type(exc)(f"{path}: {exc}") from exc
 
 
 def read_records(path: str | Path, build: Callable[[dict, int], _T]) -> list[_T]:
@@ -62,6 +68,22 @@ def read_records(path: str | Path, build: Callable[[dict, int], _T]) -> list[_T]
         except UnicodeDecodeError as exc:
             raise _not_utf8(path, exc) from None
     return records
+
+
+def write_records(path: str | Path, rows: Iterable[dict]) -> int:
+    """Write each row as one JSON line and return the row count. Every row is
+    encoded before the file is opened, so a row that cannot be encoded
+    raises ``ValueError("path: row k: ...")`` (k counts from 1) and leaves
+    any file at ``path`` as it was."""
+    lines = []
+    for k, row in enumerate(rows, start=1):
+        try:
+            lines.append(dumps(row) + "\n")
+        except ValueError as exc:
+            raise ValueError(f"{path}: row {k}: {exc}") from exc
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.writelines(lines)
+    return len(lines)
 
 
 def dumps(obj: object) -> str:

@@ -50,9 +50,10 @@ BLOCKED_ROLE_PAIRS = (
 class TokenLayout:
     """The position sets that drive mask construction.
 
-    ``summary_span`` is not a masking role; it is carried so downstream
-    attention-allocation reports can default their query span to the
-    summary tokens.
+    Each role takes any iterable of positions, such as a ``range``, and is
+    held as a frozenset. ``summary_span`` is not a masking role; it is
+    carried so downstream attention-allocation reports can default their
+    query span to the summary tokens.
     """
 
     length: int
@@ -261,25 +262,20 @@ def locate_layout(tokens: Sequence[int], markers: MarkerTable) -> TokenLayout:
     if tag_edge <= indicator_edge:
         raise LayoutError("reasoning tags precede input markers")
 
-    def interior(pair: tuple[int, int] | None) -> frozenset[int]:
-        if pair is None:
-            return frozenset()
-        start, end = pair
-        return frozenset(range(start + 1, end))
-
-    visual_span = frozenset()
-    if "v" in pairs:
-        start, end = pairs["v"]
-        visual_span = frozenset(range(start, end + 1))
-
+    # An absent pair reads as (0, -1), whose interior and span are both empty.
+    video_start, video_end = video or (0, -1)
+    audio_start, audio_end = audio or (0, -1)
+    v_start, v_end = pairs.get("v", (0, -1))
+    a_start, a_end = pairs.get("a", (0, -1))
+    sum_start, sum_end = pairs.get("sum", (0, -1))
     return TokenLayout(
         length=len(tokens),
-        video_input=interior(video),
-        audio_input=interior(audio),
-        visual_reasoning=interior(pairs.get("v")),
-        audio_reasoning=interior(pairs.get("a")),
-        visual_span=visual_span,
-        summary_span=interior(pairs.get("sum")),
+        video_input=range(video_start + 1, video_end),
+        audio_input=range(audio_start + 1, audio_end),
+        visual_reasoning=range(v_start + 1, v_end),
+        audio_reasoning=range(a_start + 1, a_end),
+        visual_span=range(v_start, v_end + 1),
+        summary_span=range(sum_start + 1, sum_end),
     )
 
 
@@ -327,11 +323,7 @@ def layout_from_spec(spec: Mapping) -> TokenLayout:
 
 def load_layout_spec(path: str | Path) -> TokenLayout:
     """The layout spec in the file at ``path``; every error names ``path``."""
-    spec = read_document(path, "invalid layout spec")
-    try:
-        return layout_from_spec(spec)
-    except ValueError as exc:
-        raise type(exc)(f"{path}: {exc}") from None
+    return read_document(path, layout_from_spec, "invalid layout spec")
 
 
 # --- Mask export formats --------------------------------------------------

@@ -16,7 +16,6 @@ from sffuse.attention_core import (
     attention_allocation,
     attention_gradients,
     gradient_check,
-    leakage_layout,
     leakage_probe,
     masked_attention,
     read_weights_jsonl,
@@ -32,7 +31,7 @@ from conftest import (
     write_weights_jsonl,
 )
 
-# Measured once on seed 0 with the default sizes and frozen here; the probe
+# Measured once on seed 0 with the default layout and frozen here; the probe
 # must reproduce it and must stay strictly positive.
 PINNED_NO_MAAM_LEAKAGE_SEED0 = 0.40773659582707406
 
@@ -510,16 +509,16 @@ def test_leakage_positive_without_mask_pinned_seed() -> None:
 
 
 def test_leakage_zero_when_no_audio_roles() -> None:
-    sizes = {"video": 4, "audio": 0, "question": 2,
-             "visual_reasoning": 3, "audio_reasoning": 0, "summary": 2}
-    assert leakage_probe(0, sizes, use_maam=True).direct_leakage == 0.0
-    assert leakage_probe(0, sizes, use_maam=False).direct_leakage == 0.0
+    layout = TokenLayout(length=13, video_input=range(0, 4), visual_reasoning=range(7, 10),
+                         visual_span=range(6, 11), summary_span=range(11, 13))
+    assert leakage_probe(0, layout, use_maam=True).direct_leakage == 0.0
+    assert leakage_probe(0, layout, use_maam=False).direct_leakage == 0.0
 
 
-def test_leakage_layout_families_match_brute_force() -> None:
-    layout = leakage_layout({"video": 2, "audio": 2, "question": 1,
-                             "visual_reasoning": 2, "audio_reasoning": 2,
-                             "summary": 1})
+def test_leakage_blocked_cells_match_brute_force() -> None:
+    layout = TokenLayout(length=14, video_input=range(0, 2), audio_input=range(2, 4),
+                         visual_reasoning=range(6, 8), audio_reasoning=range(10, 12),
+                         visual_span=range(5, 9), summary_span=range(13, 14))
     # The probe sums weights over exactly these cells: causally visible, rule-blocked.
     blocked = build_causal(layout.length).visible & ~build_composite(layout).visible
     rows, cols = np.nonzero(blocked)

@@ -376,6 +376,32 @@ def test_validate_unwritable_output_is_one_error_line(tmp_path, capsys) -> None:
     assert "No such file or directory" in err
 
 
+@pytest.mark.parametrize("config, message", [
+    ({"rewards": {"lambda_acc": -1}}, "config.rewards: reward weights must be nonnegative"),
+    ([1, 2], "config root must be an object"),
+], ids=["negative-weight", "array-root"])
+def test_validate_config_errors_name_their_file(tmp_path, capsys, config, message) -> None:
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(config), encoding="utf-8")
+    code = main(["validate", "--traces", str(DATA / "traces_perfect.jsonl"),
+                 "--labels", str(DATA / "labels_perfect.jsonl"), "--config", str(path)])
+    err = assert_one_error_line(code, capsys.readouterr().err)
+    assert err == f"error: {path}: {message}\n"
+
+
+def test_validate_unknown_pem_label_is_one_error_line(tmp_path, capsys) -> None:
+    labels = tmp_path / "labels.jsonl"
+    perfect = (DATA / "labels_perfect.jsonl").read_text(encoding="utf-8")
+    labels.write_text(perfect.replace('"pem": "Visual"', '"pem": "Smell"'), encoding="utf-8")
+    code = main(["validate", "--traces", str(DATA / "traces_perfect.jsonl"),
+                 "--labels", str(labels), "--out", str(tmp_path / "scored.jsonl")])
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert assert_one_error_line(code, captured.err) == (
+        "error: label p2: unknown PEM value 'Smell'\n")
+    assert not (tmp_path / "scored.jsonl").exists()
+
+
 @pytest.mark.parametrize("line, message", [
     ('{"id": "t1", "pem": "Audio"}', "missing field 'answer'"),
     ('{"id": "t1", "pem": "Audio", "answer": null}', "field 'answer' must be a string"),
@@ -642,6 +668,31 @@ def test_attn_report_on_synthetic_weights(tmp_path, capsys) -> None:
     visual = sum(float(m[i, j]) for m in layers[-2:] for i in (8, 9) for j in (2, 3))
     assert payload["audio_fraction"] == pytest.approx(audio / (audio + visual))
     assert payload["visual_fraction"] == pytest.approx(visual / (audio + visual))
+
+
+def test_attn_report_text_mode_lists_each_layer(tmp_path, capsys) -> None:
+    spec_path = tmp_path / "layout.json"
+    spec_path.write_text(json.dumps({
+        "length": 10, "visual_reasoning": [[2, 3]], "visual_span": [[1, 4]],
+        "audio_reasoning": [[5, 6]], "summary_span": [[8, 9]]}), encoding="utf-8")
+    # Every row attends to key 0, except that in the older layer the summary
+    # rows 8 and 9 put 0.25 on audio key 5 and 0.75 on visual key 2.
+    older = np.zeros((10, 10))
+    older[:, 0] = 1.0
+    older[8:, 0] = 0.0
+    older[8:, 5] = 0.25
+    older[8:, 2] = 0.75
+    newer = np.zeros((10, 10))
+    newer[:, 0] = 1.0
+    weights_path = tmp_path / "weights.jsonl"
+    write_weights_jsonl(weights_path, [older, newer])
+
+    code, stdout = run(capsys, "attn-report", "--weights", str(weights_path),
+                       "--spec", str(spec_path))
+    assert code == 0
+    assert stdout == ("last 2 layers: audio=0.2500 visual=0.7500\n"
+                      "  layer[-2]: audio=0.2500 visual=0.7500\n"
+                      "  layer[-1]: no span mass\n")
 
 
 def test_attn_report_rejects_weights_smaller_than_layout(tmp_path, capsys) -> None:

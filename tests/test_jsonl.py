@@ -1,5 +1,6 @@
 """The JSON boundary: ``read_records`` names every bad record's ``path:line``
-once, and ``write_jsonl`` never writes a NaN or infinity."""
+once, ``read_document`` names its file, and ``write_jsonl`` never writes a
+NaN or infinity."""
 
 import json
 from pathlib import Path
@@ -7,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from sffuse.cli import main
-from sffuse.jsonl import read_records
+from sffuse.jsonl import read_document, read_records
 from sffuse.pem_pipeline import write_jsonl
 
 DATA = Path(__file__).parent / "data"
@@ -71,6 +72,36 @@ def test_read_records_prefixes_only_value_errors(tmp_path) -> None:
     assert str(info.value) == f"{path}:2: expected a JSON object, got list"
     with pytest.raises(KeyError):
         read_records(path, lambda obj, _: obj["v"])
+
+
+def test_read_document_names_its_path_and_keeps_the_error_type(tmp_path) -> None:
+    class DocumentError(ValueError):
+        pass
+
+    def build(document):
+        raise DocumentError(f"cannot use {document}")
+
+    path = tmp_path / "doc.json"
+    path.write_text("[1, 2]", encoding="utf-8")
+    assert read_document(path, len, "invalid document") == 2
+    with pytest.raises(DocumentError) as info:
+        read_document(path, build, "invalid document")
+    assert str(info.value) == f"{path}: cannot use [1, 2]"
+    path.write_text("[1,", encoding="utf-8")
+    with pytest.raises(ValueError, match=f"^{path}: invalid document: "):
+        read_document(path, build, "invalid document")
+
+
+def test_write_jsonl_names_the_row_and_leaves_the_file_as_it_was(tmp_path) -> None:
+    path = tmp_path / "o.jsonl"
+    path.write_bytes(b"kept\n")
+    with pytest.raises(ValueError) as info:
+        write_jsonl(path, [{"x": 1.0}, {"x": float("nan")}])
+    assert str(info.value).startswith(
+        f"{path}: row 2: Out of range float values are not JSON compliant")
+    assert path.read_bytes() == b"kept\n"
+    assert write_jsonl(path, [{"x": 1.0}, {"y": [2]}]) == 2
+    assert path.read_bytes() == b'{"x": 1.0}\n{"y": [2]}\n'
 
 
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])

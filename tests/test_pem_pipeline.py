@@ -501,6 +501,15 @@ def test_http_sampler_malformed_completion() -> None:
         sampler.sample(make_instance(), ProbeSetting.A, 2)
 
 
+@pytest.mark.parametrize("choices", [[{"message": {}}, {"message": {}}], ["text", "text"]],
+                         ids=["no-content", "not-an-object"])
+def test_http_sampler_rejects_a_completion_without_content(choices) -> None:
+    sampler = HttpSampler(EndpointConfig(base_url="http://x/chat"),
+                          transport=lambda *a: {"choices": choices})
+    with pytest.raises(SamplingError, match="^malformed completion for x1/A$"):
+        sampler.sample(make_instance(), ProbeSetting.A, 2)
+
+
 def test_http_sampler_wrong_completion_count() -> None:
     sampler = HttpSampler(EndpointConfig(base_url="http://x/chat"),
                           transport=lambda *a: recorded_response(1))
@@ -523,6 +532,23 @@ def test_http_embedder_stub() -> None:
     vectors = embedder.embed(["a", "b"])
     assert vectors.shape == (2, 2)
     assert consistency(["a", "b"], embedder) == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("answer", [{"data": [{"vector": [1.0]}, {"vector": [1.0]}]},
+                                    {"data": 5}, {"rows": []}],
+                         ids=["no-embedding", "data-not-a-list", "no-data"])
+def test_http_embedder_rejects_a_malformed_response(answer) -> None:
+    embedder = HttpEmbedder(EndpointConfig(base_url="http://x/embed"),
+                            transport=lambda *a: answer)
+    with pytest.raises(EmbeddingError, match="^malformed embedding response$"):
+        embedder.embed(["a", "b"])
+
+
+def test_http_embedder_rejects_a_vector_count_mismatch() -> None:
+    embedder = HttpEmbedder(EndpointConfig(base_url="http://x/embed"),
+                            transport=lambda *a: {"data": [{"embedding": [1.0, 0.0]}]})
+    with pytest.raises(EmbeddingError, match="^embedder returned 1 vectors for 2 texts$"):
+        embedder.embed(["a", "b"])
 
 
 @pytest.mark.parametrize("embedding", [["0.5", True], [0.5, True], [0.5, None],
