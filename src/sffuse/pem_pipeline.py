@@ -32,7 +32,7 @@ from typing import Callable, Iterable, Mapping, Protocol, Sequence
 import numpy as np
 
 from .jsonl import is_number_list, read_records, str_fields, write_records
-from .normalize import answers_match
+from .normalize import normalize_answer
 from .tag_grammar import PemLabel
 
 
@@ -198,7 +198,8 @@ class TextEmbedder(Protocol):
 
 def accuracy_rate(samples: SampleSet, gold: str) -> float:
     """Fraction of sampled answers matching gold after normalization."""
-    hits = sum(1 for answer in samples.answers if answers_match(answer, gold))
+    target = normalize_answer(gold)
+    hits = sum(1 for answer in samples.answers if normalize_answer(answer) == target)
     return hits / len(samples.samples)
 
 
@@ -211,20 +212,26 @@ def _unit_rows(texts: Sequence[str], embedder: TextEmbedder) -> np.ndarray:
         raise ValueError("embedder must return one vector per text")
     if not np.isfinite(vectors).all():
         raise ValueError("embedder returned non-finite values")
-    norms = np.linalg.norm(vectors, axis=1, keepdims=True)
+    # Finite rows can still square past the float range; such a norm is inf
+    # and would scale its row to zeros.
+    with np.errstate(over="ignore"):
+        norms = np.linalg.norm(vectors, axis=1, keepdims=True)
+    if not np.isfinite(norms).all():
+        raise ValueError("embedder returned a vector whose norm overflows")
     if (norms == 0).any():
         raise ValueError("embedder returned a zero vector")
     row_of = {text: k for k, text in enumerate(distinct)}
     return (vectors / norms)[[row_of[text] for text in texts]]
 
 
-def _mean_pair_cosine(unit: np.ndarray) -> float:
-    """Mean dot over all unordered row pairs. Each row of the product is
-    summed on its own (no Gram matrix, whose BLAS rounding differs), and
-    fsum makes the mean exactly permutation-invariant."""
-    first, second = np.triu_indices(len(unit), k=1)
-    dots = (unit[first] * unit[second]).sum(axis=1)
-    return math.fsum(dots) / len(dots)
+def _mean_pair_cosines(blocks: np.ndarray) -> list[float]:
+    """Per block of a (blocks, n, dim) stack of unit rows, the mean dot over
+    all unordered row pairs. Each pair's product is summed on its own (no
+    Gram matrix, whose BLAS rounding differs), and fsum makes each mean
+    exactly permutation-invariant."""
+    first, second = np.triu_indices(blocks.shape[1], k=1)
+    dots = (blocks[:, first] * blocks[:, second]).sum(axis=2)
+    return [math.fsum(row) / len(row) for row in dots]
 
 
 def consistency(cot_texts: Sequence[str], embedder: TextEmbedder) -> float:
@@ -237,7 +244,7 @@ def consistency(cot_texts: Sequence[str], embedder: TextEmbedder) -> float:
     """
     if len(cot_texts) < 2:
         raise ValueError("consistency needs at least 2 texts")
-    return _mean_pair_cosine(_unit_rows(cot_texts, embedder))
+    return _mean_pair_cosines(_unit_rows(cot_texts, embedder)[None])[0]
 
 
 def solvable(accuracy: float, cot_consistency: float, cfg: PipelineConfig) -> bool:
@@ -322,14 +329,15 @@ def annotate(
                 raise SamplingError(
                     f"sampler returned {len(samples.samples)} samples, wanted {cfg.n}")
             sample_sets[setting] = samples
-        # One embedder call per instance, over its distinct CoT texts.
+        # One embedder call per instance, over its distinct CoT texts, and
+        # one pair-cosine pass over the settings' (n, dim) blocks.
         unit = _unit_rows(
             [cot for samples in sample_sets.values() for cot in samples.cot_texts],
             embedder)
+        cons_per_setting = _mean_pair_cosines(unit.reshape(len(sample_sets), cfg.n, -1))
         per_setting: dict[ProbeSetting, SolvabilityRecord] = {}
-        for k, (setting, samples) in enumerate(sample_sets.items()):
+        for (setting, samples), cons in zip(sample_sets.items(), cons_per_setting):
             acc = accuracy_rate(samples, instance.gold_answer)
-            cons = _mean_pair_cosine(unit[k * cfg.n:(k + 1) * cfg.n])
             per_setting[setting] = SolvabilityRecord(acc, cons, solvable(acc, cons, cfg))
         decision = decide_pem(
             per_setting[ProbeSetting.A].solvable,
@@ -475,6 +483,10 @@ class HashEmbedder:
     Identical texts map to identical vectors (cosine 1); distinct texts map
     to pseudo-random directions with near-zero expected cosine. Stable
     across platforms, so goldens built on it are byte-reproducible.
+
+    Each text is hashed on its own; the batch's digests are then mapped to
+    vectors and normalized in one pass. An empty batch gives a (0, dim)
+    array.
     """
 
     def __init__(self, dim: int = 32):
@@ -482,20 +494,21 @@ class HashEmbedder:
             raise ValueError("dim must be >= 2")
         self.dim = dim
 
-    def _vector(self, text: str) -> np.ndarray:
+    def embed(self, texts: Sequence[str]) -> np.ndarray:
         # Each SHA-256 digest gives four big-endian 64-bit words, each mapped
         # to [-1, 1] as word / 2**63 - 1 (exact: the scale is a power of two).
+        digests = -(-self.dim // 4)
         raw = b"".join(hashlib.sha256(f"{counter}:{text}".encode()).digest()
-                       for counter in range(-(-self.dim // 4)))
-        vec = np.frombuffer(raw, dtype=">u8")[: self.dim] / 2.0 ** 63 - 1.0
-        norm = np.linalg.norm(vec)
-        if norm == 0.0:
-            vec[0] = 1.0
-            norm = 1.0
-        return vec / norm
-
-    def embed(self, texts: Sequence[str]) -> np.ndarray:
-        return np.stack([self._vector(t) for t in texts])
+                       for text in texts for counter in range(digests))
+        vectors = np.frombuffer(raw, dtype=">u8").reshape(
+            len(texts), 4 * digests)[:, :self.dim] / 2.0 ** 63 - 1.0
+        # Row by row, not norm(axis=1), einsum or a Gram matrix: those round
+        # differently from the 1-D dot, and the goldens pin its bytes.
+        norms = np.array([math.sqrt(row.dot(row)) for row in vectors])
+        zero = norms == 0.0
+        vectors[zero, 0] = 1.0
+        norms[zero] = 1.0
+        return vectors / norms[:, None]
 
 
 # --- HTTP endpoint adapter -------------------------------------------------------
@@ -659,4 +672,9 @@ class HttpEmbedder(_Endpoint):
                 f"embedder returned {len(vectors)} vectors for {len(texts)} texts")
         if not all(map(is_number_list, vectors)):
             raise EmbeddingError("embedder returned an embedding that is not a list of numbers")
-        return np.asarray(vectors, dtype=float)
+        if len(set(map(len, vectors))) > 1:
+            raise EmbeddingError("embedder returned vectors of different lengths")
+        try:
+            return np.asarray(vectors, dtype=float)
+        except OverflowError as exc:
+            raise EmbeddingError("embedder returned a number beyond the float range") from exc

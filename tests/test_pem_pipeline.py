@@ -10,6 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import ScriptedSampler, reference_consistency, reference_hash_vector
+from sffuse.normalize import answers_match
 from sffuse.pem_pipeline import (
     Discard,
     DiscardReason,
@@ -130,6 +131,16 @@ def test_consistency_validation() -> None:
         consistency(["a", "b"], FixedEmbedder({"a": [np.nan, 0], "b": [1, 0]}))
 
 
+def test_consistency_rejects_a_norm_that_overflows() -> None:
+    # Finite rows whose squared norm passes the float range; at scale 1 the
+    # same directions score 0.999, so reading them as 0.0 would mislabel.
+    huge = FixedEmbedder({"a": [1e308, 1e308], "b": [1e308, 9e307]})
+    with pytest.raises(ValueError, match="^embedder returned a vector whose norm overflows$"):
+        consistency(["a", "b"], huge)
+    unit = FixedEmbedder({"a": [1.0, 1.0], "b": [1.0, 0.9]})
+    assert consistency(["a", "b"], unit) == pytest.approx(0.9986, abs=1e-4)
+
+
 # --- oracles: exact equality with the loop references ---------------------------
 
 HASH_DIMS = (2, 3, 4, 5, 31, 32, 33, 64)
@@ -146,6 +157,13 @@ def test_hash_embedder_matches_loop_reference(dim, texts) -> None:
     want = np.stack([reference_hash_vector(text, dim) for text in texts])
     assert got.shape == want.shape
     assert (got == want).all()
+
+
+@pytest.mark.parametrize("dim", HASH_DIMS)
+def test_hash_embedder_empty_batch(dim) -> None:
+    got = HashEmbedder(dim).embed([])
+    assert got.shape == (0, dim)
+    assert got.dtype == np.float64
 
 
 @pytest.mark.parametrize("dim", HASH_DIMS)
@@ -174,21 +192,29 @@ def test_consistency_matches_loop_reference_on_random_vectors(dim, seed, picks) 
     assert consistency(texts, embedder) == reference_consistency(texts, embedder)
 
 
+ANSWER_POOL = ("collie", " Collie. ", "COLLIE!", "sheep", "the collie")
+
+
+@pytest.mark.parametrize("kind", ["random", "hash"])
 @settings(max_examples=50, deadline=None)
 @given(dim=st.sampled_from(HASH_DIMS), seed=st.integers(0, 2 ** 32 - 1),
-       picks=st.lists(st.integers(0, 5), min_size=12, max_size=12))
-def test_annotate_screening_matches_loop_reference(dim, seed, picks) -> None:
+       n=st.sampled_from((2, 3, 4, 8)),
+       picks=st.lists(st.tuples(st.integers(0, 4), st.integers(0, 5)),
+                      min_size=24, max_size=24))
+def test_annotate_screening_matches_loop_reference(kind, dim, seed, n, picks) -> None:
     # Texts repeat within and across settings; each setting's consistency
-    # must still equal the loop over its own n=4 rows.
-    embedder = random_vector_embedder(dim, seed)
+    # and accuracy must still equal the loops over its own n samples.
+    embedder = random_vector_embedder(dim, seed) if kind == "random" else HashEmbedder(dim)
     inst = make_instance("r1")
-    script = {(inst.id, setting): [("collie", f"t{k}") for k in picks[4 * s:4 * s + 4]]
+    script = {(inst.id, setting): [(ANSWER_POOL[a], f"t{k}") for a, k in picks[n * s:n * s + n]]
               for s, setting in enumerate(ProbeSetting)}
-    result = annotate([inst], ScriptedSampler(script), embedder, PipelineConfig(n=4))
+    result = annotate([inst], ScriptedSampler(script), embedder, PipelineConfig(n=n))
     (record,) = result.records
     for setting in ProbeSetting:
-        cots = [cot for _, cot in script[inst.id, setting]]
+        answers, cots = zip(*script[inst.id, setting])
         assert record.settings[setting].consistency == reference_consistency(cots, embedder)
+        hits = sum(answers_match(answer, inst.gold_answer) for answer in answers)
+        assert record.settings[setting].accuracy_rate == hits / n
 
 
 # --- solvability -----------------------------------------------------------------
@@ -653,6 +679,54 @@ def test_annotate_records_an_unusable_endpoint_answer(transport) -> None:
     assert (result.stats.labeled, result.stats.discarded, result.stats.failed) == (0, 0, 1)
     assert result.stats.failures[0]["id"] == "x1"
     assert result.stats.failures[0]["error"].startswith("endpoint unreachable for x1/")
+
+
+@pytest.mark.parametrize("rows, message", [
+    ([[10 ** 400, 0.0], [1.0, 0.0]], "a number beyond the float range"),
+    ([[1.0, 0.0], [1.0, 0.0, 0.0]], "vectors of different lengths"),
+], ids=["integer-beyond-float", "ragged"])
+def test_http_embedder_rejects_vectors_it_cannot_stack(rows, message) -> None:
+    embedder = HttpEmbedder(EndpointConfig(base_url="http://x/embed"),
+                            transport=lambda *a: {"data": [{"embedding": r} for r in rows]})
+    with pytest.raises(EmbeddingError, match=f"^embedder returned {message}$"):
+        embedder.embed(["a", "b"])
+
+
+class OverflowingEmbedder:
+    """HashEmbedder rows, scaled by 1e308 for texts that name instance ``big``:
+    finite values whose squared norm passes the float range."""
+
+    def embed(self, texts):
+        vectors = HashEmbedder().embed(texts)
+        return vectors * np.array([[1e308 if "big" in text else 1.0] for text in texts])
+
+
+def http_embedder_failing_on(bad_vector):
+    """An HttpEmbedder whose answer for the texts of instance ``big`` has
+    ``bad_vector`` as its first row; every other row is a hash vector."""
+
+    def transport(url, payload, headers, timeout):
+        rows = HashEmbedder().embed(payload["input"]).tolist()
+        if any("big" in text for text in payload["input"]):
+            rows[0] = bad_vector
+        return {"data": [{"embedding": row} for row in rows]}
+
+    return HttpEmbedder(EndpointConfig(base_url="http://x/embed"), transport=transport)
+
+
+@pytest.mark.parametrize("embedder, error", [
+    (OverflowingEmbedder(), "embedder returned a vector whose norm overflows"),
+    (http_embedder_failing_on([10 ** 400] + [0.0] * 31),
+     "embedder returned a number beyond the float range"),
+    (http_embedder_failing_on([1.0, 0.0]), "embedder returned vectors of different lengths"),
+], ids=["norm-overflow", "integer-beyond-float", "ragged"])
+def test_annotate_records_an_unusable_embedding_and_goes_on(embedder, error) -> None:
+    dataset = [make_instance("big", marker="?solvable=none"),
+               make_instance("ok", marker="?solvable=AV")]
+    result = annotate(dataset, MockCotSampler(), embedder, PipelineConfig())
+    assert result.stats.failures == ({"id": "big", "error": error},)
+    (record,) = result.records
+    assert (record.instance_id, record.decision) == ("ok", PemLabel.AUDIO_VISUAL)
 
 
 def test_http_embedder_sends_the_bearer_token() -> None:
