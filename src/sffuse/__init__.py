@@ -24,7 +24,6 @@ from .mask_engine import (
     locate_layout,
 )
 from .pem_pipeline import (
-    Discard,
     DiscardReason,
     Instance,
     PemRecord,
@@ -65,7 +64,6 @@ __all__ = [
     "AllocationReport",
     "AttentionInputs",
     "AttentionWeights",
-    "Discard",
     "DiagnosticKind",
     "DiscardReason",
     "GrpoConfig",

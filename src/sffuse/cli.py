@@ -36,8 +36,6 @@ def cmd_annotate(args: argparse.Namespace) -> int:
     pipeline_cfg = load_config(args.config).pipeline
     if args.parallelism is not None:
         pipeline_cfg = replace(pipeline_cfg, parallelism=args.parallelism)
-    if not Path(args.input).exists():
-        return _fail(f"input file not found: {args.input}")
     dataset = pem_pipeline.read_instances(args.input)
 
     if args.mock:

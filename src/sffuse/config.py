@@ -53,6 +53,9 @@ def _build(cls, obj, name: str):
     values = {}
     for key, value in obj.items():
         kind, where = kinds.get(key), f"{name}.{key}"
+        # The embedder sends only {model, input}, so this field would change nothing.
+        if where == "config.pipeline.embedder_endpoint.temperature":
+            raise ConfigError(f"{where} is not read: the embedder sends only model and input")
         if kind in _SECTIONS:
             value = _build(_SECTIONS[kind], value, where)
         elif kind in _SCALARS:

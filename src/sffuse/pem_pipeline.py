@@ -83,7 +83,6 @@ class Instance:
 class SampleSet:
     """n sampled (answer, cot_text) pairs for one (instance, setting)."""
 
-    setting: ProbeSetting
     samples: tuple[tuple[str, str], ...]
 
     def __post_init__(self) -> None:
@@ -91,10 +90,6 @@ class SampleSet:
             self, "samples", tuple((str(a), str(c)) for a, c in self.samples))
         if len(self.samples) < 2:
             raise ValueError("a sample set needs n >= 2 samples")
-
-    @property
-    def answers(self) -> list[str]:
-        return [a for a, _ in self.samples]
 
     @property
     def cot_texts(self) -> list[str]:
@@ -107,9 +102,6 @@ class SolvabilityRecord:
     consistency: float
     solvable: bool
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
 
 class DiscardReason(enum.Enum):
     TRIVIALLY_EASY = "TriviallyEasy"
@@ -119,15 +111,10 @@ class DiscardReason(enum.Enum):
 
 
 @dataclass(frozen=True)
-class Discard:
-    reason: DiscardReason
-
-
-@dataclass(frozen=True)
 class PemRecord:
     instance_id: str
     settings: Mapping[ProbeSetting, SolvabilityRecord]
-    decision: PemLabel | Discard
+    decision: PemLabel | DiscardReason
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "settings", dict(self.settings))
@@ -136,19 +123,19 @@ class PemRecord:
         if isinstance(self.decision, PemLabel):
             decision = {"kind": "label", "label": self.decision.value}
         else:
-            decision = {"kind": "discard", "reason": self.decision.reason.value}
+            decision = {"kind": "discard", "reason": self.decision.value}
         return {
             "id": self.instance_id,
-            "settings": {s.value: self.settings[s].to_dict() for s in ProbeSetting},
+            "settings": {s.value: asdict(self.settings[s]) for s in ProbeSetting},
             "decision": decision,
         }
 
 
 @dataclass(frozen=True)
 class EndpointConfig:
-    """HTTP chat-completion endpoint settings; token read from the environment.
-    The embedder sends only ``{model, input}``, so ``temperature`` is not read
-    for ``embedder_endpoint``."""
+    """HTTP endpoint settings; token read from the environment. The embedder
+    sends only ``{model, input}``, so the config loader rejects a
+    ``temperature`` under ``embedder_endpoint``."""
 
     base_url: str = ""
     model: str = "probe-model"
@@ -199,7 +186,7 @@ class TextEmbedder(Protocol):
 def accuracy_rate(samples: SampleSet, gold: str) -> float:
     """Fraction of sampled answers matching gold after normalization."""
     target = normalize_answer(gold)
-    hits = sum(1 for answer in samples.answers if normalize_answer(answer) == target)
+    hits = sum(1 for answer, _ in samples.samples if normalize_answer(answer) == target)
     return hits / len(samples.samples)
 
 
@@ -258,13 +245,12 @@ _DECISIONS = {
     (True, False, True): PemLabel.AUDIO,
     (False, True, True): PemLabel.VISUAL,
     (False, False, True): PemLabel.AUDIO_VISUAL,
-    (True, True, True): Discard(DiscardReason.TRIVIALLY_EASY),
-    (False, False, False): Discard(DiscardReason.UNSOLVABLE),
+    (True, True, True): DiscardReason.TRIVIALLY_EASY,
+    (False, False, False): DiscardReason.UNSOLVABLE,
 }
-_CONTRADICTORY = Discard(DiscardReason.CONTRADICTORY)
 
 
-def decide_pem(solvable_a: bool, solvable_v: bool, solvable_av: bool) -> PemLabel | Discard:
+def decide_pem(solvable_a: bool, solvable_v: bool, solvable_av: bool) -> PemLabel | DiscardReason:
     """Total decision over the 8 solvability patterns.
 
     Labels require the audio+video setting to be solvable; patterns where a
@@ -273,7 +259,7 @@ def decide_pem(solvable_a: bool, solvable_v: bool, solvable_av: bool) -> PemLabe
     reading of (1,1,0)); all-solvable carries no modality signal and
     nothing-solvable is unusable.
     """
-    return _DECISIONS.get((solvable_a, solvable_v, solvable_av), _CONTRADICTORY)
+    return _DECISIONS.get((solvable_a, solvable_v, solvable_av), DiscardReason.CONTRADICTORY)
 
 
 # --- Batch annotation ---------------------------------------------------------
@@ -354,6 +340,7 @@ def annotate(
         except _RECORDED_FAILURES as exc:
             return {"id": instance.id, "error": str(exc)}
 
+    # Not a one-worker pool: that measured 2-4x fewer annotate items/s.
     if cfg.parallelism == 1:
         results = list(map(guarded, dataset))
     else:
@@ -372,7 +359,7 @@ def annotate(
             label_counts[record.decision.value] += 1
             labeled.append(labeled_export(instance, record, av_cot))
         else:
-            discard_counts[record.decision.reason.value] += 1
+            discard_counts[record.decision.value] += 1
 
     stats = PipelineStats(
         total=len(dataset),
@@ -397,7 +384,7 @@ def labeled_export(instance: Instance, record: PemRecord, cot: str) -> dict:
                   "video_ref": instance.media.video_ref},
         "gold_answer": instance.gold_answer,
         "pem": record.decision.value,
-        "evidence": {s.value: record.settings[s].to_dict() for s in ProbeSetting},
+        "evidence": record.to_dict()["settings"],
         "cot": cot,
     }
     if instance.choices is not None:
@@ -474,7 +461,7 @@ class MockCotSampler:
                  f"Attempt {k}: speculative {setting.value} reading of "
                  f"{instance.id} with no firm evidence.")
                 for k in range(n))
-        return SampleSet(setting=setting, samples=samples)
+        return SampleSet(samples)
 
 
 class HashEmbedder:
@@ -576,14 +563,10 @@ class _Endpoint:
         raise self.error(f"{what}: {last_error}")
 
 
-def load_prompt_template(setting: ProbeSetting) -> str:
-    """Editable prompt fixture for one probe setting."""
-    return resources.files("sffuse").joinpath(
-        "prompts", _PROMPT_FILES[setting]).read_text(encoding="utf-8")
-
-
 def build_probe_prompt(instance: Instance, setting: ProbeSetting) -> str:
-    template = load_prompt_template(setting)
+    """The setting's editable prompt fixture, filled in for ``instance``."""
+    template = resources.files("sffuse").joinpath(
+        "prompts", _PROMPT_FILES[setting]).read_text(encoding="utf-8")
     if instance.choices:
         choices_block = "Choices: " + " | ".join(instance.choices)
     else:
@@ -624,8 +607,6 @@ class HttpSampler(_Endpoint):
         return media
 
     def sample(self, instance: Instance, setting: ProbeSetting, n: int) -> SampleSet:
-        if n < 2:
-            raise ValueError("n must be >= 2")
         payload = {
             "model": self.endpoint.model,
             "messages": [
@@ -651,7 +632,7 @@ class HttpSampler(_Endpoint):
                 raise SamplingError(
                     f"malformed completion for {instance.id}/{setting.value}") from exc
             samples.append(parse_completion(str(content)))
-        return SampleSet(setting=setting, samples=tuple(samples))
+        return SampleSet(tuple(samples))
 
 
 class HttpEmbedder(_Endpoint):

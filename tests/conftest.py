@@ -470,7 +470,7 @@ class ScriptedSampler:
         key = (instance.id, setting)
         if key not in self._script:
             raise SamplingError(f"no scripted samples for {key}")
-        return SampleSet(setting=setting, samples=tuple(self._script[key][:n]))
+        return SampleSet(samples=tuple(self._script[key][:n]))
 
 
 def write_trace_records(path, records: Iterable[tuple[str, str]]) -> None:

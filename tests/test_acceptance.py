@@ -23,7 +23,7 @@ from sffuse.attention_core import (
 from sffuse.cli import main
 from sffuse.config import AppConfig
 from sffuse.mask_engine import TokenLayout, build_composite, incremental_row
-from sffuse.pem_pipeline import Discard, DiscardReason, PipelineConfig, decide_pem
+from sffuse.pem_pipeline import DiscardReason, PipelineConfig, decide_pem
 from sffuse.rl_core import (
     GrpoConfig,
     RewardConfig,
@@ -201,11 +201,11 @@ def test_acceptance_7_pem_decision_totality_and_golden(tmp_path) -> None:
         (True, False, True): PemLabel.AUDIO,
         (False, True, True): PemLabel.VISUAL,
         (False, False, True): PemLabel.AUDIO_VISUAL,
-        (True, True, True): Discard(DiscardReason.TRIVIALLY_EASY),
-        (True, True, False): Discard(DiscardReason.CONTRADICTORY),
-        (True, False, False): Discard(DiscardReason.CONTRADICTORY),
-        (False, True, False): Discard(DiscardReason.CONTRADICTORY),
-        (False, False, False): Discard(DiscardReason.UNSOLVABLE),
+        (True, True, True): DiscardReason.TRIVIALLY_EASY,
+        (True, True, False): DiscardReason.CONTRADICTORY,
+        (True, False, False): DiscardReason.CONTRADICTORY,
+        (False, True, False): DiscardReason.CONTRADICTORY,
+        (False, False, False): DiscardReason.UNSOLVABLE,
     }
     seen_labels = 0
     for pattern in itertools.product([False, True], repeat=3):

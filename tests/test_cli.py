@@ -45,11 +45,29 @@ def test_annotate_mock_matches_golden(tmp_path, capsys) -> None:
 
 
 def test_annotate_missing_input(tmp_path, capsys) -> None:
-    code = main(["annotate", "--in", str(tmp_path / "absent.jsonl"),
-                 "--out", str(tmp_path / "o.jsonl"), "--mock"])
-    err = capsys.readouterr().err
-    assert code == 1
-    assert "not found" in err
+    absent = tmp_path / "absent.jsonl"
+    code = main(["annotate", "--in", str(absent), "--out", str(tmp_path / "o.jsonl"), "--mock"])
+    err = assert_one_error_line(code, capsys.readouterr().err)
+    assert "No such file or directory" in err and str(absent) in err
+
+
+def test_annotate_text_summary_bytes(tmp_path, capsys) -> None:
+    out = tmp_path / "labeled.jsonl"
+    code, stdout = run(capsys, "annotate", "--in", str(DATA / "instances_12.jsonl"),
+                       "--out", str(out), "--mock")
+    assert code == 0
+    assert stdout == f"labeled 6 / 12 instances (6 discarded, 0 failed) -> {out}\n"
+
+
+def test_annotate_rejects_an_embedder_temperature(tmp_path, capsys) -> None:
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"pipeline": {"embedder_endpoint": {"temperature": 0.5}}}),
+                      encoding="utf-8")
+    code = main(["annotate", "--in", str(DATA / "instances_12.jsonl"),
+                 "--out", str(tmp_path / "o.jsonl"), "--mock", "--config", str(config)])
+    err = assert_one_error_line(code, capsys.readouterr().err)
+    assert err.startswith(f"error: {config}: config.pipeline.embedder_endpoint.temperature ")
+    assert not (tmp_path / "o.jsonl").exists()
 
 
 def test_annotate_invalid_config(tmp_path, capsys) -> None:
@@ -162,6 +180,17 @@ def test_validate_mixed_hand_computed_means(capsys) -> None:
     assert summary["mean_stage2"] == pytest.approx(0.6)
     assert summary["mean_mps"] == pytest.approx(0.5)
     assert summary["mean_acc"] == pytest.approx(0.5)
+
+
+@pytest.mark.parametrize("name, line", [
+    ("mixed", "4 traces: mean_mps=0.5000 mean_acc=0.5000 mean_stage2=0.6000\n"),
+    ("diagnostics", "20 traces: mean_mps=0.1500 mean_acc=0.1500 mean_stage2=0.1800\n"),
+])
+def test_validate_text_summary_bytes(capsys, name, line) -> None:
+    code, stdout = run(capsys, "validate", "--traces", str(DATA / f"traces_{name}.jsonl"),
+                       "--labels", str(DATA / f"labels_{name}.jsonl"))
+    assert code == 0
+    assert stdout == line
 
 
 def test_validate_diagnostics_match_golden(tmp_path, capsys) -> None:
@@ -513,6 +542,26 @@ def test_grpo_step_text_output(capsys) -> None:
     assert "objective=0.000000" in stdout
 
 
+def test_grpo_step_text_output_bytes(tmp_path, capsys) -> None:
+    rollouts = tmp_path / "rollouts.jsonl"
+    rollouts.write_text(
+        '{"group_id": "g1", "rewards": [1, 0], "logp_new": [-1.0, -2.0], '
+        '"logp_old": [-1.25, -1.5], "logp_ref": [-1.0, -2.5]}\n'
+        '{"group_id": "g2", "rewards": [0.5, 0.5, 2], "logp_new": [-1, -1, -1], '
+        '"logp_old": [-1, -1, -1], "logp_ref": [-1, -1, -1]}\n', encoding="utf-8")
+    code, stdout = run(capsys, "grpo-step", "--rollouts", str(rollouts))
+    assert code == 0
+    assert stdout == (
+        "group g1: objective=0.199467 kl=0.053265\n"
+        "  advantages      = [0.9999999800000006, -0.9999999800000006]\n"
+        "  ratios          = [1.2840254166877414, 0.6065306597126334]\n"
+        "  surrogate_terms = [1.1999999760000006, -0.7999999840000005]\n"
+        "group g2: objective=0.000000 kl=0.000000\n"
+        "  advantages      = [-0.7071067741154798, -0.7071067741154798, 1.4142135482309597]\n"
+        "  ratios          = [1.0, 1.0, 1.0]\n"
+        "  surrogate_terms = [-0.7071067741154798, -0.7071067741154798, 1.4142135482309597]\n")
+
+
 def test_grpo_step_rejects_bad_alpha(capsys) -> None:
     code = main(["grpo-step", "--rollouts", str(DATA / "rollouts_equal.jsonl"),
                  "--alpha", "7"])
@@ -729,6 +778,17 @@ def test_leakage_without_mask_positive(capsys) -> None:
     assert code == 0
     payload = json.loads(stdout)
     assert payload["direct_leakage"] > 0.0
+
+
+@pytest.mark.parametrize("flags, line", [
+    ([], "seed 1 (with asymmetric mask): direct_leakage=0.0 blocked_pair_mass=0.0\n"),
+    (["--no-maam"], "seed 1 (causal only): direct_leakage=0.39225480625519427 "
+                    "blocked_pair_mass=14.121173025186994\n"),
+])
+def test_leakage_text_output_bytes(capsys, flags, line) -> None:
+    code, stdout = run(capsys, "leakage", "--seed", "1", *flags)
+    assert code == 0
+    assert stdout == line
 
 
 def test_leakage_negative_seed_is_one_error_line(capsys) -> None:

@@ -101,6 +101,14 @@ def test_endpoint_config_rejects_values_the_client_cannot_use(values, message) -
     assert EndpointConfig(retries=0, timeout=1e-3).retries == 0
 
 
+@pytest.mark.parametrize("value", [1.0, 0.0, "hot", None])
+def test_embedder_temperature_rejected_whatever_its_value(value) -> None:
+    # The embedder sends only {model, input}; a temperature there changes nothing.
+    with pytest.raises(ConfigError) as info:
+        config_from_dict({"pipeline": {"embedder_endpoint": {"temperature": value}}})
+    assert str(info.value).startswith("config.pipeline.embedder_endpoint.temperature ")
+
+
 def test_missing_or_invalid_file(tmp_path) -> None:
     with pytest.raises(ConfigError, match="cannot read"):
         load_config(tmp_path / "absent.json")

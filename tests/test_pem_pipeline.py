@@ -10,9 +10,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import ScriptedSampler, reference_consistency, reference_hash_vector
+from sffuse.config import config_from_dict
 from sffuse.normalize import answers_match
 from sffuse.pem_pipeline import (
-    Discard,
     DiscardReason,
     EmbeddingError,
     EmptyDatasetError,
@@ -52,8 +52,8 @@ def make_instance(instance_id="x1", gold="collie", marker=""):
     )
 
 
-def sample_set(answers_and_cots, setting=ProbeSetting.A):
-    return SampleSet(setting=setting, samples=tuple(answers_and_cots))
+def sample_set(answers_and_cots):
+    return SampleSet(samples=tuple(answers_and_cots))
 
 
 # --- accuracy -----------------------------------------------------------------
@@ -253,11 +253,11 @@ DECISION_TABLE = {
     (True, False, True): PemLabel.AUDIO,
     (False, True, True): PemLabel.VISUAL,
     (False, False, True): PemLabel.AUDIO_VISUAL,
-    (True, True, True): Discard(DiscardReason.TRIVIALLY_EASY),
-    (True, True, False): Discard(DiscardReason.CONTRADICTORY),
-    (True, False, False): Discard(DiscardReason.CONTRADICTORY),
-    (False, True, False): Discard(DiscardReason.CONTRADICTORY),
-    (False, False, False): Discard(DiscardReason.UNSOLVABLE),
+    (True, True, True): DiscardReason.TRIVIALLY_EASY,
+    (True, True, False): DiscardReason.CONTRADICTORY,
+    (True, False, False): DiscardReason.CONTRADICTORY,
+    (False, True, False): DiscardReason.CONTRADICTORY,
+    (False, False, False): DiscardReason.UNSOLVABLE,
 }
 
 
@@ -293,12 +293,12 @@ def test_annotate_fixture_realizes_all_patterns() -> None:
     assert decisions["i01"] == PemLabel.AUDIO
     assert decisions["i02"] == PemLabel.VISUAL
     assert decisions["i03"] == PemLabel.AUDIO_VISUAL
-    assert decisions["i04"] == Discard(DiscardReason.TRIVIALLY_EASY)
-    assert decisions["i05"] == Discard(DiscardReason.CONTRADICTORY)
-    assert decisions["i06"] == Discard(DiscardReason.CONTRADICTORY)
-    assert decisions["i07"] == Discard(DiscardReason.CONTRADICTORY)
-    assert decisions["i08"] == Discard(DiscardReason.UNSOLVABLE)
-    assert decisions["i12"] == Discard(DiscardReason.TRIVIALLY_EASY)
+    assert decisions["i04"] == DiscardReason.TRIVIALLY_EASY
+    assert decisions["i05"] == DiscardReason.CONTRADICTORY
+    assert decisions["i06"] == DiscardReason.CONTRADICTORY
+    assert decisions["i07"] == DiscardReason.CONTRADICTORY
+    assert decisions["i08"] == DiscardReason.UNSOLVABLE
+    assert decisions["i12"] == DiscardReason.TRIVIALLY_EASY
     assert result.stats.labeled == 6
     assert result.stats.label_counts == {"Audio": 2, "Visual": 2, "Audio-Visual": 2}
     assert result.stats.discard_counts == {
@@ -335,7 +335,7 @@ def test_annotate_duplicate_ids_rejected() -> None:
 def test_annotate_all_identical_samples_all_trivially_easy() -> None:
     dataset = [make_instance(f"t{i}") for i in range(3)]  # no marker: all solve
     result = annotate(dataset, MockCotSampler(), HashEmbedder(), PipelineConfig())
-    assert all(r.decision == Discard(DiscardReason.TRIVIALLY_EASY)
+    assert all(r.decision == DiscardReason.TRIVIALLY_EASY
                for r in result.records)
     assert result.stats.labeled == 0
 
@@ -487,6 +487,20 @@ def test_http_sampler_parses_recorded_stub() -> None:
                                         "video_ref": "mock://video/x1"}
     assert seen["headers"]["Authorization"] == "Bearer sekrit"
     assert "What animal is barking?" in seen["payload"]["messages"][0]["content"]
+
+
+def test_http_sampler_sends_the_configured_temperature() -> None:
+    endpoint = config_from_dict(
+        {"pipeline": {"endpoint": {"base_url": "http://x/chat", "temperature": 0.7}}}
+    ).pipeline.endpoint
+    seen = {}
+
+    def transport(url, payload, headers, timeout):
+        seen.update(payload)
+        return recorded_response()
+
+    HttpSampler(endpoint, transport=transport).sample(make_instance(), ProbeSetting.A, 2)
+    assert seen["temperature"] == 0.7
 
 
 def test_http_sampler_setting_controls_forwarded_media() -> None:
