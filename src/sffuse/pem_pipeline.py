@@ -24,7 +24,7 @@ import re
 import urllib.error
 import urllib.request
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
 from typing import Callable, Iterable, Mapping, Protocol, Sequence
@@ -124,11 +124,14 @@ class PemRecord:
             decision = {"kind": "label", "label": self.decision.value}
         else:
             decision = {"kind": "discard", "reason": self.decision.value}
-        return {
-            "id": self.instance_id,
-            "settings": {s.value: asdict(self.settings[s]) for s in ProbeSetting},
-            "decision": decision,
-        }
+        # Spelled out: ``asdict`` deep-copies every field, on annotate's hot path.
+        settings = {}
+        for setting in ProbeSetting:
+            record = self.settings[setting]
+            settings[setting.value] = {"accuracy_rate": record.accuracy_rate,
+                                       "consistency": record.consistency,
+                                       "solvable": record.solvable}
+        return {"id": self.instance_id, "settings": settings, "decision": decision}
 
 
 @dataclass(frozen=True)
@@ -211,12 +214,13 @@ def _unit_rows(texts: Sequence[str], embedder: TextEmbedder) -> np.ndarray:
     return (vectors / norms)[[row_of[text] for text in texts]]
 
 
-def _mean_pair_cosines(blocks: np.ndarray) -> list[float]:
+def _mean_pair_cosines(blocks: np.ndarray,
+                       pairs: tuple[np.ndarray, np.ndarray]) -> list[float]:
     """Per block of a (blocks, n, dim) stack of unit rows, the mean dot over
-    all unordered row pairs. Each pair's product is summed on its own (no
-    Gram matrix, whose BLAS rounding differs), and fsum makes each mean
-    exactly permutation-invariant."""
-    first, second = np.triu_indices(blocks.shape[1], k=1)
+    all unordered row pairs, given as ``np.triu_indices(n, 1)``. Each pair's
+    product is summed on its own (no Gram matrix, whose BLAS rounding
+    differs), and fsum makes each mean exactly permutation-invariant."""
+    first, second = pairs
     dots = (blocks[:, first] * blocks[:, second]).sum(axis=2)
     return [math.fsum(row) / len(row) for row in dots]
 
@@ -231,7 +235,8 @@ def consistency(cot_texts: Sequence[str], embedder: TextEmbedder) -> float:
     """
     if len(cot_texts) < 2:
         raise ValueError("consistency needs at least 2 texts")
-    return _mean_pair_cosines(_unit_rows(cot_texts, embedder)[None])[0]
+    pairs = np.triu_indices(len(cot_texts), k=1)
+    return _mean_pair_cosines(_unit_rows(cot_texts, embedder)[None], pairs)[0]
 
 
 def solvable(accuracy: float, cot_consistency: float, cfg: PipelineConfig) -> bool:
@@ -306,6 +311,7 @@ def annotate(
     ids = [inst.id for inst in dataset]
     if len(set(ids)) != len(ids):
         raise ValueError("instance ids must be unique within a dataset")
+    pairs = np.triu_indices(cfg.n, k=1)  # only read, so the threads share it
 
     def process(instance: Instance) -> tuple[PemRecord, str]:
         sample_sets: dict[ProbeSetting, SampleSet] = {}
@@ -320,7 +326,8 @@ def annotate(
         unit = _unit_rows(
             [cot for samples in sample_sets.values() for cot in samples.cot_texts],
             embedder)
-        cons_per_setting = _mean_pair_cosines(unit.reshape(len(sample_sets), cfg.n, -1))
+        cons_per_setting = _mean_pair_cosines(
+            unit.reshape(len(sample_sets), cfg.n, -1), pairs)
         per_setting: dict[ProbeSetting, SolvabilityRecord] = {}
         for (setting, samples), cons in zip(sample_sets.items(), cons_per_setting):
             acc = accuracy_rate(samples, instance.gold_answer)
@@ -477,18 +484,31 @@ class HashEmbedder:
     """
 
     def __init__(self, dim: int = 32):
+        if isinstance(dim, bool) or not isinstance(dim, int):
+            raise ValueError(f"dim must be an int, not {type(dim).__name__}")
         if dim < 2:
             raise ValueError("dim must be >= 2")
         self.dim = dim
+        # The hash state after each counter's "{counter}:" prefix. ``embed``
+        # copies them and never updates them, so threads can share them.
+        self._prefixes = tuple(
+            hashlib.sha256(f"{counter}:".encode()) for counter in range(-(-dim // 4)))
 
     def embed(self, texts: Sequence[str]) -> np.ndarray:
-        # Each SHA-256 digest gives four big-endian 64-bit words, each mapped
-        # to [-1, 1] as word / 2**63 - 1 (exact: the scale is a power of two).
-        digests = -(-self.dim // 4)
-        raw = b"".join(hashlib.sha256(f"{counter}:{text}".encode()).digest()
-                       for text in texts for counter in range(digests))
-        vectors = np.frombuffer(raw, dtype=">u8").reshape(
-            len(texts), 4 * digests)[:, :self.dim] / 2.0 ** 63 - 1.0
+        # Each SHA-256 digest of "{counter}:{text}" gives four big-endian
+        # 64-bit words, each mapped to [-1, 1] as word / 2**63 - 1 (exact: the
+        # scale is a power of two).
+        digests = []
+        for text in texts:
+            # Encoded inside the counter-0 message and sliced, so an
+            # unencodable text's error counts the same two prefix bytes.
+            data = f"0:{text}".encode()[2:]
+            for prefix in self._prefixes:
+                state = prefix.copy()
+                state.update(data)
+                digests.append(state.digest())
+        vectors = np.frombuffer(b"".join(digests), dtype=">u8").reshape(
+            len(texts), 4 * len(self._prefixes))[:, :self.dim] / 2.0 ** 63 - 1.0
         # Row by row, not norm(axis=1), einsum or a Gram matrix: those round
         # differently from the 1-D dot, and the goldens pin its bytes.
         norms = np.array([math.sqrt(row.dot(row)) for row in vectors])

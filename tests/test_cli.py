@@ -343,6 +343,23 @@ def test_annotate_string_fields_are_not_coerced(tmp_path, capsys) -> None:
     assert not (tmp_path / "o.jsonl").exists()
 
 
+def test_annotate_unencodable_text_is_a_recorded_failure(tmp_path, capsys) -> None:
+    # A lone surrogate cannot be UTF-8 encoded for hashing; the position in
+    # the recorded message counts the embedder's "0:" prefix bytes.
+    dataset = tmp_path / "instances.jsonl"
+    dataset.write_text('{"id": "u1", "question": "What barks? solvable=A,AV", '
+                       '"gold_answer": "dog\\ud800"}\n', encoding="utf-8")
+    out = tmp_path / "labeled.jsonl"
+    code = main(["annotate", "--in", str(dataset), "--out", str(out), "--mock"])
+    assert_one_error_line(code, capsys.readouterr().err)
+    assert (tmp_path / "labeled.jsonl.stats.json").read_text(encoding="utf-8") == (
+        '{"discard_counts": {"Ambiguous": 0, "Contradictory": 0, "TriviallyEasy": 0, '
+        '"Unsolvable": 0}, "discarded": 0, "failed": 1, "failures": [{"error": '
+        '"\'utf-8\' codec can\'t encode character \'\\\\ud800\' in position 67: '
+        'surrogates not allowed", "id": "u1"}], "label_counts": {"Audio": 0, '
+        '"Audio-Visual": 0, "Visual": 0}, "labeled": 0, "total": 1}\n')
+
+
 def test_annotate_without_labels_says_why(tmp_path, capsys) -> None:
     dataset = tmp_path / "instances.jsonl"
     dataset.write_text('{"id": "a", "question": "q [solvable=none]", "gold_answer": "x"}\n',

@@ -2,6 +2,7 @@ import http.client
 import itertools
 import math
 import urllib.error
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
@@ -23,10 +24,12 @@ from sffuse.pem_pipeline import (
     Instance,
     MediaRefs,
     MockCotSampler,
+    PemRecord,
     PipelineConfig,
     ProbeSetting,
     SampleSet,
     SamplingError,
+    SolvabilityRecord,
     accuracy_rate,
     annotate,
     build_probe_prompt,
@@ -167,6 +170,26 @@ def test_hash_embedder_empty_batch(dim) -> None:
 
 
 @pytest.mark.parametrize("dim", HASH_DIMS)
+def test_hash_embedder_reused_across_batches(dim) -> None:
+    # One embedder serves every call; a hash prefix state updated in place
+    # would leak one batch's text into the next batch's vectors. Dim 64 also
+    # covers counters 10-15, whose prefixes are three bytes long.
+    embedder = HashEmbedder(dim)
+    first, second = ["same", "Ünïcødé 🐕 音声", ""], ["a\nb", "same"]
+    for texts in (first, [], second, first):
+        got = embedder.embed(texts)
+        assert got.shape == (len(texts), dim)
+        for row, text in zip(got, texts):
+            assert row.tobytes() == reference_hash_vector(text, dim).tobytes()
+
+
+@pytest.mark.parametrize("dim", [2.5, 32.0, True, "32", None, np.float64(8)])
+def test_hash_embedder_rejects_a_dim_that_is_not_an_int(dim) -> None:
+    with pytest.raises(ValueError, match="^dim must be an int, not "):
+        HashEmbedder(dim)
+
+
+@pytest.mark.parametrize("dim", HASH_DIMS)
 @settings(max_examples=40, deadline=None)
 @given(texts=st.lists(st.sampled_from(TEXT_POOL) | st.text(max_size=12),
                       min_size=2, max_size=10))
@@ -274,6 +297,26 @@ def test_decide_pem_total_and_labels_require_av() -> None:
             labels += 1
             assert pattern[2] is True  # no label when AV unsolvable
     assert labels == 3
+
+
+solvability_records = st.builds(
+    SolvabilityRecord, st.floats(allow_nan=False), st.floats(allow_nan=False), st.booleans())
+
+
+@settings(max_examples=50, deadline=None)
+@given(records=st.tuples(solvability_records, solvability_records, solvability_records),
+       decision=st.sampled_from([*PemLabel, *DiscardReason]))
+def test_pem_record_settings_dict_matches_its_dataclass(records, decision) -> None:
+    # The settings dict is spelled out field by field; a field added to
+    # SolvabilityRecord must show up in it, not be silently dropped.
+    record = PemRecord("r1", dict(zip(ProbeSetting, records)), decision)
+    settings_out = record.to_dict()["settings"]
+    assert list(settings_out) == [setting.value for setting in ProbeSetting]
+    for setting, solvability in zip(ProbeSetting, records):
+        row = settings_out[setting.value]
+        assert set(row) == {f.name for f in fields(SolvabilityRecord)}
+        assert row == asdict(solvability)
+        assert list(row) == list(asdict(solvability))
 
 
 # --- annotate ------------------------------------------------------------------------
