@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -83,9 +83,8 @@ class AttentionInputs:
     def weights(self) -> AttentionWeights:
         """Softmax of the scaled logits over visible cells, built in one
         L x L buffer: the row max and ``exp`` read visible cells only, and
-        blocked cells are then set to exactly 0. Raises ValueError when a
-        row's logits overflow."""
-        _check_rows_visible(self.mask)
+        blocked cells are then set to exactly 0. A row with no visible cell
+        raises FullyBlockedRowError, a row whose logits overflow ValueError."""
         visible = self.mask.visible
         with np.errstate(over="ignore", invalid="ignore"):
             w = self.q @ self.k.T
@@ -94,8 +93,12 @@ class AttentionInputs:
             np.exp(w, out=w, where=visible)
             np.copyto(w, 0.0, where=~visible)
             row_sums = w.sum(axis=1, keepdims=True)
-        # A row's largest cell is exp(0) = 1, so a sound row sums to >= 1;
-        # an overflowed logit turns its row's sum into NaN.
+        # A visible row's largest cell is exp(0) = 1, so a sound row sums to
+        # >= 1; a row with no visible cell sums to exactly 0, and an
+        # overflowed logit turns its row's sum into NaN.
+        blocked = np.flatnonzero(row_sums == 0.0)
+        if blocked.size:
+            raise FullyBlockedRowError(f"mask rows fully blocked: {blocked.tolist()}")
         bad = np.flatnonzero(~(row_sums >= 1.0))
         if bad.size:
             raise ValueError(f"attention logits overflow in row {bad[0]}")
@@ -126,12 +129,6 @@ class AttentionWeights:
         weights = object.__new__(cls)
         object.__setattr__(weights, "matrix", matrix)
         return weights
-
-
-def _check_rows_visible(mask: MaskMatrix) -> None:
-    rows = np.nonzero(~mask.visible.any(axis=1))[0]
-    if rows.size:
-        raise FullyBlockedRowError(f"mask rows fully blocked: {rows.tolist()}")
 
 
 def masked_attention(inputs: AttentionInputs) -> tuple[np.ndarray, AttentionWeights]:
@@ -221,8 +218,8 @@ def gradient_check(
 
 @dataclass(frozen=True)
 class AllocationReport:
-    """Normalized attention mass from a query span into the audio vs. visual
-    reasoning spans, per layer and aggregated over the window."""
+    """Normalized attention mass from the summary span into the audio vs.
+    visual reasoning spans, per layer and aggregated over the window."""
 
     window: int
     audio_fraction: float
@@ -240,15 +237,13 @@ def _as_layer_matrix(layer: AttentionWeights | np.ndarray) -> np.ndarray:
 def attention_allocation(
     weights_per_layer: Sequence,
     layout: TokenLayout,
-    query_span: Iterable[int] | None = None,
     last_k: int = DEFAULT_ALLOCATION_WINDOW,
 ) -> AllocationReport:
     """Fraction of attention mass flowing to audio vs. visual reasoning.
 
-    Sums, over the final ``last_k`` layers, the attention mass from
-    ``query_span`` rows (default: the layout's summary span) into the inner
-    audio-reasoning and visual-reasoning columns, then normalizes the pair
-    to sum to 1. Layers with no mass into either span report ``None``.
+    Sums, over the final ``last_k`` layers, the attention mass from the
+    layout's summary-span rows into the inner audio-reasoning and
+    visual-reasoning columns, then normalizes the pair to sum to 1. Layers with no mass into either span report ``None``.
     Every layer in the window must be L x L for the layout's length L.
     """
     if last_k < 1 or last_k > len(weights_per_layer):
@@ -260,12 +255,9 @@ def attention_allocation(
             raise ValueError(
                 f"layer[-{last_k - idx}] weights have shape {list(matrix.shape)}, "
                 f"the layout needs {list(square)}")
-    rows = sorted(query_span) if query_span is not None else sorted(layout.summary_span)
+    rows = sorted(layout.summary_span)
     if not rows:
         raise ValueError("query span is empty and layout has no summary span")
-    if rows[0] < 0 or rows[-1] >= layout.length:
-        outside = [r for r in rows if not 0 <= r < layout.length]
-        raise ValueError(f"query span rows {outside} out of range [0, {layout.length})")
     audio_cols = sorted(layout.audio_reasoning)
     visual_cols = sorted(layout.visual_reasoning)
 
@@ -273,8 +265,8 @@ def attention_allocation(
     audio_total = 0.0
     visual_total = 0.0
     for matrix in matrices:
-        audio_mass = float(matrix[np.ix_(rows, audio_cols)].sum()) if audio_cols else 0.0
-        visual_mass = float(matrix[np.ix_(rows, visual_cols)].sum()) if visual_cols else 0.0
+        audio_mass = float(matrix[np.ix_(rows, audio_cols)].sum())
+        visual_mass = float(matrix[np.ix_(rows, visual_cols)].sum())
         audio_total += audio_mass
         visual_total += visual_mass
         layer_total = audio_mass + visual_mass

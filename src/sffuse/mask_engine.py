@@ -13,7 +13,7 @@ semantics are realized by the attention core at softmax time.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import cached_property
 from pathlib import Path
 from types import MappingProxyType
@@ -29,15 +29,6 @@ class LayoutError(ValueError):
     """A token layout violates one of its invariants."""
 
 
-ROLE_NAMES = (
-    "video_input",
-    "audio_input",
-    "visual_reasoning",
-    "audio_reasoning",
-    "visual_span",
-    "summary_span",
-)
-
 # (query role, key role): queries in the first role never see keys in the second.
 BLOCKED_ROLE_PAIRS = (
     ("visual_reasoning", "audio_input"),
@@ -52,8 +43,8 @@ class TokenLayout:
 
     Each role takes any iterable of positions, such as a ``range``, and is
     held as a frozenset. ``summary_span`` is not a masking role; it is
-    carried so downstream attention-allocation reports can default their
-    query span to the summary tokens.
+    carried so attention-allocation reports can read their query rows from
+    the summary tokens.
     """
 
     length: int
@@ -65,12 +56,11 @@ class TokenLayout:
     summary_span: frozenset[int] = frozenset()
 
     def __post_init__(self) -> None:
-        for name in ROLE_NAMES:
-            object.__setattr__(self, name, frozenset(getattr(self, name)))
         if self.length < 1:
             raise LayoutError("length must be >= 1")
         for name in ROLE_NAMES:
-            indices = getattr(self, name)
+            indices = frozenset(getattr(self, name))
+            object.__setattr__(self, name, indices)
             if indices and (min(indices) < 0 or max(indices) >= self.length):
                 raise LayoutError(f"{name} index out of range [0, {self.length})")
         if self.video_input & self.audio_input:
@@ -104,24 +94,25 @@ class TokenLayout:
     def _row_table(self) -> tuple[np.ndarray, np.ndarray]:
         """Visible keys per query position, stated once from ``BLOCKED_ROLE_PAIRS``.
 
-        Returns ``(table, codes)``: one length-L row of visible keys for each
-        distinct set of rules that some query position triggers, and each
-        position's index into those rows. Causality is not applied; a
+        Returns ``(table, codes)``: ``codes[i]`` is the set of rules position i
+        triggers as a query (bit b for rule b of ``BLOCKED_ROLE_PAIRS``), and
+        row c of ``table`` holds the keys visible under rule set c, for all
+        ``1 << len(BLOCKED_ROLE_PAIRS)`` sets. Causality is not applied; a
         caller keeps keys ``<= i`` of row ``codes[i]``. Both are read-only.
         """
         flags = self.role_flags
-        triggered = np.zeros(self.length, dtype=np.intp)
-        for bit, (query, _) in enumerate(BLOCKED_ROLE_PAIRS):
-            triggered[flags[query]] |= 1 << bit
-        rule_sets, codes = np.unique(triggered, return_inverse=True)
+        rule_sets = np.arange(1 << len(BLOCKED_ROLE_PAIRS))
+        codes = np.zeros(self.length, dtype=np.intp)
         table = np.ones((rule_sets.size, self.length), dtype=bool)
-        for row, rules in zip(table, rule_sets.tolist()):
-            for bit, (_, key) in enumerate(BLOCKED_ROLE_PAIRS):
-                if rules >> bit & 1:
-                    row &= ~flags[key]
+        for bit, (query, key) in enumerate(BLOCKED_ROLE_PAIRS):
+            codes[flags[query]] |= 1 << bit
+            table[rule_sets >> bit & 1 == 1] &= ~flags[key]
         table.setflags(write=False)
         codes.setflags(write=False)
         return table, codes
+
+
+ROLE_NAMES = tuple(f.name for f in fields(TokenLayout) if f.name != "length")
 
 
 @dataclass(frozen=True, eq=False)
@@ -154,9 +145,7 @@ class MaskMatrix:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, MaskMatrix):
             return NotImplemented
-        return self.visible.shape == other.visible.shape and bool(
-            np.array_equal(self.visible, other.visible)
-        )
+        return bool(np.array_equal(self.visible, other.visible))
 
     def __hash__(self) -> int:
         return hash((self.length, self.visible.tobytes()))

@@ -193,6 +193,9 @@ def accuracy_rate(samples: SampleSet, gold: str) -> float:
     return hits / len(samples.samples)
 
 
+_NORM_FLOOR = math.sqrt(np.finfo(float).tiny)
+
+
 def _unit_rows(texts: Sequence[str], embedder: TextEmbedder) -> np.ndarray:
     """Embed each distinct text once, in first-seen order, and return one
     unit-length row per entry of ``texts``; identical texts share a row."""
@@ -202,14 +205,18 @@ def _unit_rows(texts: Sequence[str], embedder: TextEmbedder) -> np.ndarray:
         raise ValueError("embedder must return one vector per text")
     if not np.isfinite(vectors).all():
         raise ValueError("embedder returned non-finite values")
-    # Finite rows can still square past the float range; such a norm is inf
-    # and would scale its row to zeros.
     with np.errstate(over="ignore"):
         norms = np.linalg.norm(vectors, axis=1, keepdims=True)
-    if not np.isfinite(norms).all():
-        raise ValueError("embedder returned a vector whose norm overflows")
-    if (norms == 0).any():
-        raise ValueError("embedder returned a zero vector")
+    # A norm below sqrt(tiny), the smallest normal float, has lost bits to
+    # subnormal squares, and an infinite one overflowed; such a row is first
+    # divided by its largest |entry|. Other rows are divided by 1 (exact).
+    extreme = (norms < _NORM_FLOOR) | (norms == np.inf)
+    if extreme.any():
+        peaks = np.abs(vectors).max(axis=1, keepdims=True, initial=0.0)
+        if not peaks.all():
+            raise ValueError("embedder returned a zero vector")
+        vectors = vectors / np.where(extreme, peaks, 1.0)
+        norms = np.linalg.norm(vectors, axis=1, keepdims=True)
     row_of = {text: k for k, text in enumerate(distinct)}
     return (vectors / norms)[[row_of[text] for text in texts]]
 
@@ -512,9 +519,6 @@ class HashEmbedder:
         # Row by row, not norm(axis=1), einsum or a Gram matrix: those round
         # differently from the 1-D dot, and the goldens pin its bytes.
         norms = np.array([math.sqrt(row.dot(row)) for row in vectors])
-        zero = norms == 0.0
-        vectors[zero, 0] = 1.0
-        norms[zero] = 1.0
         return vectors / norms[:, None]
 
 

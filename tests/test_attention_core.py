@@ -114,10 +114,22 @@ def test_fully_blocked_row_rejected() -> None:
     visible = np.ones((2, 2), dtype=bool)
     visible[1] = False
     inputs_mask = MaskMatrix(visible)
-    with pytest.raises(FullyBlockedRowError):
+    with pytest.raises(FullyBlockedRowError, match=r"^mask rows fully blocked: \[1\]$"):
         masked_attention(AttentionInputs(
             q=np.zeros((2, 2)), k=np.zeros((2, 2)), v=np.zeros((2, 2)),
             mask=inputs_mask))
+
+
+def test_fully_blocked_rows_are_named_before_an_overflow() -> None:
+    # Row 0's logits overflow; rows 1 and 3 see no key, whatever their logits.
+    visible = np.tri(4, dtype=bool)
+    visible[[1, 3]] = False
+    inputs = AttentionInputs(q=np.ones((4, 2)), k=np.ones((4, 2)), v=np.ones((4, 2)),
+                             mask=MaskMatrix(visible), scale=1e308)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(FullyBlockedRowError, match=r"^mask rows fully blocked: \[1, 3\]$"):
+            masked_attention(inputs)
 
 
 def test_inputs_validation() -> None:
@@ -131,6 +143,16 @@ def test_inputs_validation() -> None:
     with pytest.raises(ValueError, match="scale"):
         AttentionInputs(q=np.zeros((2, 2)), k=np.zeros((2, 2)),
                         v=np.zeros((2, 2)), mask=mask, scale=-1.0)
+    with pytest.raises(ValueError, match="^feature dimension must be >= 1$"):
+        AttentionInputs(q=np.zeros((2, 0)), k=np.zeros((2, 0)), v=np.zeros((2, 0)), mask=mask)
+    with pytest.raises(ValueError, match="^mask length must match sequence length$"):
+        AttentionInputs(q=np.zeros((3, 2)), k=np.zeros((3, 2)), v=np.zeros((3, 2)), mask=mask)
+    with pytest.raises(ValueError, match="^weights must be a square matrix$"):
+        AttentionWeights(np.zeros((2, 3)))
+    inputs = AttentionInputs(q=np.zeros((2, 2)), k=np.zeros((2, 2)), v=np.zeros((2, 2)),
+                             mask=mask)
+    with pytest.raises(ValueError, match="^d_output must match the output shape$"):
+        attention_gradients(inputs, np.ones((2, 3)))
 
 
 @pytest.mark.parametrize("scale", [math.nan, math.inf])
@@ -432,6 +454,9 @@ def test_allocation_three_layer_stack_matches_brute_summation() -> None:
         matrix /= matrix.sum(axis=1, keepdims=True)
         layers.append(matrix)
     report = attention_allocation(layers, ALLOC_LAYOUT, last_k=3)
+    # AttentionWeights layers, as masked_attention returns them, read the same.
+    wrapped = [AttentionWeights(matrix) for matrix in layers]
+    assert attention_allocation(wrapped, ALLOC_LAYOUT, last_k=3) == report
 
     audio = visual = 0.0
     for matrix in layers:
@@ -472,25 +497,12 @@ def test_allocation_errors() -> None:
         attention_allocation([no_mass], ALLOC_LAYOUT, last_k=1)
 
 
-@pytest.mark.parametrize("row", [10, 12])
-def test_allocation_rejects_query_rows_past_the_end(row) -> None:
-    layer = _weights_with((8, 9), {5: 0.5})
-    with pytest.raises(ValueError, match=rf"query span rows \[{row}\] out of range \[0, 10\)"):
-        attention_allocation([layer], ALLOC_LAYOUT, query_span={8, row}, last_k=1)
-
-
-def test_allocation_rejects_negative_query_rows() -> None:
-    # A negative index would read a row from the end and give a plausible report.
-    layer = _weights_with((8, 9), {5: 0.5})
-    with pytest.raises(ValueError, match=r"query span rows \[-1\] out of range"):
-        attention_allocation([layer], ALLOC_LAYOUT, query_span={-1}, last_k=1)
-
-
-def test_allocation_default_query_span_is_summary() -> None:
-    layer = _weights_with((8, 9), {5: 0.25, 2: 0.25})
-    explicit = attention_allocation([layer], ALLOC_LAYOUT, query_span={8, 9}, last_k=1)
-    default = attention_allocation([layer], ALLOC_LAYOUT, last_k=1)
-    assert explicit == default
+def test_allocation_without_an_audio_span_is_all_visual() -> None:
+    layout = TokenLayout(length=10, visual_reasoning={2, 3}, visual_span={1, 2, 3, 4},
+                         summary_span={8, 9})
+    layer = _weights_with((8, 9), {2: 0.2, 5: 0.3})
+    report = attention_allocation([layer], layout, last_k=1)
+    assert (report.audio_fraction, report.visual_fraction) == (0.0, 1.0)
 
 
 # --- leakage probe ------------------------------------------------------------------

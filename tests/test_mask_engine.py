@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sffuse.mask_engine import (
+    BLOCKED_ROLE_PAIRS,
     LayoutError,
     MarkerTable,
     MaskMatrix,
@@ -78,6 +79,10 @@ def test_mask_matrix_copies_a_callers_matrix() -> None:
     visible[0, 0] = False
     assert mask.visible.all()
     assert visible.flags.writeable
+    twin = MaskMatrix(np.ones((3, 3), dtype=bool))
+    assert mask == twin and hash(mask) == hash(twin)
+    assert mask != build_causal(3) and mask != MaskMatrix(np.ones((2, 2), dtype=bool))
+    assert mask != "111\n111\n111\n" and mask != [[True] * 3] * 3
 
 
 # --- composite mask -------------------------------------------------------------
@@ -108,6 +113,8 @@ def test_maam_rejects_invalid_layout_with_named_invariant() -> None:
         TokenLayout(length=4, video_input={0}, audio_input={0})
     with pytest.raises(LayoutError, match="subset"):
         TokenLayout(length=4, visual_reasoning={1}, visual_span={2})
+    with pytest.raises(LayoutError, match="^visual_span and audio_reasoning must be disjoint$"):
+        TokenLayout(length=4, visual_span={1, 2}, audio_reasoning={2})
     with pytest.raises(LayoutError, match="precede"):
         TokenLayout(length=4, video_input={3}, visual_span={1}, visual_reasoning={1})
     with pytest.raises(LayoutError, match="range"):
@@ -239,6 +246,24 @@ def test_rows_and_composite_equal_the_oracles(lengths, seed) -> None:
         assert outcome(incremental_row, layout, i) == outcome(
             reference_incremental_row, layout, i)
     assert build_composite(layout) == brute_force_mask(layout)
+
+
+def test_row_table_is_indexed_by_rule_bits() -> None:
+    # A position's code is the set of rules it triggers as a query, bit b for
+    # rule b, so it follows from the position's own roles alone.
+    rng = np.random.default_rng(23)
+    for _ in range(10):
+        layout = random_layout(rng, max_length=40)
+        table, codes = layout._row_table
+        assert table.shape == (1 << len(BLOCKED_ROLE_PAIRS), layout.length)
+        for i, code in enumerate(codes.tolist()):
+            assert code == sum(1 << bit for bit, (query, _) in enumerate(BLOCKED_ROLE_PAIRS)
+                               if i in getattr(layout, query))
+        for rules, row in enumerate(table.tolist()):
+            blocked = set().union(*(getattr(layout, key)
+                                    for bit, (_, key) in enumerate(BLOCKED_ROLE_PAIRS)
+                                    if rules >> bit & 1))
+            assert row == [j not in blocked for j in range(layout.length)]
 
 
 def test_rows_are_read_only_views() -> None:

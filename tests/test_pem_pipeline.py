@@ -130,18 +130,24 @@ def test_consistency_validation() -> None:
         consistency(["solo"], embedder)
     with pytest.raises(ValueError, match="zero vector"):
         consistency(["a", "b"], FixedEmbedder({"a": [0, 0], "b": [1, 0]}))
+    with pytest.raises(ValueError, match="^embedder returned a zero vector$"):
+        consistency(["a", "b"], FixedEmbedder({"a": [], "b": []}))  # vectors of length 0
     with pytest.raises(ValueError, match="finite"):
         consistency(["a", "b"], FixedEmbedder({"a": [np.nan, 0], "b": [1, 0]}))
+    with pytest.raises(ValueError, match="^embedder must return one vector per text$"):
+        consistency(["a", "b"], FixedEmbedder({"a": 1.0, "b": 0.0}))  # one number per text
 
 
-def test_consistency_rejects_a_norm_that_overflows() -> None:
-    # Finite rows whose squared norm passes the float range; at scale 1 the
-    # same directions score 0.999, so reading them as 0.0 would mislabel.
-    huge = FixedEmbedder({"a": [1e308, 1e308], "b": [1e308, 9e307]})
-    with pytest.raises(ValueError, match="^embedder returned a vector whose norm overflows$"):
-        consistency(["a", "b"], huge)
+def test_consistency_scores_tiny_and_huge_rows_by_direction() -> None:
+    # The directions [1, 1] and [1, 0.9] at scales whose squared norm is zero
+    # (1e-200), subnormal (1e-160) or beyond the float range (1e308).
     unit = FixedEmbedder({"a": [1.0, 1.0], "b": [1.0, 0.9]})
-    assert consistency(["a", "b"], unit) == pytest.approx(0.9986, abs=1e-4)
+    assert consistency(["a", "b"], unit) == 0.9986178293325095
+    for a, b in ([1e-200, 9e-201], [1e-160, 9e-161], [1e308, 9e307]):
+        scaled = FixedEmbedder({"a": [a, a], "b": [a, b]})
+        assert consistency(["a", "b"], scaled) == pytest.approx(0.9986178293325095, abs=1e-12)
+    with pytest.raises(ValueError, match="^embedder returned a zero vector$"):
+        consistency(["a", "b"], FixedEmbedder({"a": [0, 0], "b": [1e-200, 0]}))
 
 
 # --- oracles: exact equality with the loop references ---------------------------
@@ -187,6 +193,11 @@ def test_hash_embedder_reused_across_batches(dim) -> None:
 def test_hash_embedder_rejects_a_dim_that_is_not_an_int(dim) -> None:
     with pytest.raises(ValueError, match="^dim must be an int, not "):
         HashEmbedder(dim)
+
+
+def test_hash_embedder_rejects_a_dim_below_two() -> None:
+    with pytest.raises(ValueError, match="^dim must be >= 2$"):
+        HashEmbedder(1)
 
 
 @pytest.mark.parametrize("dim", HASH_DIMS)
@@ -749,15 +760,6 @@ def test_http_embedder_rejects_vectors_it_cannot_stack(rows, message) -> None:
         embedder.embed(["a", "b"])
 
 
-class OverflowingEmbedder:
-    """HashEmbedder rows, scaled by 1e308 for texts that name instance ``big``:
-    finite values whose squared norm passes the float range."""
-
-    def embed(self, texts):
-        vectors = HashEmbedder().embed(texts)
-        return vectors * np.array([[1e308 if "big" in text else 1.0] for text in texts])
-
-
 def http_embedder_failing_on(bad_vector):
     """An HttpEmbedder whose answer for the texts of instance ``big`` has
     ``bad_vector`` as its first row; every other row is a hash vector."""
@@ -772,11 +774,10 @@ def http_embedder_failing_on(bad_vector):
 
 
 @pytest.mark.parametrize("embedder, error", [
-    (OverflowingEmbedder(), "embedder returned a vector whose norm overflows"),
     (http_embedder_failing_on([10 ** 400] + [0.0] * 31),
      "embedder returned a number beyond the float range"),
     (http_embedder_failing_on([1.0, 0.0]), "embedder returned vectors of different lengths"),
-], ids=["norm-overflow", "integer-beyond-float", "ragged"])
+], ids=["integer-beyond-float", "ragged"])
 def test_annotate_records_an_unusable_embedding_and_goes_on(embedder, error) -> None:
     dataset = [make_instance("big", marker="?solvable=none"),
                make_instance("ok", marker="?solvable=AV")]
@@ -784,6 +785,30 @@ def test_annotate_records_an_unusable_embedding_and_goes_on(embedder, error) -> 
     assert result.stats.failures == ({"id": "big", "error": error},)
     (record,) = result.records
     assert (record.instance_id, record.decision) == ("ok", PemLabel.AUDIO_VISUAL)
+
+
+class OverflowingEmbedder:
+    """HashEmbedder rows, scaled by 1e308 for texts that name instance ``big``:
+    finite values whose squared norm passes the float range."""
+
+    def embed(self, texts):
+        vectors = HashEmbedder().embed(texts)
+        return vectors * np.array([[1e308 if "big" in text else 1.0] for text in texts])
+
+
+def test_annotate_scores_huge_embeddings_by_direction() -> None:
+    # The 1e308 rows of instance "big" screen as the unscaled hash rows do.
+    dataset = [make_instance("big", marker="?solvable=AV"),
+               make_instance("ok", marker="?solvable=AV")]
+    plain = annotate(dataset, MockCotSampler(), HashEmbedder(), PipelineConfig())
+    huge = annotate(dataset, MockCotSampler(), OverflowingEmbedder(), PipelineConfig())
+    assert huge.stats == plain.stats and not huge.stats.failures
+    for got, want in zip(huge.records, plain.records):
+        assert (got.instance_id, got.decision) == (want.instance_id, want.decision)
+        for setting, record in got.settings.items():
+            expected = want.settings[setting]
+            assert record.accuracy_rate == expected.accuracy_rate
+            assert record.consistency == pytest.approx(expected.consistency, abs=1e-12)
 
 
 def test_http_embedder_sends_the_bearer_token() -> None:
