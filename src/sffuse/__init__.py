@@ -29,7 +29,6 @@ from .pem_pipeline import (
     PemRecord,
     PipelineConfig,
     ProbeSetting,
-    SampleSet,
     SolvabilityRecord,
     accuracy_rate,
     annotate,
@@ -78,7 +77,6 @@ __all__ = [
     "ProbeSetting",
     "RewardConfig",
     "RolloutGroup",
-    "SampleSet",
     "SfrTrace",
     "SolvabilityRecord",
     "TokenLayout",

@@ -53,6 +53,8 @@ def _build(cls, obj, name: str):
     values = {}
     for key, value in obj.items():
         kind, where = kinds.get(key), f"{name}.{key}"
+        if kind is None:
+            raise ConfigError(f"{where} is not a config field")
         # The embedder sends only {model, input}, so this field would change nothing.
         if where == "config.pipeline.embedder_endpoint.temperature":
             raise ConfigError(f"{where} is not read: the embedder sends only model and input")
@@ -65,7 +67,7 @@ def _build(cls, obj, name: str):
                 raise ConfigError(f"{where} must be {noun}")
         values[key] = value
     try:
-        return cls(**values)  # an unknown field is a TypeError naming it
+        return cls(**values)
     except ValueError as exc:  # a section's own check, e.g. retries >= 0
         raise ConfigError(f"{name}: {exc}") from None
 
@@ -77,10 +79,7 @@ def config_from_dict(obj: object) -> AppConfig:
     unknown = set(obj) - {f.name for f in fields(AppConfig)}
     if unknown:
         raise ConfigError(f"unknown config sections: {sorted(unknown)}")
-    try:
-        return _build(AppConfig, obj, "config")
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(str(exc)) from exc
+    return _build(AppConfig, obj, "config")
 
 
 def load_config(path: str | Path | None) -> AppConfig:

@@ -5,8 +5,8 @@ audio+video). Per setting we draw n chain-of-thought samples, call the
 setting solvable when the answer-accuracy rate and the pairwise CoT
 embedding consistency both clear their thresholds, and map the three
 solvability flags through a fixed decision table to a PEM label or a
-discard reason. Defaults: n=8, accuracy threshold 0.75, consistency
-threshold 0.8, both inclusive.
+discard reason. n and both thresholds (inclusive) are ``PipelineConfig``
+fields, whose recipe values are tabled in ``config.py``.
 
 Samplers are pluggable: a deterministic mock for tests and offline runs,
 and an HTTP chat-completion adapter for real probing. Media fields are
@@ -23,11 +23,12 @@ import math
 import re
 import urllib.error
 import urllib.request
+from collections.abc import Sequence
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
-from typing import Callable, Iterable, Mapping, Protocol, Sequence
+from typing import Callable, Iterable, Mapping, Protocol
 
 import numpy as np
 
@@ -59,17 +60,12 @@ class ProbeSetting(enum.Enum):
 
 
 @dataclass(frozen=True)
-class MediaRefs:
-    audio_ref: str = ""
-    video_ref: str = ""
-
-
-@dataclass(frozen=True)
 class Instance:
     id: str
     question: str
-    media: MediaRefs
     gold_answer: str
+    audio_ref: str = ""
+    video_ref: str = ""
     choices: tuple[str, ...] | None = None
 
     def __post_init__(self) -> None:
@@ -77,23 +73,6 @@ class Instance:
             raise ValueError(f"instance {self.id!r}: gold_answer must be nonempty")
         if self.choices is not None:
             object.__setattr__(self, "choices", tuple(self.choices))
-
-
-@dataclass(frozen=True)
-class SampleSet:
-    """n sampled (answer, cot_text) pairs for one (instance, setting)."""
-
-    samples: tuple[tuple[str, str], ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "samples", tuple((str(a), str(c)) for a, c in self.samples))
-        if len(self.samples) < 2:
-            raise ValueError("a sample set needs n >= 2 samples")
-
-    @property
-    def cot_texts(self) -> list[str]:
-        return [c for _, c in self.samples]
 
 
 @dataclass(frozen=True)
@@ -174,8 +153,12 @@ class PipelineConfig:
             raise ValueError("parallelism must be >= 1")
 
 
+# A sampler's n (answer, cot_text) string pairs for one (instance, setting).
+_Samples = Sequence[tuple[str, str]]
+
+
 class CotSampler(Protocol):
-    def sample(self, instance: Instance, setting: ProbeSetting, n: int) -> SampleSet:
+    def sample(self, instance: Instance, setting: ProbeSetting, n: int) -> _Samples:
         ...
 
 
@@ -186,11 +169,11 @@ class TextEmbedder(Protocol):
 
 # --- Screening ---------------------------------------------------------------
 
-def accuracy_rate(samples: SampleSet, gold: str) -> float:
+def accuracy_rate(samples: _Samples, gold: str) -> float:
     """Fraction of sampled answers matching gold after normalization."""
     target = normalize_answer(gold)
-    hits = sum(1 for answer, _ in samples.samples if normalize_answer(answer) == target)
-    return hits / len(samples.samples)
+    hits = sum(1 for answer, _ in samples if normalize_answer(answer) == target)
+    return hits / len(samples)
 
 
 _NORM_FLOOR = math.sqrt(np.finfo(float).tiny)
@@ -298,6 +281,19 @@ class AnnotationResult:
 _RECORDED_FAILURES = (PipelineError, ValueError, OSError)
 
 
+def _checked(samples: _Samples, n: int) -> _Samples:
+    """``samples``, if it holds n pairs of strings; nothing is coerced."""
+    if not isinstance(samples, Sequence):
+        raise SamplingError(f"sampler returned a {type(samples).__name__}, not a sequence")
+    if len(samples) != n:
+        raise SamplingError(f"sampler returned {len(samples)} samples, wanted {n}")
+    for pair in samples:
+        if not (isinstance(pair, tuple) and len(pair) == 2
+                and isinstance(pair[0], str) and isinstance(pair[1], str)):
+            raise SamplingError("sampler returned a sample that is not a pair of strings")
+    return samples
+
+
 def annotate(
     dataset: Sequence[Instance],
     sampler: CotSampler,
@@ -320,60 +316,51 @@ def annotate(
         raise ValueError("instance ids must be unique within a dataset")
     pairs = np.triu_indices(cfg.n, k=1)  # only read, so the threads share it
 
-    def process(instance: Instance) -> tuple[PemRecord, str]:
-        sample_sets: dict[ProbeSetting, SampleSet] = {}
-        for setting in ProbeSetting:
-            samples = sampler.sample(instance, setting, cfg.n)
-            if len(samples.samples) != cfg.n:
-                raise SamplingError(
-                    f"sampler returned {len(samples.samples)} samples, wanted {cfg.n}")
-            sample_sets[setting] = samples
-        # One embedder call per instance, over its distinct CoT texts, and
-        # one pair-cosine pass over the settings' (n, dim) blocks.
-        unit = _unit_rows(
-            [cot for samples in sample_sets.values() for cot in samples.cot_texts],
-            embedder)
-        cons_per_setting = _mean_pair_cosines(
-            unit.reshape(len(sample_sets), cfg.n, -1), pairs)
-        per_setting: dict[ProbeSetting, SolvabilityRecord] = {}
-        for (setting, samples), cons in zip(sample_sets.items(), cons_per_setting):
-            acc = accuracy_rate(samples, instance.gold_answer)
-            per_setting[setting] = SolvabilityRecord(acc, cons, solvable(acc, cons, cfg))
-        decision = decide_pem(
-            per_setting[ProbeSetting.A].solvable,
-            per_setting[ProbeSetting.V].solvable,
-            per_setting[ProbeSetting.AV].solvable,
-        )
-        av_cot = sample_sets[ProbeSetting.AV].cot_texts[0]
-        return PemRecord(instance.id, per_setting, decision), av_cot
-
-    def guarded(instance: Instance) -> tuple[PemRecord, str] | dict:
-        """``process``, with a recorded failure returned as its stats row."""
+    def process(instance: Instance) -> tuple[PemRecord, dict | None] | dict:
+        """The instance's record and, if it is labeled, its exported row; or
+        the stats row of its recorded failure."""
         try:
-            return process(instance)
+            draws = {setting: _checked(sampler.sample(instance, setting, cfg.n), cfg.n)
+                     for setting in ProbeSetting}
+            # One embedder call per instance, over its distinct CoT texts, and
+            # one pair-cosine pass over the settings' (n, dim) blocks.
+            unit = _unit_rows(
+                [cot for samples in draws.values() for _, cot in samples], embedder)
+            cons_per_setting = _mean_pair_cosines(
+                unit.reshape(len(draws), cfg.n, -1), pairs)
+            per_setting: dict[ProbeSetting, SolvabilityRecord] = {}
+            for (setting, samples), cons in zip(draws.items(), cons_per_setting):
+                acc = accuracy_rate(samples, instance.gold_answer)
+                per_setting[setting] = SolvabilityRecord(acc, cons, solvable(acc, cons, cfg))
+            decision = decide_pem(*[per_setting[setting].solvable for setting in ProbeSetting])
+            record = PemRecord(instance.id, per_setting, decision)
+            if not isinstance(decision, PemLabel):
+                return record, None
+            _, cot = draws[ProbeSetting.AV][0]
+            return record, labeled_export(instance, record, cot)
         except _RECORDED_FAILURES as exc:
             return {"id": instance.id, "error": str(exc)}
 
     # Not a one-worker pool: that measured 2-4x fewer annotate items/s.
     if cfg.parallelism == 1:
-        results = list(map(guarded, dataset))
+        results = list(map(process, dataset))
     else:
         with ThreadPoolExecutor(max_workers=cfg.parallelism) as pool:
-            results = list(pool.map(guarded, dataset))
+            results = list(pool.map(process, dataset))
     records, labeled, failures = [], [], []
     label_counts = {label.value: 0 for label in PemLabel}
     discard_counts = {reason.value: 0 for reason in DiscardReason}
-    for instance, result in sorted(zip(dataset, results), key=lambda pair: pair[0].id):
+    for _, result in sorted(zip(ids, results), key=lambda pair: pair[0]):
         if isinstance(result, dict):
             failures.append(result)
             continue
-        record, av_cot = result
+        record, row = result
         records.append(record)
-        if isinstance(record.decision, PemLabel):
-            label_counts[record.decision.value] += 1
-            labeled.append(labeled_export(instance, record, av_cot))
-        else:
+        if row is None:
             discard_counts[record.decision.value] += 1
+        else:
+            label_counts[record.decision.value] += 1
+            labeled.append(row)
 
     stats = PipelineStats(
         total=len(dataset),
@@ -394,8 +381,7 @@ def labeled_export(instance: Instance, record: PemRecord, cot: str) -> dict:
     out = {
         "id": instance.id,
         "question": instance.question,
-        "media": {"audio_ref": instance.media.audio_ref,
-                  "video_ref": instance.media.video_ref},
+        "media": {"audio_ref": instance.audio_ref, "video_ref": instance.video_ref},
         "gold_answer": instance.gold_answer,
         "pem": record.decision.value,
         "evidence": record.to_dict()["settings"],
@@ -416,12 +402,9 @@ def read_instances(path: str | Path) -> list[Instance]:
             raise ValueError("media must be an object")
         if not (isinstance(choices, list) and all(isinstance(c, str) for c in choices)):
             raise ValueError("choices must be a list of strings")
-        instance_id, question, gold_answer = str_fields(obj, "id", "question", "gold_answer")
         return Instance(
-            id=instance_id,
-            question=question,
-            media=MediaRefs(*str_fields(media, "audio_ref", "video_ref", default="")),
-            gold_answer=gold_answer,
+            *str_fields(obj, "id", "question", "gold_answer"),
+            *str_fields(media, "audio_ref", "video_ref", default=""),
             choices=tuple(choices) if "choices" in obj else None,
         )
 
@@ -445,8 +428,7 @@ def _scripted_pattern(instance: Instance) -> set[ProbeSetting]:
     The marker scripts which settings the mock treats as solvable; without
     one, every setting solves (the trivially-easy pattern).
     """
-    haystack = " ".join(
-        (instance.media.audio_ref, instance.media.video_ref, instance.question))
+    haystack = " ".join((instance.audio_ref, instance.video_ref, instance.question))
     match = _SOLVABLE_MARKER.search(haystack)
     if match is None:
         return set(ProbeSetting)
@@ -463,19 +445,19 @@ class MockCotSampler:
     divergent rationales.
     """
 
-    def sample(self, instance: Instance, setting: ProbeSetting, n: int) -> SampleSet:
+    def sample(self, instance: Instance, setting: ProbeSetting, n: int) -> _Samples:
+        if n < 2:
+            raise ValueError("n must be >= 2")
         if setting in _scripted_pattern(instance):
             answer = instance.gold_answer
             cot = (f"Under the {setting.value} input the evidence for "
                    f"{instance.id} is stable and supports: {answer}.")
-            samples = tuple((answer, cot) for _ in range(n))
-        else:
-            samples = tuple(
-                (f"not-{instance.gold_answer}-{k}",
-                 f"Attempt {k}: speculative {setting.value} reading of "
-                 f"{instance.id} with no firm evidence.")
-                for k in range(n))
-        return SampleSet(samples)
+            return ((answer, cot),) * n
+        return tuple(
+            (f"not-{instance.gold_answer}-{k}",
+             f"Attempt {k}: speculative {setting.value} reading of "
+             f"{instance.id} with no firm evidence.")
+            for k in range(n))
 
 
 class HashEmbedder:
@@ -523,12 +505,6 @@ class HashEmbedder:
 
 
 # --- HTTP endpoint adapter -------------------------------------------------------
-
-_PROMPT_FILES = {
-    ProbeSetting.A: "probe_a.txt",
-    ProbeSetting.V: "probe_v.txt",
-    ProbeSetting.AV: "probe_av.txt",
-}
 
 _ANSWER_LINE = re.compile(r"(?im)^answer:\s*(.+?)\s*$")
 
@@ -588,9 +564,10 @@ class _Endpoint:
 
 
 def build_probe_prompt(instance: Instance, setting: ProbeSetting) -> str:
-    """The setting's editable prompt fixture, filled in for ``instance``."""
+    """The setting's editable prompt fixture, ``prompts/probe_{setting}.txt``
+    in lower case, filled in for ``instance``."""
     template = resources.files("sffuse").joinpath(
-        "prompts", _PROMPT_FILES[setting]).read_text(encoding="utf-8")
+        "prompts", f"probe_{setting.value.lower()}.txt").read_text(encoding="utf-8")
     if instance.choices:
         choices_block = "Choices: " + " | ".join(instance.choices)
     else:
@@ -614,9 +591,9 @@ class HttpSampler(_Endpoint):
     """Chat-completion endpoint adapter for modality probing.
 
     Builds the per-setting probing prompt, forwards the relevant opaque
-    media references, and parses n completions into a sample set. Transport
-    errors are retried up to the configured count; anything else becomes a
-    typed SamplingError.
+    media references, and parses n completions into (answer, cot) pairs.
+    Transport errors are retried up to the configured count; anything else
+    becomes a typed SamplingError.
     """
 
     role = "endpoint"
@@ -625,12 +602,14 @@ class HttpSampler(_Endpoint):
     def _media_payload(self, instance: Instance, setting: ProbeSetting) -> dict:
         media = {}
         if setting in (ProbeSetting.A, ProbeSetting.AV):
-            media["audio_ref"] = instance.media.audio_ref
+            media["audio_ref"] = instance.audio_ref
         if setting in (ProbeSetting.V, ProbeSetting.AV):
-            media["video_ref"] = instance.media.video_ref
+            media["video_ref"] = instance.video_ref
         return media
 
-    def sample(self, instance: Instance, setting: ProbeSetting, n: int) -> SampleSet:
+    def sample(self, instance: Instance, setting: ProbeSetting, n: int) -> _Samples:
+        if n < 2:
+            raise ValueError("n must be >= 2")
         payload = {
             "model": self.endpoint.model,
             "messages": [
@@ -650,13 +629,12 @@ class HttpSampler(_Endpoint):
                 f"completions for {instance.id}/{setting.value}, wanted {n}")
         samples = []
         for choice in choices:
-            try:
-                content = choice["message"]["content"]
-            except (KeyError, TypeError) as exc:
-                raise SamplingError(
-                    f"malformed completion for {instance.id}/{setting.value}") from exc
-            samples.append(parse_completion(str(content)))
-        return SampleSet(tuple(samples))
+            message = choice.get("message") if isinstance(choice, dict) else None
+            content = message.get("content") if isinstance(message, dict) else None
+            if not isinstance(content, str):
+                raise SamplingError(f"malformed completion for {instance.id}/{setting.value}")
+            samples.append(parse_completion(content))
+        return samples
 
 
 class HttpEmbedder(_Endpoint):

@@ -4,10 +4,10 @@ Rewards are binary and checkable from the raw output text alone: the
 modality-preference & structure reward fires iff the trace parses and names
 the right evidence modality, and the accuracy reward fires iff the answer
 segment matches the ground truth after normalization. Stage 1 trains on
-the structure reward alone; stage 2 on the weighted sum (accuracy weight
-1.0, structure weight 0.2). Advantages are normalized within a rollout
-group using the population variance, and the objective is the clipped
-surrogate minus a KL penalty against the reference policy.
+the structure reward alone; stage 2 on their weighted sum, whose recipe
+weights are tabled in ``config.py``. Advantages are normalized within a
+rollout group using the population variance, and the objective is the
+clipped surrogate minus a KL penalty against the reference policy.
 """
 
 from __future__ import annotations

@@ -27,7 +27,7 @@ from sffuse.mask_engine import (
     MaskMatrix,
     TokenLayout,
 )
-from sffuse.pem_pipeline import Instance, ProbeSetting, SampleSet, SamplingError
+from sffuse.pem_pipeline import Instance, ProbeSetting, SamplingError
 from sffuse.tag_grammar import (
     TAG_NAMES,
     DiagnosticKind,
@@ -464,13 +464,14 @@ class ScriptedSampler:
     def __init__(self, script: Mapping[tuple[str, ProbeSetting], Sequence[tuple[str, str]]]):
         self._script = dict(script)
 
-    def sample(self, instance: Instance, setting: ProbeSetting, n: int) -> SampleSet:
+    def sample(self, instance: Instance, setting: ProbeSetting,
+               n: int) -> tuple[tuple[str, str], ...]:
         if n < 2:
             raise ValueError("n must be >= 2")
         key = (instance.id, setting)
         if key not in self._script:
             raise SamplingError(f"no scripted samples for {key}")
-        return SampleSet(samples=tuple(self._script[key][:n]))
+        return tuple(self._script[key][:n])
 
 
 def write_trace_records(path, records: Iterable[tuple[str, str]]) -> None:

@@ -60,7 +60,8 @@ def test_invalid_values_rejected() -> None:
         config_from_dict({"pipeline": {"tau_acc": 1.5}})
     with pytest.raises(ValueError, match="clip_alpha"):
         GrpoConfig(clip_alpha=2.0)
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError,
+                       match=r"^config\.pipeline\.mystery_knob is not a config field$"):
         config_from_dict({"pipeline": {"mystery_knob": 1}})
 
 
@@ -81,6 +82,9 @@ def test_endpoint_values_the_client_cannot_use_rejected(section, values, message
     ({"pipeline": {"embedder_endpoint": {"retries": -1}}},
      "config.pipeline.embedder_endpoint: retries must be >= 0"),
     ({"pipeline": {"tau_acc": 1.5}}, "config.pipeline: tau_acc must lie in (0, 1]"),
+    ({"pipeline": {"endpoint": {"retry": 1}}},
+     "config.pipeline.endpoint.retry is not a config field"),
+    ({"rewards": {"lambda_x": 1}}, "config.rewards.lambda_x is not a config field"),
 ])
 def test_section_check_errors_name_the_section(obj, line) -> None:
     with pytest.raises(ConfigError) as info:

@@ -22,12 +22,10 @@ from sffuse.pem_pipeline import (
     HttpEmbedder,
     HttpSampler,
     Instance,
-    MediaRefs,
     MockCotSampler,
     PemRecord,
     PipelineConfig,
     ProbeSetting,
-    SampleSet,
     SamplingError,
     SolvabilityRecord,
     accuracy_rate,
@@ -49,35 +47,31 @@ def make_instance(instance_id="x1", gold="collie", marker=""):
     return Instance(
         id=instance_id,
         question="What animal is barking?",
-        media=MediaRefs(audio_ref=f"mock://audio/{instance_id}{marker}",
-                        video_ref=f"mock://video/{instance_id}"),
         gold_answer=gold,
+        audio_ref=f"mock://audio/{instance_id}{marker}",
+        video_ref=f"mock://video/{instance_id}",
     )
-
-
-def sample_set(answers_and_cots):
-    return SampleSet(samples=tuple(answers_and_cots))
 
 
 # --- accuracy -----------------------------------------------------------------
 
 def test_accuracy_six_of_eight() -> None:
-    samples = sample_set([("collie", "t")] * 6 + [("sheep", "t")] * 2)
+    samples = [("collie", "t")] * 6 + [("sheep", "t")] * 2
     assert accuracy_rate(samples, "collie") == 0.75
 
 
 def test_accuracy_unanimous() -> None:
-    samples = sample_set([("Collie.", "t")] * 8)
+    samples = [("Collie.", "t")] * 8
     assert accuracy_rate(samples, "collie") == 1.0
 
 
 def test_accuracy_none_correct() -> None:
-    samples = sample_set([("sheep", "t")] * 8)
+    samples = [("sheep", "t")] * 8
     assert accuracy_rate(samples, "collie") == 0.0
 
 
 def test_accuracy_uses_answer_normalizer() -> None:
-    samples = sample_set([("  THE   Collie. ", "t"), ("the collie", "t")])
+    samples = [("  THE   Collie. ", "t"), ("the collie", "t")]
     assert accuracy_rate(samples, "The Collie") == 1.0
 
 
@@ -411,12 +405,28 @@ def test_annotate_records_failures_and_continues() -> None:
 
 
 def test_annotate_wrong_sample_count_is_failure() -> None:
-    inst = make_instance("short")
-    script = {(inst.id, setting): [("collie", "t")] * 3 for setting in ProbeSetting}
-    result = annotate([inst], ScriptedSampler(script), HashEmbedder(),
-                      PipelineConfig(n=8))
-    assert result.stats.failed == 1
-    assert "3 samples" in result.stats.failures[0]["error"]
+    # A result that is not a sequence, a wrong count, or a sample that is not
+    # a pair of strings fails its instance, and the batch goes on; nothing is
+    # coerced (str(None) would read as the gold answer "none").
+    draws = {"short": [("collie", "t")] * 3, "ok": [("collie", "t")] * 8,
+             "none-answer": [(None, "t")] + [("collie", "t")] * 7,
+             "int-cot": [("collie", "t")] * 7 + [("collie", 7)],
+             "list-pair": [["collie", "t"]] * 8, "none": None}
+
+    class Sampler:
+        def sample(self, instance, setting, n):
+            return draws[instance.id]
+
+    dataset = [make_instance(instance_id, gold="none") for instance_id in draws]
+    result = annotate(dataset, Sampler(), HashEmbedder(), PipelineConfig(n=8))
+    errors = {row["id"]: row["error"] for row in result.stats.failures}
+    assert errors == {
+        "short": "sampler returned 3 samples, wanted 8",
+        "none": "sampler returned a NoneType, not a sequence",
+        **{instance_id: "sampler returned a sample that is not a pair of strings"
+           for instance_id in ("none-answer", "int-cot", "list-pair")},
+    }
+    assert [record.instance_id for record in result.records] == ["ok"]
 
 
 @pytest.mark.parametrize("parallelism", [1, 2])
@@ -458,6 +468,12 @@ def test_mock_sampler_rejects_tiny_n() -> None:
         MockCotSampler().sample(make_instance(), ProbeSetting.A, 0)
     with pytest.raises(ValueError):
         ScriptedSampler({}).sample(make_instance(), ProbeSetting.A, 1)
+    calls = []
+    sampler = HttpSampler(EndpointConfig(base_url="http://x/chat"),
+                          transport=lambda *a: calls.append(a) or recorded_response(1))
+    with pytest.raises(ValueError, match="n must be >= 2"):
+        sampler.sample(make_instance(), ProbeSetting.A, 1)
+    assert calls == []  # rejected before any request
 
 
 def test_mock_sampler_scripted_solvability() -> None:
@@ -465,10 +481,14 @@ def test_mock_sampler_scripted_solvability() -> None:
     sampler = MockCotSampler()
     solvable_samples = sampler.sample(inst, ProbeSetting.A, 8)
     assert accuracy_rate(solvable_samples, inst.gold_answer) == 1.0
-    assert len(set(solvable_samples.cot_texts)) == 1
+    assert len({cot for _, cot in solvable_samples}) == 1
     unsolvable_samples = sampler.sample(inst, ProbeSetting.V, 8)
     assert accuracy_rate(unsolvable_samples, inst.gold_answer) == 0.0
-    assert len(set(unsolvable_samples.cot_texts)) == 8
+    assert len({cot for _, cot in unsolvable_samples}) == 8
+    for samples in (solvable_samples, unsolvable_samples):  # plain string pairs
+        assert type(samples) is tuple and len(samples) == 8
+        assert all(type(pair) is tuple and tuple(map(type, pair)) == (str, str)
+                   for pair in samples)
 
 
 def test_read_instances_fixture() -> None:
@@ -532,10 +552,10 @@ def test_http_sampler_parses_recorded_stub() -> None:
     sampler = HttpSampler(EndpointConfig(base_url="http://localhost:9/chat"),
                           token="sekrit", transport=transport)
     result = sampler.sample(make_instance(), ProbeSetting.AV, 2)
-    assert result.samples == (
+    assert result == [
         ("two", RECORDED_COMPLETIONS[0]),
         ("two", RECORDED_COMPLETIONS[1]),
-    )
+    ]
     assert seen["payload"]["n"] == 2
     assert seen["payload"]["media"] == {"audio_ref": "mock://audio/x1",
                                         "video_ref": "mock://video/x1"}
@@ -595,8 +615,13 @@ def test_http_sampler_malformed_completion() -> None:
         sampler.sample(make_instance(), ProbeSetting.A, 2)
 
 
-@pytest.mark.parametrize("choices", [[{"message": {}}, {"message": {}}], ["text", "text"]],
-                         ids=["no-content", "not-an-object"])
+@pytest.mark.parametrize("choices", [
+    [{"message": {}}, {"message": {}}],
+    ["text", "text"],
+    [{"message": {"content": None}}] * 2,
+    [{"message": {"content": 42}}] * 2,
+    [{"message": {"content": ["Answer: x"]}}] * 2,
+], ids=["no-content", "not-an-object", "null", "number", "list"])
 def test_http_sampler_rejects_a_completion_without_content(choices) -> None:
     sampler = HttpSampler(EndpointConfig(base_url="http://x/chat"),
                           transport=lambda *a: {"choices": choices})
@@ -825,7 +850,7 @@ def test_http_embedder_sends_the_bearer_token() -> None:
 
 def test_probe_prompt_templates() -> None:
     inst = Instance(id="p1", question="Who sings?",
-                    media=MediaRefs("a", "v"), gold_answer="the busker",
+                    gold_answer="the busker", audio_ref="a", video_ref="v",
                     choices=("the busker", "the crowd"))
     for setting in ProbeSetting:
         prompt = build_probe_prompt(inst, setting)
