@@ -14,6 +14,7 @@ from .attention_core import (
     leakage_probe,
     masked_attention,
 )
+from .config import GrpoConfig, PipelineConfig, RewardConfig
 from .mask_engine import (
     LayoutError,
     MaskMatrix,
@@ -27,7 +28,6 @@ from .pem_pipeline import (
     DiscardReason,
     Instance,
     PemRecord,
-    PipelineConfig,
     ProbeSetting,
     SolvabilityRecord,
     accuracy_rate,
@@ -37,9 +37,7 @@ from .pem_pipeline import (
     solvable,
 )
 from .rl_core import (
-    GrpoConfig,
     GrpoResult,
-    RewardConfig,
     RolloutGroup,
     group_advantages,
     grpo_objective,

@@ -20,6 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .config import DEFAULT_ALLOCATION_WINDOW
 from .jsonl import is_number_list, read_records
 from .mask_engine import (
     MaskMatrix,
@@ -27,8 +28,6 @@ from .mask_engine import (
     build_causal,
     build_composite,
 )
-
-DEFAULT_ALLOCATION_WINDOW = 16
 
 # Rows per panel of the softmax backward's row reduction.
 _PANEL_ROWS = 64

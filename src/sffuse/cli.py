@@ -20,7 +20,7 @@ from dataclasses import asdict, replace
 from pathlib import Path
 
 from . import attention_core, mask_engine, pem_pipeline, rl_core, tag_grammar
-from .config import load_config
+from .config import DEFAULT_ALLOCATION_WINDOW, GrpoConfig, load_config
 from .jsonl import dumps, read_records, str_fields
 
 
@@ -77,10 +77,18 @@ def cmd_annotate(args: argparse.Namespace) -> int:
 
 # --- validate ----------------------------------------------------------------
 
+def _label_record(obj: dict, _lineno: int) -> tuple[str, tag_grammar.PemLabel, str]:
+    record_id, pem_text, answer = str_fields(obj, "id", "pem", "answer")
+    pem = tag_grammar.PemLabel.from_text(pem_text)
+    if pem is None:
+        raise ValueError(f"unknown PEM value {pem_text!r}")
+    return record_id, pem, answer
+
+
 def cmd_validate(args: argparse.Namespace) -> int:
     cfg = load_config(args.config)
     traces = tag_grammar.read_trace_records(args.traces)
-    labels = read_records(args.labels, lambda obj, _: str_fields(obj, "id", "pem", "answer"))
+    labels = read_records(args.labels, _label_record)
 
     for kind, ids in (("trace", [t[0] for t in traces]), ("label", [t[0] for t in labels])):
         repeated = sorted(k for k, n in Counter(ids).items() if n > 1)
@@ -96,10 +104,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
 
     rows = []
     for record_id, text in sorted(traces):
-        pem_text, answer = labels_by_id[record_id]
-        gold_pem = tag_grammar.PemLabel.from_text(pem_text)
-        if gold_pem is None:
-            return _fail(f"label {record_id}: unknown PEM value {pem_text!r}")
+        gold_pem, answer = labels_by_id[record_id]
         score = rl_core.score_trace(text, gold_pem, answer, cfg.rewards)
         rows.append({
             "id": record_id,
@@ -151,7 +156,7 @@ def cmd_mask(args: argparse.Namespace) -> int:
 # --- grpo-step ------------------------------------------------------------------
 
 def cmd_grpo_step(args: argparse.Namespace) -> int:
-    cfg = rl_core.GrpoConfig(clip_alpha=args.alpha, kl_beta=args.beta, eps_stab=args.eps)
+    cfg = GrpoConfig(clip_alpha=args.alpha, kl_beta=args.beta, eps_stab=args.eps)
     groups = rl_core.read_rollout_groups(args.rollouts)
     if not groups:
         return _fail("rollout file contains no groups")
@@ -258,7 +263,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("grpo-step", help="advantages and clipped objective per group")
     p.add_argument("--rollouts", required=True, help="rollout groups JSONL")
-    grpo = rl_core.GrpoConfig()
+    grpo = GrpoConfig()
     p.add_argument("--alpha", type=float, default=grpo.clip_alpha, help="clip range")
     p.add_argument("--beta", type=float, default=grpo.kl_beta, help="KL coefficient")
     p.add_argument("--eps", type=float, default=grpo.eps_stab, help="stability constant")
@@ -268,7 +273,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("attn-report", help="audio/visual attention allocation")
     p.add_argument("--weights", required=True, help="per-layer weights JSONL")
     p.add_argument("--spec", required=True, help="layout spec JSON")
-    p.add_argument("--last-k", type=int, default=attention_core.DEFAULT_ALLOCATION_WINDOW,
+    p.add_argument("--last-k", type=int, default=DEFAULT_ALLOCATION_WINDOW,
                    dest="last_k",
                    help="layer window (default %(default)s, clamped to the layer count)")
     p.add_argument("--json", action="store_true", help="machine-readable output")

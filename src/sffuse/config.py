@@ -1,30 +1,94 @@
-"""Application configuration: the ``--config`` file of ``annotate`` (the
-``pipeline`` section) and ``validate`` (the ``rewards`` section).
+"""Every setting of the toolkit, each declared once with its default.
 
-Values marked "fixed by the training recipe" are the constants the whole
-artifact is calibrated against; the rest are declared engineering defaults.
-
-  pipeline.n            = 8     samples per (instance, setting); recipe value
-  pipeline.tau_acc      = 0.75  inclusive accuracy threshold; recipe value
-  pipeline.tau_cons     = 0.8   inclusive consistency threshold; recipe value
-  rewards.lambda_acc    = 1.0   stage-2 answer-accuracy weight; recipe value
-  rewards.lambda_mps    = 0.2   stage-2 structure-reward weight; recipe value
-
-``attn-report`` takes its layer window from ``--last-k``, whose default is
-``attention_core.DEFAULT_ALLOCATION_WINDOW``. The GRPO defaults live in
-``rl_core.GrpoConfig`` and are set per run with the ``grpo-step`` flags; the
-leakage probe takes its seed from ``--seed``.
+``AppConfig`` is the ``--config`` file of ``annotate`` (``pipeline``) and
+``validate`` (``rewards``); the ``grpo-step`` flags set ``GrpoConfig``. A
+field commented "recipe value" is a training-recipe constant the artifact is
+calibrated against; the other defaults are engineering choices.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, is_dataclass
 from pathlib import Path
+from typing import get_type_hints
 
 from .jsonl import read_document
-from .pem_pipeline import EndpointConfig, PipelineConfig
-from .rl_core import RewardConfig
+
+# ``attn-report --last-k``: the final layers an allocation report sums over.
+DEFAULT_ALLOCATION_WINDOW = 16
+
+
+@dataclass(frozen=True)
+class EmbedderEndpointConfig:
+    """An HTTP endpoint; the bearer token is read from the environment
+    variable ``auth_env``. The embedder sends only ``{model, input}``."""
+
+    base_url: str = ""
+    model: str = "probe-model"
+    timeout: float = 30.0
+    retries: int = 2
+    auth_env: str = "SFFUSE_API_TOKEN"
+
+    def __post_init__(self) -> None:
+        if not self.retries >= 0:
+            raise ValueError("retries must be >= 0")
+        if not 0.0 < self.timeout < math.inf:  # NaN fails too
+            raise ValueError("timeout must be finite and > 0")
+
+
+@dataclass(frozen=True)
+class EndpointConfig(EmbedderEndpointConfig):
+    """The sampler's endpoint: the embedder's settings and a temperature."""
+
+    temperature: float = 1.0
+
+
+@dataclass(frozen=True)
+class PipelineConfig:
+    n: int = 8  # samples per (instance, setting); recipe value
+    tau_acc: float = 0.75  # inclusive accuracy threshold; recipe value
+    tau_cons: float = 0.8  # inclusive consistency threshold; recipe value
+    parallelism: int = 1
+    endpoint: EndpointConfig = field(default_factory=EndpointConfig)
+    embedder_endpoint: EmbedderEndpointConfig = field(default_factory=EmbedderEndpointConfig)
+
+    def __post_init__(self) -> None:
+        if self.n < 2:
+            raise ValueError("n must be >= 2")
+        for name in ("tau_acc", "tau_cons"):
+            value = getattr(self, name)
+            if not 0.0 < value <= 1.0:
+                raise ValueError(f"{name} must lie in (0, 1]")
+        if self.parallelism < 1:
+            raise ValueError("parallelism must be >= 1")
+
+
+@dataclass(frozen=True)
+class RewardConfig:
+    """Stage-2 reward weights."""
+
+    lambda_acc: float = 1.0  # answer-accuracy weight; recipe value
+    lambda_mps: float = 0.2  # modality-preference & structure weight; recipe value
+
+    def __post_init__(self) -> None:
+        if not (self.lambda_acc >= 0.0 and self.lambda_mps >= 0.0):  # NaN fails too
+            raise ValueError("reward weights must be nonnegative")
+
+
+@dataclass(frozen=True)
+class GrpoConfig:
+    clip_alpha: float = 0.2
+    kl_beta: float = 0.01
+    eps_stab: float = 1e-8
+
+    def __post_init__(self) -> None:
+        if not 0.0 < self.clip_alpha < 1.0:
+            raise ValueError("clip_alpha must lie in (0, 1)")
+        if not self.kl_beta >= 0.0:  # NaN fails too
+            raise ValueError("kl_beta must be nonnegative")
+        if not self.eps_stab > 0.0:  # NaN fails too
+            raise ValueError("eps_stab must be positive")
 
 
 @dataclass(frozen=True)
@@ -37,11 +101,9 @@ class ConfigError(ValueError):
     pass
 
 
-# JSON types accepted for each field type; nothing is coerced.
-_SCALARS = {"int": ((int,), "an integer"), "float": ((int, float), "a finite number"),
-            "str": ((str,), "a string")}
-_SECTIONS = {"PipelineConfig": PipelineConfig, "RewardConfig": RewardConfig,
-             "EndpointConfig": EndpointConfig}
+# JSON types accepted for each scalar field type; nothing is coerced.
+_SCALARS = {int: ((int,), "an integer"), float: ((int, float), "a finite number"),
+            str: ((str,), "a string")}
 
 
 def _build(cls, obj, name: str):
@@ -49,18 +111,15 @@ def _build(cls, obj, name: str):
     and whose nested sections are built the same way."""
     if not isinstance(obj, dict):
         raise ConfigError(f"{name} must be an object")
-    kinds = {f.name: f.type for f in fields(cls)}
+    kinds = get_type_hints(cls)
     values = {}
     for key, value in obj.items():
         kind, where = kinds.get(key), f"{name}.{key}"
         if kind is None:
             raise ConfigError(f"{where} is not a config field")
-        # The embedder sends only {model, input}, so this field would change nothing.
-        if where == "config.pipeline.embedder_endpoint.temperature":
-            raise ConfigError(f"{where} is not read: the embedder sends only model and input")
-        if kind in _SECTIONS:
-            value = _build(_SECTIONS[kind], value, where)
-        elif kind in _SCALARS:
+        if is_dataclass(kind):
+            value = _build(kind, value, where)
+        else:
             accepted, noun = _SCALARS[kind]
             if (isinstance(value, bool) or not isinstance(value, accepted)
                     or isinstance(value, float) and not math.isfinite(value)):
@@ -83,8 +142,8 @@ def config_from_dict(obj: object) -> AppConfig:
 
 
 def load_config(path: str | Path | None) -> AppConfig:
-    """Load a JSON config file; None yields the documented defaults. Every
-    error is a ConfigError that names ``path``."""
+    """Load a JSON config file; None yields the defaults above. Every error
+    is a ConfigError that names ``path``."""
     if path is None:
         return AppConfig()
     try:

@@ -214,8 +214,8 @@ def locate_layout(tokens: Sequence[int], markers: MarkerTable) -> TokenLayout:
 
     The input sets are the strict interiors of the modality indicator pairs
     and the reasoning sets those of the v/a tag pairs, with the visual span
-    also covering both v boundary tags. Absent pairs
-    simply produce empty sets (unimodal probing layouts are legal).
+    also covering both v boundary tags. The video and audio pairs may touch
+    but not overlap; absent pairs give empty sets (unimodal layouts are legal).
     """
     tokens = list(tokens)
     if not tokens:
@@ -257,7 +257,7 @@ def locate_layout(tokens: Sequence[int], markers: MarkerTable) -> TokenLayout:
     v_start, v_end = pairs.get("v", (0, -1))
     a_start, a_end = pairs.get("a", (0, -1))
     sum_start, sum_end = pairs.get("sum", (0, -1))
-    return TokenLayout(
+    layout = TokenLayout(
         length=len(tokens),
         video_input=range(video_start + 1, video_end),
         audio_input=range(audio_start + 1, audio_end),
@@ -266,6 +266,9 @@ def locate_layout(tokens: Sequence[int], markers: MarkerTable) -> TokenLayout:
         visual_span=range(v_start, v_end + 1),
         summary_span=range(sum_start + 1, sum_end),
     )
+    if video and audio and max(video, audio)[0] < min(video, audio)[1]:
+        raise LayoutError("video and audio indicator pairs overlap")
+    return layout
 
 
 # --- Declarative layout specs -------------------------------------------

@@ -3,10 +3,9 @@
 Each instance is probed under three input settings (audio-only, video-only,
 audio+video). Per setting we draw n chain-of-thought samples, call the
 setting solvable when the answer-accuracy rate and the pairwise CoT
-embedding consistency both clear their thresholds, and map the three
-solvability flags through a fixed decision table to a PEM label or a
-discard reason. n and both thresholds (inclusive) are ``PipelineConfig``
-fields, whose recipe values are tabled in ``config.py``.
+embedding consistency both clear their inclusive thresholds, and map the
+three solvability flags through a fixed decision table to a PEM label or a
+discard reason; n and the thresholds are ``PipelineConfig`` fields.
 
 Samplers are pluggable: a deterministic mock for tests and offline runs,
 and an HTTP chat-completion adapter for real probing. Media fields are
@@ -25,13 +24,14 @@ import urllib.error
 import urllib.request
 from collections.abc import Sequence
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 from typing import Callable, Iterable, Mapping, Protocol
 
 import numpy as np
 
+from .config import EmbedderEndpointConfig, EndpointConfig, PipelineConfig
 from .jsonl import is_number_list, read_records, str_fields, write_records
 from .normalize import normalize_answer
 from .tag_grammar import PemLabel
@@ -111,46 +111,6 @@ class PemRecord:
                                        "consistency": record.consistency,
                                        "solvable": record.solvable}
         return {"id": self.instance_id, "settings": settings, "decision": decision}
-
-
-@dataclass(frozen=True)
-class EndpointConfig:
-    """HTTP endpoint settings; token read from the environment. The embedder
-    sends only ``{model, input}``, so the config loader rejects a
-    ``temperature`` under ``embedder_endpoint``."""
-
-    base_url: str = ""
-    model: str = "probe-model"
-    temperature: float = 1.0
-    timeout: float = 30.0
-    retries: int = 2
-    auth_env: str = "SFFUSE_API_TOKEN"
-
-    def __post_init__(self) -> None:
-        if not self.retries >= 0:
-            raise ValueError("retries must be >= 0")
-        if not 0.0 < self.timeout < math.inf:  # NaN fails too
-            raise ValueError("timeout must be finite and > 0")
-
-
-@dataclass(frozen=True)
-class PipelineConfig:
-    n: int = 8
-    tau_acc: float = 0.75
-    tau_cons: float = 0.8
-    parallelism: int = 1
-    endpoint: EndpointConfig = field(default_factory=EndpointConfig)
-    embedder_endpoint: EndpointConfig = field(default_factory=EndpointConfig)
-
-    def __post_init__(self) -> None:
-        if self.n < 2:
-            raise ValueError("n must be >= 2")
-        for name in ("tau_acc", "tau_cons"):
-            value = getattr(self, name)
-            if not 0.0 < value <= 1.0:
-                raise ValueError(f"{name} must lie in (0, 1]")
-        if self.parallelism < 1:
-            raise ValueError("parallelism must be >= 1")
 
 
 # A sampler's n (answer, cot_text) string pairs for one (instance, setting).
@@ -529,7 +489,7 @@ class _Endpoint:
     role: str
     error: type[PipelineError]
 
-    def __init__(self, endpoint: EndpointConfig, token: str | None = None,
+    def __init__(self, endpoint: EmbedderEndpointConfig, token: str | None = None,
                  transport: Transport = _urllib_transport):
         if not endpoint.base_url:
             raise ValueError(f"{self.role} base_url is required")
@@ -598,6 +558,7 @@ class HttpSampler(_Endpoint):
 
     role = "endpoint"
     error = SamplingError
+    endpoint: EndpointConfig
 
     def _media_payload(self, instance: Instance, setting: ProbeSetting) -> dict:
         media = {}

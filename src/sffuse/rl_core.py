@@ -4,10 +4,10 @@ Rewards are binary and checkable from the raw output text alone: the
 modality-preference & structure reward fires iff the trace parses and names
 the right evidence modality, and the accuracy reward fires iff the answer
 segment matches the ground truth after normalization. Stage 1 trains on
-the structure reward alone; stage 2 on their weighted sum, whose recipe
-weights are tabled in ``config.py``. Advantages are normalized within a
-rollout group using the population variance, and the objective is the
-clipped surrogate minus a KL penalty against the reference policy.
+the structure reward alone; stage 2 on their sum weighted by
+``RewardConfig``. Advantages are normalized within a rollout group using
+the population variance, and the objective is the clipped surrogate minus
+a KL penalty against the reference policy.
 """
 
 from __future__ import annotations
@@ -19,36 +19,10 @@ from typing import Sequence
 
 import numpy as np
 
+from .config import GrpoConfig, RewardConfig
 from .jsonl import is_number_list, read_records, str_fields
 from .normalize import answers_match
 from .tag_grammar import ParseDiagnostic, PemLabel, parse_trace
-
-
-@dataclass(frozen=True)
-class RewardConfig:
-    """Stage-2 reward weights."""
-
-    lambda_acc: float = 1.0
-    lambda_mps: float = 0.2
-
-    def __post_init__(self) -> None:
-        if not (self.lambda_acc >= 0.0 and self.lambda_mps >= 0.0):  # NaN fails too
-            raise ValueError("reward weights must be nonnegative")
-
-
-@dataclass(frozen=True)
-class GrpoConfig:
-    clip_alpha: float = 0.2
-    kl_beta: float = 0.01
-    eps_stab: float = 1e-8
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.clip_alpha < 1.0:
-            raise ValueError("clip_alpha must lie in (0, 1)")
-        if not self.kl_beta >= 0.0:  # NaN fails too
-            raise ValueError("kl_beta must be nonnegative")
-        if not self.eps_stab > 0.0:  # NaN fails too
-            raise ValueError("eps_stab must be positive")
 
 
 @dataclass(frozen=True)

@@ -175,7 +175,7 @@ def reference_locate_layout(tokens: Sequence[int], markers: MarkerTable) -> Toke
         start, end = pairs["v"]
         visual_span = frozenset(range(start, end + 1))
 
-    return TokenLayout(
+    layout = TokenLayout(
         length=len(tokens),
         video_input=interior(video),
         audio_input=interior(audio),
@@ -184,6 +184,11 @@ def reference_locate_layout(tokens: Sequence[int], markers: MarkerTable) -> Toke
         visual_span=visual_span,
         summary_span=interior(pairs.get("sum")),
     )
+    if video is not None and audio is not None:
+        first, second = sorted((video, audio))
+        if second[0] < first[1]:
+            raise LayoutError("video and audio indicator pairs overlap")
+    return layout
 
 
 def reference_mask_from_text(text: str) -> MaskMatrix:

@@ -64,7 +64,8 @@ def test_annotate_rejects_an_embedder_temperature(tmp_path, capsys) -> None:
     code = main(["annotate", "--in", str(DATA / "instances_12.jsonl"),
                  "--out", str(tmp_path / "o.jsonl"), "--mock", "--config", str(config)])
     err = assert_one_error_line(code, capsys.readouterr().err)
-    assert err.startswith(f"error: {config}: config.pipeline.embedder_endpoint.temperature ")
+    assert err == (f"error: {config}: "
+                   "config.pipeline.embedder_endpoint.temperature is not a config field\n")
     assert not (tmp_path / "o.jsonl").exists()
 
 
@@ -442,7 +443,7 @@ def test_validate_unknown_pem_label_is_one_error_line(tmp_path, capsys) -> None:
     captured = capsys.readouterr()
     assert captured.out == ""
     assert assert_one_error_line(code, captured.err) == (
-        "error: label p2: unknown PEM value 'Smell'\n")
+        f"error: {labels}:2: unknown PEM value 'Smell'\n")
     assert not (tmp_path / "scored.jsonl").exists()
 
 

@@ -1,11 +1,19 @@
+import ast
 import json
+from pathlib import Path
 
 import pytest
 
-from sffuse.attention_core import DEFAULT_ALLOCATION_WINDOW
-from sffuse.config import AppConfig, ConfigError, config_from_dict, load_config
-from sffuse.pem_pipeline import EndpointConfig
-from sffuse.rl_core import GrpoConfig
+from sffuse import config
+from sffuse.config import (
+    DEFAULT_ALLOCATION_WINDOW,
+    AppConfig,
+    ConfigError,
+    EndpointConfig,
+    GrpoConfig,
+    config_from_dict,
+    load_config,
+)
 
 
 def test_defaults_are_the_documented_constants() -> None:
@@ -110,7 +118,23 @@ def test_embedder_temperature_rejected_whatever_its_value(value) -> None:
     # The embedder sends only {model, input}; a temperature there changes nothing.
     with pytest.raises(ConfigError) as info:
         config_from_dict({"pipeline": {"embedder_endpoint": {"temperature": value}}})
-    assert str(info.value).startswith("config.pipeline.embedder_endpoint.temperature ")
+    assert str(info.value) == (
+        "config.pipeline.embedder_endpoint.temperature is not a config field")
+
+
+def test_only_the_sampler_endpoint_has_a_temperature() -> None:
+    cfg = AppConfig().pipeline
+    assert not hasattr(cfg.embedder_endpoint, "temperature")
+    assert cfg.endpoint.temperature == 1.0
+
+
+def test_config_imports_no_domain_module() -> None:
+    # The domain modules import their settings from config, never the reverse.
+    tree = ast.parse(Path(config.__file__).read_text(encoding="utf-8"))
+    # ``from . import x`` has no module, so it would show here as None.
+    relative = {node.module for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) and node.level}
+    assert relative == {"jsonl"}
 
 
 def test_missing_or_invalid_file(tmp_path) -> None:

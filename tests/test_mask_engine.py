@@ -383,6 +383,26 @@ MARKER_TABLES = {
 }
 
 
+@pytest.mark.parametrize("tokens", [
+    [100, 1, 102, 101, 2, 103],
+    [102, 1, 100, 103, 2, 101],
+    [100, 102, 103, 101, 110, 7, 111],
+], ids=["crossing", "crossing-audio-first", "nested-empty"])
+def test_locate_layout_overlapping_indicator_pairs_rejected(tokens) -> None:
+    # Each input set is a clean interior here, but it holds the other pair's markers.
+    for locate in (locate_layout, reference_locate_layout):
+        with pytest.raises(LayoutError, match="^video and audio indicator pairs overlap$"):
+            locate(tokens, MARKERS)
+
+
+def test_locate_layout_touching_indicator_pairs_are_valid() -> None:
+    # Under the shared ids, 101 ends the video pair and starts the audio pair.
+    layout = locate_layout([100, 1, 101, 2, 103], MARKER_TABLES["shared ids"])
+    assert layout.video_input == {1}
+    assert layout.audio_input == {3}
+    assert layout == reference_locate_layout([100, 1, 101, 2, 103], MARKER_TABLES["shared ids"])
+
+
 def render_stream(rng: np.random.Generator) -> list[int]:
     """A valid stream under ``MARKERS``: optional input pairs, then optional
     tag pairs in order, each around 0-3 payload tokens."""
