@@ -16,16 +16,11 @@ from __future__ import annotations
 
 import enum
 import hashlib
-import http.client
 import json
 import math
 import re
-import urllib.error
-import urllib.request
 from collections.abc import Sequence
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from importlib import resources
 from pathlib import Path
 from typing import Callable, Iterable, Mapping, Protocol
 
@@ -305,6 +300,8 @@ def annotate(
     if cfg.parallelism == 1:
         results = list(map(process, dataset))
     else:
+        # Imported here: it loads logging and queue, which only parallel runs need.
+        from concurrent.futures import ThreadPoolExecutor
         with ThreadPoolExecutor(max_workers=cfg.parallelism) as pool:
             results = list(pool.map(process, dataset))
     records, labeled, failures = [], [], []
@@ -471,7 +468,14 @@ _ANSWER_LINE = re.compile(r"(?im)^answer:\s*(.+?)\s*$")
 Transport = Callable[[str, dict, dict, float], dict]
 
 
+class _AnswerNotJson(Exception):
+    """An answer arrived, but its body is not UTF-8 JSON."""
+
+
 def _urllib_transport(url: str, payload: dict, headers: dict, timeout: float) -> dict:
+    # Imported here: it loads http.client, email, ssl and socket, which only
+    # live probing uses.
+    import urllib.request
     request = urllib.request.Request(
         url,
         data=json.dumps(payload).encode("utf-8"),
@@ -479,7 +483,11 @@ def _urllib_transport(url: str, payload: dict, headers: dict, timeout: float) ->
         method="POST",
     )
     with urllib.request.urlopen(request, timeout=timeout) as response:
-        return json.loads(response.read().decode("utf-8"))
+        body = response.read()
+    try:
+        return json.loads(body.decode("utf-8"))
+    except ValueError as exc:  # JSONDecodeError or UnicodeDecodeError
+        raise _AnswerNotJson(exc) from exc
 
 
 class _Endpoint:
@@ -488,9 +496,13 @@ class _Endpoint:
 
     role: str
     error: type[PipelineError]
+    settings_type: type[EmbedderEndpointConfig] = EmbedderEndpointConfig
 
     def __init__(self, endpoint: EmbedderEndpointConfig, token: str | None = None,
                  transport: Transport = _urllib_transport):
+        if not isinstance(endpoint, self.settings_type):
+            raise ValueError(f"{self.role} settings must be an {self.settings_type.__name__}, "
+                             f"not {type(endpoint).__name__}")
         if not endpoint.base_url:
             raise ValueError(f"{self.role} base_url is required")
         self.endpoint = endpoint
@@ -502,7 +514,10 @@ class _Endpoint:
         answered. Timeouts, connection errors, cut-short answers, 429 and 5xx
         are retried up to ``endpoint.retries`` times; then, or at once on any
         other HTTP status, raise ``error("{what}: {last error}")``. An answer
-        that is not a JSON object raises ``error`` at once."""
+        that is not JSON, or not a JSON object, raises ``error`` at once."""
+        # Imported here, not at module level: only live probing needs them.
+        import http.client
+        import urllib.error
         headers = {"Authorization": f"Bearer {self.token}"} if self.token else {}
         last_error: Exception | None = None
         for _ in range(self.endpoint.retries + 1):
@@ -517,6 +532,8 @@ class _Endpoint:
                         exc.code == 429 or 500 <= exc.code < 600):
                     break
                 continue
+            except _AnswerNotJson as exc:
+                raise self.error(f"{what}: the answer is not JSON: {exc}") from exc
             if not isinstance(response, dict):
                 raise self.error(f"{what}: the answer is not a JSON object")
             return response
@@ -526,6 +543,8 @@ class _Endpoint:
 def build_probe_prompt(instance: Instance, setting: ProbeSetting) -> str:
     """The setting's editable prompt fixture, ``prompts/probe_{setting}.txt``
     in lower case, filled in for ``instance``."""
+    # Imported here: only live probing reads the prompt files.
+    from importlib import resources
     template = resources.files("sffuse").joinpath(
         "prompts", f"probe_{setting.value.lower()}.txt").read_text(encoding="utf-8")
     if instance.choices:
@@ -558,6 +577,7 @@ class HttpSampler(_Endpoint):
 
     role = "endpoint"
     error = SamplingError
+    settings_type = EndpointConfig
     endpoint: EndpointConfig
 
     def _media_payload(self, instance: Instance, setting: ProbeSetting) -> dict:

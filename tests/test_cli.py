@@ -391,18 +391,25 @@ def test_annotate_without_an_endpoint_url_says_use_mock(tmp_path, capsys, pipeli
     assert err == f"error: {role} base_url is required (use --mock for offline runs)\n"
 
 
-def answer_not_an_object(request, timeout):
-    return io.BytesIO(b"[]")
+def answer_body(body):
+    """A ``urlopen`` stand-in that answers ``body``."""
+    return lambda request, timeout: io.BytesIO(body)
 
 
 def answer_cut_short(request, timeout):
     raise http.client.IncompleteRead(b"{", 10)
 
 
-@pytest.mark.parametrize("urlopen", [answer_not_an_object, answer_cut_short],
-                         ids=["list-answer", "incomplete-read"])
-def test_annotate_unusable_endpoint_answer_is_a_recorded_failure(tmp_path, capsys,
-                                                                 monkeypatch, urlopen) -> None:
+@pytest.mark.parametrize("urlopen, error", [
+    (answer_body(b"[]"), "the answer is not a JSON object"),
+    (answer_cut_short, "IncompleteRead(1 bytes read, 10 more expected)"),
+    (answer_body(b"<html>busy</html>"),
+     "the answer is not JSON: Expecting value: line 1 column 1 (char 0)"),
+    (answer_body(b"\xff\xfe{}"), "the answer is not JSON: 'utf-8' codec can't decode "
+                                  "byte 0xff in position 0: invalid start byte"),
+], ids=["list-answer", "incomplete-read", "html-answer", "not-utf8-answer"])
+def test_annotate_unusable_endpoint_answer_is_a_recorded_failure(tmp_path, capsys, monkeypatch,
+                                                                 urlopen, error) -> None:
     monkeypatch.setattr(urllib.request, "urlopen", urlopen)
     code = main(annotate_live(tmp_path, {
         "n": 2, "endpoint": {"base_url": "http://chat", "retries": 1},
@@ -411,6 +418,8 @@ def test_annotate_unusable_endpoint_answer_is_a_recorded_failure(tmp_path, capsy
     assert assert_one_error_line(code, captured.err) == "error: 1 of 1 instances failed\n"
     assert captured.out == (
         f"labeled 0 / 1 instances (0 discarded, 1 failed) -> {tmp_path}/o.jsonl\n")
+    stats = json.loads((tmp_path / "o.jsonl.stats.json").read_text(encoding="utf-8"))
+    assert stats["failures"] == [{"id": "i", "error": f"endpoint unreachable for i/A: {error}"}]
 
 
 def test_validate_unwritable_output_is_one_error_line(tmp_path, capsys) -> None:

@@ -1,7 +1,9 @@
 import http.client
+import io
 import itertools
 import math
 import urllib.error
+import urllib.request
 from dataclasses import asdict, fields
 from pathlib import Path
 
@@ -11,7 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import ScriptedSampler, reference_consistency, reference_hash_vector
-from sffuse.config import config_from_dict
+from sffuse.config import EmbedderEndpointConfig, config_from_dict
 from sffuse.normalize import answers_match
 from sffuse.pem_pipeline import (
     DiscardReason,
@@ -746,6 +748,56 @@ def test_http_adapters_reject_an_answer_that_is_not_an_object(adapter, answer) -
     assert len(attempts) == 1
 
 
+# Answer bodies that are not UTF-8 JSON, and the decoder's complaint about each.
+NOT_JSON = {"html": (b"<html>busy</html>", "Expecting value: line 1 column 1 (char 0)"),
+            "not-utf8": (b"\xff\xfe{}", "'utf-8' codec can't decode byte 0xff in "
+                                         "position 0: invalid start byte")}
+
+
+def answering(answer, attempts):
+    """A ``urlopen`` stand-in that counts its calls in ``attempts`` and
+    answers the body ``answer``, or raises it if it is an exception."""
+
+    def urlopen(request, timeout):
+        attempts.append(request.full_url)
+        if isinstance(answer, Exception):
+            raise answer
+        return io.BytesIO(answer)
+
+    return urlopen
+
+
+@pytest.mark.parametrize("body", NOT_JSON)
+@pytest.mark.parametrize("adapter, what", [("sampler", "endpoint unreachable for x1/A"),
+                                           ("embedder", "embedder unreachable")])
+def test_http_adapters_reject_an_answer_that_is_not_json(monkeypatch, adapter, what,
+                                                        body) -> None:
+    attempts = []
+    data, cause = NOT_JSON[body]
+    monkeypatch.setattr(urllib.request, "urlopen", answering(data, attempts))
+    endpoint = EndpointConfig(base_url="http://x/api", retries=2)
+    with pytest.raises(ADAPTER_ERRORS[adapter]) as raised:
+        if adapter == "sampler":
+            HttpSampler(endpoint).sample(make_instance(), ProbeSetting.A, 2)
+        else:
+            HttpEmbedder(endpoint).embed(["a", "b"])
+    assert str(raised.value) == f"{what}: the answer is not JSON: {cause}"
+    assert attempts == ["http://x/api"]
+
+
+def test_http_sampler_url_it_cannot_send_to_stays_a_value_error() -> None:
+    sampler = HttpSampler(EndpointConfig(base_url="chat", retries=2))
+    with pytest.raises(ValueError, match="^unknown url type: 'chat'$") as raised:
+        sampler.sample(make_instance(), ProbeSetting.A, 2)
+    assert not isinstance(raised.value, SamplingError)
+
+
+def test_http_sampler_rejects_embedder_settings_when_built() -> None:
+    with pytest.raises(ValueError, match="^endpoint settings must be an EndpointConfig, "
+                                         "not EmbedderEndpointConfig$"):
+        HttpSampler(EmbedderEndpointConfig(base_url="http://x/chat"))
+
+
 def cut_short(url, payload, headers, timeout):
     raise http.client.IncompleteRead(b"{", 10)
 
@@ -763,15 +815,19 @@ def test_http_adapters_retry_a_cut_short_answer(adapter) -> None:
     assert len(attempts) == 3
 
 
-@pytest.mark.parametrize("transport", [lambda *a: ["not", "an", "object"], cut_short],
-                         ids=["list-answer", "incomplete-read"])
-def test_annotate_records_an_unusable_endpoint_answer(transport) -> None:
-    sampler = HttpSampler(EndpointConfig(base_url="http://x/chat", retries=1),
-                          transport=transport)
+@pytest.mark.parametrize("answer, error", [
+    (b'["not", "an", "object"]', "the answer is not a JSON object"),
+    (http.client.IncompleteRead(b"{", 10), "IncompleteRead(1 bytes read, 10 more expected)"),
+    (NOT_JSON["html"][0], f"the answer is not JSON: {NOT_JSON['html'][1]}"),
+    (NOT_JSON["not-utf8"][0], f"the answer is not JSON: {NOT_JSON['not-utf8'][1]}"),
+], ids=["list-answer", "incomplete-read", "html-answer", "not-utf8-answer"])
+def test_annotate_records_an_unusable_endpoint_answer(monkeypatch, answer, error) -> None:
+    monkeypatch.setattr(urllib.request, "urlopen", answering(answer, []))
+    sampler = HttpSampler(EndpointConfig(base_url="http://x/chat", retries=1))
     result = annotate([make_instance()], sampler, HashEmbedder(), PipelineConfig(n=2))
     assert (result.stats.labeled, result.stats.discarded, result.stats.failed) == (0, 0, 1)
-    assert result.stats.failures[0]["id"] == "x1"
-    assert result.stats.failures[0]["error"].startswith("endpoint unreachable for x1/")
+    assert result.stats.failures == ({"id": "x1",
+                                      "error": f"endpoint unreachable for x1/A: {error}"},)
 
 
 @pytest.mark.parametrize("rows, message", [
