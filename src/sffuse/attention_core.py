@@ -378,7 +378,11 @@ def read_weights_jsonl(path: str | Path) -> list[np.ndarray]:
         if not is_number_list(obj.get("data")):
             raise ValueError("bad weights record: data must be a list of numbers")
         try:
-            layer = np.asarray(obj["data"], dtype=float).reshape(shape)
+            layer = np.asarray(obj["data"], dtype=float)
+        except OverflowError:  # an integer beyond the float range
+            raise ValueError("weights must be finite numbers") from None
+        try:
+            layer = layer.reshape(shape)
         except ValueError as exc:
             raise ValueError(f"bad weights record: {exc!r}") from exc
         if not np.isfinite(layer).all():

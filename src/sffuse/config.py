@@ -106,6 +106,14 @@ _SCALARS = {int: ((int,), "an integer"), float: ((int, float), "a finite number"
             str: ((str,), "a string")}
 
 
+def _finite(value: int | float) -> bool:
+    """Whether ``value`` is a finite float, or an int within the float range."""
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
+
+
 def _build(cls, obj, name: str):
     """``cls`` from a JSON object whose scalars have their fields' JSON types
     and whose nested sections are built the same way."""
@@ -122,7 +130,7 @@ def _build(cls, obj, name: str):
         else:
             accepted, noun = _SCALARS[kind]
             if (isinstance(value, bool) or not isinstance(value, accepted)
-                    or isinstance(value, float) and not math.isfinite(value)):
+                    or kind is float and not _finite(value)):
                 raise ConfigError(f"{where} must be {noun}")
         values[key] = value
     try:

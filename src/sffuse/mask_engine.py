@@ -12,6 +12,7 @@ semantics are realized by the attention core at softmax time.
 
 from __future__ import annotations
 
+import itertools
 import struct
 from dataclasses import dataclass, field, fields
 from functools import cached_property
@@ -37,6 +38,16 @@ BLOCKED_ROLE_PAIRS = (
 )
 
 
+def _check_extents(length: int, extents: Sequence[tuple[str, int, int]]) -> None:
+    """The length check, then the bounds of each (role, lowest index,
+    highest index) in ``extents``, in order."""
+    if length < 1:
+        raise LayoutError("length must be >= 1")
+    for name, low, high in extents:
+        if low < 0 or high >= length:
+            raise LayoutError(f"{name} index out of range [0, {length})")
+
+
 @dataclass(frozen=True)
 class TokenLayout:
     """The position sets that drive mask construction.
@@ -56,13 +67,10 @@ class TokenLayout:
     summary_span: frozenset[int] = frozenset()
 
     def __post_init__(self) -> None:
-        if self.length < 1:
-            raise LayoutError("length must be >= 1")
         for name in ROLE_NAMES:
-            indices = frozenset(getattr(self, name))
-            object.__setattr__(self, name, indices)
-            if indices and (min(indices) < 0 or max(indices) >= self.length):
-                raise LayoutError(f"{name} index out of range [0, {self.length})")
+            object.__setattr__(self, name, frozenset(getattr(self, name)))
+        _check_extents(self.length, [(name, min(indices), max(indices)) for name in ROLE_NAMES
+                                     if (indices := getattr(self, name))])
         if self.video_input & self.audio_input:
             raise LayoutError("video_input and audio_input must be disjoint")
         if not self.visual_reasoning <= self.visual_span:
@@ -280,11 +288,12 @@ def _spec_int(value: object, what: str) -> int:
     return int(value)
 
 
-def _ranges_to_set(ranges: object, role: str) -> frozenset[int]:
+def _spec_ranges(ranges: object, role: str) -> list[range]:
+    """A role's ``[[first, last], ...]`` pairs, checked but not expanded."""
     not_pairs = f"{role} must be a list of [first, last] pairs"
     if not isinstance(ranges, (list, tuple)):
         raise ValueError(not_pairs)
-    indices: set[int] = set()
+    spans = []
     for r in ranges:
         if not isinstance(r, (list, tuple)) or len(r) != 2:
             raise ValueError(not_pairs)
@@ -292,8 +301,8 @@ def _ranges_to_set(ranges: object, role: str) -> frozenset[int]:
         last = _spec_int(r[1], f"{role}: range bound")
         if last < first:
             raise ValueError(f"{role}: range [{first}, {last}] is reversed")
-        indices.update(range(first, last + 1))
-    return frozenset(indices)
+        spans.append(range(first, last + 1))
+    return spans
 
 
 def layout_from_spec(spec: Mapping) -> TokenLayout:
@@ -307,10 +316,13 @@ def layout_from_spec(spec: Mapping) -> TokenLayout:
     if unknown:
         raise ValueError(f"unknown layout roles: {sorted(unknown)}")
     length = _spec_int(spec["length"], "length")
-    roles = {
-        name: _ranges_to_set(spec.get(name, []), name) for name in ROLE_NAMES
-    }
-    return TokenLayout(length=length, **roles)
+    roles = {name: _spec_ranges(spec.get(name, []), name) for name in ROLE_NAMES}
+    # Checked before the ranges are expanded, so a bound far outside the
+    # layout is rejected without allocating its indices.
+    _check_extents(length, [(name, min(r.start for r in spans), max(r.stop for r in spans) - 1)
+                            for name, spans in roles.items() if spans])
+    return TokenLayout(length=length,
+                       **{name: itertools.chain(*spans) for name, spans in roles.items()})
 
 
 def load_layout_spec(path: str | Path) -> TokenLayout:

@@ -36,8 +36,12 @@ class RolloutGroup:
 
     def __post_init__(self) -> None:
         for name in ("rewards", "logp_new", "logp_old", "logp_ref"):
-            values = tuple(float(x) for x in getattr(self, name))
-            if not all(map(math.isfinite, values)):
+            try:
+                values = tuple(map(float, getattr(self, name)))
+                finite = all(map(math.isfinite, values))
+            except OverflowError:  # an integer beyond the float range
+                finite = False
+            if not finite:
                 raise ValueError(f"{name} must hold finite numbers")
             object.__setattr__(self, name, values)
         g = len(self.rewards)

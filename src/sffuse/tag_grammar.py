@@ -15,6 +15,7 @@ serve directly as a crisp 0/1 reward predicate.
 from __future__ import annotations
 
 import enum
+import itertools
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -23,7 +24,9 @@ from .jsonl import read_records, str_fields
 
 TAG_NAMES = ("mod", "v", "a", "sum", "ans")
 
-_TAG_TOKEN = re.compile(f"</?({'|'.join(TAG_NAMES)})>")
+# Splitting on this pattern keeps each whole tag as its own piece, so the
+# tags are the odd pieces and the text around them the even ones.
+_TAG_SPLIT = re.compile(f"(</?(?:{'|'.join(TAG_NAMES)})>)")
 # The one well-formed tag sequence: <mod></mod><v></v>...<ans></ans>.
 _CANONICAL = [literal for name in TAG_NAMES for literal in (f"<{name}>", f"</{name}>")]
 
@@ -85,10 +88,6 @@ class SfrTrace:
 _Token = tuple[str, str, bool, int, int]
 
 
-def _tokenize(text: str) -> list[_Token]:
-    return [(m[0], m[1], m[0][1] == "/", *m.span()) for m in _TAG_TOKEN.finditer(text)]
-
-
 def _diagnose(tokens: list[_Token]) -> list[ParseDiagnostic]:
     """Why a tag sequence is not the canonical one: the count defects of
     every tag, else the first reversed or overlapping pair, else the first
@@ -148,28 +147,25 @@ def parse_trace(text: str) -> tuple[SfrTrace | None, list[ParseDiagnostic]]:
     outside the tagged segments is a StrayContent defect. Never raises on
     malformed input.
     """
-    tokens = _tokenize(text)
-    # Sound structure is exactly the canonical tag sequence, so the k-th
-    # tag name opens at token 2k and closes at token 2k + 1.
-    if [token[0] for token in tokens] != _CANONICAL:
-        return None, _diagnose(tokens)
-    opens, closes = tokens[0::2], tokens[1::2]
-    segments = [text[open_tok[4]:close_tok[3]] for open_tok, close_tok in zip(opens, closes)]
-    spans = tuple((name, open_tok[3], close_tok[4])
-                  for name, open_tok, close_tok in zip(TAG_NAMES, opens, closes))
+    # A sound trace splits into exactly gap, <mod>, segment, </mod>, gap,
+    # <v>, ..., </ans>, gap: tag k opens at piece 4k + 1 and closes at 4k + 3.
+    pieces = _TAG_SPLIT.split(text)
+    starts = list(itertools.accumulate(map(len, pieces), initial=0))  # piece i is at starts[i]
+    if pieces[1::2] != _CANONICAL:
+        return None, _diagnose([
+            (literal, literal.strip("</>"), literal[1] == "/", start, end)
+            for literal, start, end in zip(pieces[1::2], starts[1::2], starts[2::2])])
+    segments = pieces[2::4]
 
     diags = []
     pem = PemLabel.from_text(segments[0])
     if pem is None:
         diags.append(ParseDiagnostic(
-            DiagnosticKind.UNKNOWN_PEM_VALUE, opens[0][4],
+            DiagnosticKind.UNKNOWN_PEM_VALUE, starts[2],
             f"{segments[0].strip()!r} is not one of {list(_PEM_BY_TEXT)}"))
 
     # The gaps before the first span, between spans, and after the last.
-    gap_starts = [0, *(close_tok[4] for close_tok in closes)]
-    gap_ends = [*(open_tok[3] for open_tok in opens), len(text)]
-    for start, end in zip(gap_starts, gap_ends):
-        gap = text[start:end]
+    for gap, start in zip(pieces[0::4], starts[0::4]):
         if gap.strip():
             offset = start + (len(gap) - len(gap.lstrip()))
             diags.append(ParseDiagnostic(
@@ -184,7 +180,7 @@ def parse_trace(text: str) -> tuple[SfrTrace | None, list[ParseDiagnostic]]:
         audio_text=segments[2],
         summary_text=segments[3],
         answer_text=segments[4],
-        spans=spans,
+        spans=tuple(zip(TAG_NAMES, starts[1::4], starts[4::4])),
     )
     return trace, []
 

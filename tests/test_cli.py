@@ -1,7 +1,10 @@
 import http.client
 import io
 import json
+import os
 import struct
+import subprocess
+import sys
 import urllib.request
 import warnings
 from pathlib import Path
@@ -286,6 +289,22 @@ def test_non_utf8_jsonl_names_its_path(tmp_path, capsys) -> None:
     assert f"{bad}: not UTF-8 text" in err
 
 
+@pytest.mark.parametrize("argv, line, message", [
+    (["grpo-step", "--rollouts", "{bad}"],
+     {"rewards": [1, 10**400], "logp_new": [0, 0], "logp_old": [0, 0], "logp_ref": [0, 0]},
+     "rewards must hold finite numbers"),
+    (["attn-report", "--weights", "{bad}", "--spec", LAYOUT],
+     {"layer": 0, "shape": [6, 6], "data": [0.0] * 35 + [-10**400]},
+     "weights must be finite numbers"),
+], ids=["grpo-step", "attn-report"])
+def test_integer_beyond_the_float_range_is_one_error_line(tmp_path, capsys, argv, line,
+                                                          message) -> None:
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text(json.dumps(line) + "\n", encoding="utf-8")
+    code = main([a.format(bad=bad) for a in argv])
+    assert assert_one_error_line(code, capsys.readouterr().err) == f"error: {bad}:1: {message}\n"
+
+
 CONFIG_ARGV = ["--in", str(DATA / "instances_12.jsonl"), "--out", "{tmp}/o.jsonl", "--mock"]
 
 
@@ -432,8 +451,9 @@ def test_validate_unwritable_output_is_one_error_line(tmp_path, capsys) -> None:
 
 @pytest.mark.parametrize("config, message", [
     ({"rewards": {"lambda_acc": -1}}, "config.rewards: reward weights must be nonnegative"),
+    ({"rewards": {"lambda_acc": 10**400}}, "config.rewards.lambda_acc must be a finite number"),
     ([1, 2], "config root must be an object"),
-], ids=["negative-weight", "array-root"])
+], ids=["negative-weight", "beyond-float-weight", "array-root"])
 def test_validate_config_errors_name_their_file(tmp_path, capsys, config, message) -> None:
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(config), encoding="utf-8")
@@ -552,6 +572,52 @@ def test_mask_spec_syntax_error_names_its_path(tmp_path, capsys) -> None:
     code = main(["mask", "--spec", str(spec)])
     err = assert_one_error_line(code, capsys.readouterr().err)
     assert f"{spec}: invalid layout spec" in err
+
+
+# A child process with its address space capped at 1 GiB: a spec range
+# expanded before its bounds are checked fails there with a MemoryError
+# instead of taking the memory of the machine running the tests.
+CAPPED_CLI = """
+import resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+from sffuse.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+@pytest.mark.parametrize("last", [10**12, 10**400], ids=["1e12", "1e400"])
+@pytest.mark.parametrize("command", ["mask", "attn-report"])
+def test_spec_bound_far_out_of_range_is_one_error_line(tmp_path, command, last) -> None:
+    spec = tmp_path / "layout.json"
+    spec.write_text(json.dumps({"length": 4, "video_input": [[0, last]]}), encoding="utf-8")
+    argv = [command, "--spec", str(spec)]
+    if command == "attn-report":
+        argv += ["--weights", str(tmp_path / "weights.jsonl")]
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(root / "src"), OPENBLAS_NUM_THREADS="1")
+    done = subprocess.run([sys.executable, "-c", CAPPED_CLI, *argv], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert (done.returncode, done.stdout) == (1, "")
+    assert done.stderr == f"error: {spec}: video_input index out of range [0, 4)\n"
+
+
+@pytest.mark.parametrize("spec, message", [
+    ({"length": 4, "video_input": [[0, 9]], "summary_span": [[2, 1]]},
+     "summary_span: range [2, 1] is reversed"),
+    ({"length": 0, "video_input": [[0, 9]], "audio_input": [[0]]},
+     "audio_input must be a list of [first, last] pairs"),
+    ({"length": 0, "video_input": [[-5, 9]]}, "length must be >= 1"),
+    ({"length": 4, "audio_input": [[0, 9]], "video_input": [[-1, 0]]},
+     "video_input index out of range [0, 4)"),
+    ({"length": 4, "video_input": [[0, 1]], "audio_input": [[1, 2], [3, 4]]},
+     "audio_input index out of range [0, 4)"),
+], ids=["pairs-before-bounds", "pairs-before-length", "length-before-bounds",
+        "bounds-in-role-order", "bounds-before-overlap"])
+def test_spec_names_its_first_fault(tmp_path, capsys, spec, message) -> None:
+    path = tmp_path / "layout.json"
+    path.write_text(json.dumps(spec), encoding="utf-8")
+    code = main(["mask", "--spec", str(path)])
+    assert assert_one_error_line(code, capsys.readouterr().err) == f"error: {path}: {message}\n"
 
 
 # --- grpo-step -----------------------------------------------------------------------

@@ -17,9 +17,12 @@ LAYOUT = DATA / "layout_l6.json"
 WEIGHTS_L6 = json.dumps({"layer": 0, "shape": [6, 6], "data": [1.0 / 6] * 36})
 
 # Integers stay small: a layout length or a sample count is an allocation size.
+# The one exception is an integer beyond the float range, which JSON allows
+# and float() rejects; a loader must refuse it before anything is allocated.
 # Small floats are near-valid values (a sample count of 2.5) that huge ones miss.
-scalars = (st.none() | st.booleans() | st.integers(-3, 12) | st.floats(-3, 12) | st.floats()
-           | st.text(max_size=8))
+BEYOND_FLOAT = st.sampled_from([10**400, -10**400])
+scalars = (st.none() | st.booleans() | st.integers(-3, 12) | BEYOND_FLOAT | st.floats(-3, 12)
+           | st.floats() | st.text(max_size=8))
 json_values = st.recursive(
     scalars,
     lambda inner: st.lists(inner, max_size=4)
@@ -41,9 +44,9 @@ def jsonl(record: st.SearchStrategy) -> st.SearchStrategy:
 
 def contents(record: st.SearchStrategy, one_document: bool = False) -> st.SearchStrategy:
     """Random bytes, or random JSON shaped like the input (JSONL by default)."""
-    shaped = ((record | json_values).map(lambda v: json.dumps(v).encode()) if one_document
-              else jsonl(record))
-    return st.binary(max_size=64) | shaped
+    as_json = ((record | json_values).map(lambda v: json.dumps(v).encode()) if one_document
+               else jsonl(record))
+    return st.binary(max_size=64) | as_json
 
 
 INSTANCE = records("id", "question", "gold_answer", "media", "choices")
@@ -59,6 +62,29 @@ CONFIG = st.fixed_dictionaries({}, optional={
     "rewards": records("lambda_acc", "lambda_mps"),
 })
 
+# Records that pass the loaders' shape checks, so any number (NaN, the
+# infinities and integers beyond the float range included) reaches the
+# numbers a command computes and prints.
+NUMBERS = st.floats() | st.floats(-3, 12) | st.integers(-3, 12) | BEYOND_FLOAT
+
+
+def shaped(record: st.SearchStrategy) -> st.SearchStrategy:
+    rows = st.lists(record, min_size=1, max_size=3)
+    return rows.map(lambda rows: "".join(json.dumps(row) + "\n" for row in rows).encode())
+
+
+SHAPED_ROLLOUT = st.integers(2, 4).flatmap(lambda g: st.fixed_dictionaries(
+    {name: st.lists(NUMBERS, min_size=g, max_size=g)
+     for name in ("rewards", "logp_new", "logp_old", "logp_ref")}))
+SHAPED_WEIGHTS = st.fixed_dictionaries({
+    "shape": st.just([6, 6]),
+    "data": st.lists(st.floats(0, 1) | NUMBERS, min_size=36, max_size=36)})
+SHAPED_SPEC = st.fixed_dictionaries({"length": st.integers(1, 12)}, optional={
+    role: st.lists(st.lists(st.integers(-3, 12) | BEYOND_FLOAT, min_size=2, max_size=2),
+                   max_size=2)
+    for role in ("video_input", "audio_input", "visual_reasoning", "audio_reasoning",
+                 "visual_span", "summary_span")})
+
 # (argv with {input} in place of the fuzzed file, its content strategy)
 CASES = {
     "annotate": (["annotate", "--in", "{input}", "--out", "{tmp}/o.jsonl", "--mock"],
@@ -68,15 +94,20 @@ CASES = {
     "validate-labels": (["validate", "--traces", str(DATA / "traces_mixed.jsonl"),
                          "--labels", "{input}"], contents(LABEL)),
     "mask": (["mask", "--spec", "{input}", "--out", "{tmp}/mask.txt",
-              "--rle", "{tmp}/mask.bin"], contents(SPEC, one_document=True)),
-    "grpo-step": (["grpo-step", "--rollouts", "{input}"], contents(ROLLOUT)),
+              "--rle", "{tmp}/mask.bin"], contents(SPEC | SHAPED_SPEC, one_document=True)),
+    "grpo-step": (["grpo-step", "--rollouts", "{input}"],
+                  contents(ROLLOUT) | shaped(SHAPED_ROLLOUT)),
     "attn-report-weights": (["attn-report", "--weights", "{input}", "--spec", str(LAYOUT)],
-                            contents(WEIGHTS)),
-    "attn-report-spec": (["attn-report", "--weights", "{tmp}/weights.jsonl",
-                          "--spec", "{input}"], contents(SPEC, one_document=True)),
+                            contents(WEIGHTS) | shaped(SHAPED_WEIGHTS)),
+    "attn-report-spec": (["attn-report", "--weights", "{tmp}/weights.jsonl", "--spec",
+                          "{input}"], contents(SPEC | SHAPED_SPEC, one_document=True)),
     "config": (["annotate", "--in", str(DATA / "instances_12.jsonl"),
                 "--out", "{tmp}/o.jsonl", "--mock", "--config", "{input}"],
                contents(CONFIG, one_document=True)),
+    # validate reads the config's rewards section, which annotate ignores.
+    "validate-config": (["validate", "--traces", str(DATA / "traces_mixed.jsonl"),
+                         "--labels", str(DATA / "labels_mixed.jsonl"), "--config", "{input}"],
+                        contents(CONFIG, one_document=True)),
 }
 
 
@@ -101,26 +132,8 @@ def test_any_input_exits_0_or_1_with_one_error_line(tmp_path, capsys, case, data
         assert err == ""
 
 
-# Records that pass the loaders' shape checks, so any float (NaN and the
-# infinities included) reaches the numbers the command prints.
-NUMBERS = st.floats() | st.floats(-3, 12) | st.integers(-3, 12)
-def shaped(record: st.SearchStrategy) -> st.SearchStrategy:
-    rows = st.lists(record, min_size=1, max_size=3)
-    return rows.map(lambda rows: "".join(json.dumps(row) + "\n" for row in rows).encode())
-
-
-SHAPED_ROLLOUT = st.integers(2, 4).flatmap(lambda g: st.fixed_dictionaries(
-    {name: st.lists(NUMBERS, min_size=g, max_size=g)
-     for name in ("rewards", "logp_new", "logp_old", "logp_ref")}))
-SHAPED_WEIGHTS = st.fixed_dictionaries({
-    "shape": st.just([6, 6]),
-    "data": st.lists(st.floats(0, 1) | NUMBERS, min_size=36, max_size=36)})
-STRICT_CASES = {
-    "grpo-step": (CASES["grpo-step"][0], contents(ROLLOUT) | shaped(SHAPED_ROLLOUT)),
-    "attn-report-weights": (CASES["attn-report-weights"][0],
-                            contents(WEIGHTS) | shaped(SHAPED_WEIGHTS)),
-    "attn-report-spec": CASES["attn-report-spec"],
-}
+STRICT_CASES = {case: CASES[case]
+                for case in ("grpo-step", "attn-report-weights", "attn-report-spec")}
 
 
 def _reject_constant(token: str):

@@ -226,7 +226,10 @@ def test_fuzz_with_tag_fragments() -> None:
 _TAGS = [literal for name in TAG_NAMES for literal in (f"<{name}>", f"</{name}>")]
 _PEM_VALUES = ["Audio", "Visual", "Audio-Visual", " Visual\n", "audio", "Sound", ""]
 _NEAR_MISSES = ["<V>", "<vv>", "</", "<", ">", "< a>", "</ans >", "<mod/>"]
-_FILLER = [" ", "\n", "\t", "  \r\n", "word", "two birds", "collie."]
+# No-break and em spaces are whitespace to str.strip, and the non-BMP note
+# makes a code-point offset differ from a UTF-16 or UTF-8 one.
+_FILLER = [" ", "\n", "\t", "  \r\n", "\u00a0", "\u2003", "word", "two birds",
+           "collie.", "\U0001F3B5"]
 
 _fragment_texts = st.lists(
     st.sampled_from(_TAGS + _PEM_VALUES + _NEAR_MISSES + _FILLER), max_size=24,
