@@ -54,8 +54,9 @@ TRACE = records("id", "text")
 LABEL = records("id", "pem", "answer")
 ROLLOUT = records("group_id", "rewards", "logp_new", "logp_old", "logp_ref")
 WEIGHTS = records("layer", "shape", "data")
-SPEC = records("length", "video_input", "audio_input", "visual_reasoning",
-               "audio_reasoning", "visual_span", "summary_span")
+ROLES = ("video_input", "audio_input", "visual_reasoning", "audio_reasoning", "visual_span",
+         "summary_span")
+SPEC = records("length", *ROLES)
 CONFIG = st.fixed_dictionaries({}, optional={
     "pipeline": records("n", "tau_acc", "tau_cons", "parallelism", "endpoint",
                         "embedder_endpoint"),
@@ -82,8 +83,7 @@ SHAPED_WEIGHTS = st.fixed_dictionaries({
 SHAPED_SPEC = st.fixed_dictionaries({"length": st.integers(1, 12)}, optional={
     role: st.lists(st.lists(st.integers(-3, 12) | BEYOND_FLOAT, min_size=2, max_size=2),
                    max_size=2)
-    for role in ("video_input", "audio_input", "visual_reasoning", "audio_reasoning",
-                 "visual_span", "summary_span")})
+    for role in ROLES})
 
 # (argv with {input} in place of the fuzzed file, its content strategy)
 CASES = {
