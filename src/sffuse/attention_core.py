@@ -23,6 +23,7 @@ import numpy as np
 from .config import DEFAULT_ALLOCATION_WINDOW
 from .jsonl import is_number_list, read_records
 from .mask_engine import (
+    BLOCKED_ROLE_PAIRS,
     MaskMatrix,
     TokenLayout,
     build_causal,
@@ -307,9 +308,9 @@ class LeakageReport:
     """Measured attention mass on the asymmetric-rule blocked pair families.
 
     ``blocked_pair_mass`` is the raw weight sum over those cells across all
-    layers; ``direct_leakage`` normalizes it by (reasoning query rows x
-    layers), i.e. the fraction of those rows' total mass that lands on
-    blocked pairs.
+    layers; ``direct_leakage`` normalizes it by (positions in any query role
+    of ``BLOCKED_ROLE_PAIRS`` x layers), i.e. the fraction of those rows'
+    total mass that lands on blocked pairs.
     """
 
     seed: int
@@ -348,8 +349,8 @@ def leakage_probe(
         _, weights = masked_attention(AttentionInputs(q=q, k=k, v=v, mask=mask))
         blocked_mass += float(weights.matrix[blocked].sum())
 
-    reasoning_rows = len(layout.visual_reasoning | layout.audio_reasoning)
-    denom = reasoning_rows * _LEAKAGE_LAYERS
+    query_rows = frozenset().union(*(getattr(layout, query) for query, _ in BLOCKED_ROLE_PAIRS))
+    denom = len(query_rows) * _LEAKAGE_LAYERS
     leakage = blocked_mass / denom if denom else 0.0
     return LeakageReport(
         seed=seed,

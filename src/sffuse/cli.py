@@ -4,8 +4,9 @@ Subcommands are thin argument-parsing shells over the library operations;
 their outputs are bit-identical to direct module calls. Every data file is
 JSONL, written with sorted keys so fixed inputs and a fixed seed give
 byte-identical outputs regardless of parallelism. ``main`` is the only error
-boundary: it turns an ``OSError``, ``ValueError`` or ``PipelineError`` into
-one ``error:`` line and exit status 1 (the loaders name ``path:line``).
+boundary: it turns an ``OSError``, ``ValueError``, ``PipelineError`` or
+``MemoryError`` into one ``error:`` line and exit status 1 (the loaders name
+``path:line``).
 """
 
 from __future__ import annotations
@@ -295,6 +296,8 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except (OSError, ValueError, pem_pipeline.PipelineError) as exc:
         return _fail(str(exc))
+    except MemoryError as exc:  # an input too large for this process
+        return _fail(str(exc) or "out of memory")
 
 
 if __name__ == "__main__":

@@ -17,7 +17,6 @@ import struct
 from dataclasses import dataclass, field, fields
 from functools import cached_property
 from pathlib import Path
-from types import MappingProxyType
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -39,10 +38,12 @@ BLOCKED_ROLE_PAIRS = (
 
 
 def _check_extents(length: int, extents: Sequence[tuple[str, int, int]]) -> None:
-    """The length check, then the bounds of each (role, lowest index,
+    """The length checks, then the bounds of each (role, lowest index,
     highest index) in ``extents``, in order."""
     if length < 1:
         raise LayoutError("length must be >= 1")
+    if length > np.iinfo(np.intp).max:  # numpy could not index it
+        raise LayoutError(f"length must be <= {np.iinfo(np.intp).max}")
     for name, low, high in extents:
         if low < 0 or high >= length:
             raise LayoutError(f"{name} index out of range [0, {length})")
@@ -83,22 +84,6 @@ class TokenLayout:
             raise LayoutError("input positions must precede reasoning positions")
 
     @cached_property
-    def role_flags(self) -> Mapping[str, np.ndarray]:
-        """Boolean membership arrays (length L) per role, for O(L) row work.
-
-        Built once per layout and shared, so the mapping and its arrays are
-        read-only.
-        """
-        flags = {}
-        for name in ROLE_NAMES:
-            indices = getattr(self, name)
-            arr = np.zeros(self.length, dtype=bool)
-            arr[np.fromiter(indices, dtype=np.intp, count=len(indices))] = True
-            arr.setflags(write=False)
-            flags[name] = arr
-        return MappingProxyType(flags)
-
-    @cached_property
     def _row_table(self) -> tuple[np.ndarray, np.ndarray]:
         """Visible keys per query position, stated once from ``BLOCKED_ROLE_PAIRS``.
 
@@ -108,13 +93,18 @@ class TokenLayout:
         ``1 << len(BLOCKED_ROLE_PAIRS)`` sets. Causality is not applied; a
         caller keeps keys ``<= i`` of row ``codes[i]``. Both are read-only.
         """
-        flags = self.role_flags
+        def positions(role: str) -> np.ndarray:
+            indices = getattr(self, role)
+            return np.fromiter(indices, dtype=np.intp, count=len(indices))
+
         rule_sets = np.arange(1 << len(BLOCKED_ROLE_PAIRS))
         codes = np.zeros(self.length, dtype=np.intp)
         table = np.ones((rule_sets.size, self.length), dtype=bool)
         for bit, (query, key) in enumerate(BLOCKED_ROLE_PAIRS):
-            codes[flags[query]] |= 1 << bit
-            table[rule_sets >> bit & 1 == 1] &= ~flags[key]
+            codes[positions(query)] |= 1 << bit
+            unblocked = np.ones(self.length, dtype=bool)
+            unblocked[positions(key)] = False
+            table[rule_sets >> bit & 1 == 1] &= unblocked
         table.setflags(write=False)
         codes.setflags(write=False)
         return table, codes
@@ -161,8 +151,7 @@ class MaskMatrix:
 
 def build_causal(length: int) -> MaskMatrix:
     """Plain causal mask: cell (i, j) visible iff j <= i."""
-    if length < 1:
-        raise ValueError("length must be >= 1")
+    _check_extents(length, [])
     return MaskMatrix._adopt(np.tri(length, dtype=bool))
 
 
@@ -203,6 +192,11 @@ class MarkerTable:
     audio: tuple[int, int]
     tag_open: Mapping[str, int] = field(default_factory=dict)
     tag_close: Mapping[str, int] = field(default_factory=dict)
+
+    def __post_init__(self) -> None:
+        for name in [*self.tag_open, *self.tag_close]:
+            if name not in TAG_NAMES:
+                raise LayoutError(f"unknown tag name {name!r}")
 
 
 def _pair(starts: list[int], ends: list[int], label: str) -> tuple[int, int] | None:

@@ -103,15 +103,16 @@ def reference_mask_to_rle(mask: MaskMatrix) -> bytes:
 # --- the mask decode path as first written -----------------------------------
 
 def reference_incremental_row(layout: TokenLayout, i: int) -> np.ndarray:
-    """The row loop as first written, a fresh row and one pass per rule;
-    ``incremental_row`` must return equal rows."""
+    """The row loop as first written, a fresh row and one pass per rule over
+    the layout's role sets; ``incremental_row`` must return equal rows."""
     if not 0 <= i < layout.length:
         raise IndexError(f"row {i} out of range [0, {layout.length})")
     row = np.ones(i + 1, dtype=bool)
-    flags = layout.role_flags
     for query, key in BLOCKED_ROLE_PAIRS:
-        if flags[query][i]:
-            row &= ~flags[key][: i + 1]
+        if i in getattr(layout, query):
+            for j in getattr(layout, key):
+                if j <= i:
+                    row[j] = False
     row.setflags(write=False)
     return row
 

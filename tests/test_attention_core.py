@@ -20,7 +20,13 @@ from sffuse.attention_core import (
     masked_attention,
     read_weights_jsonl,
 )
-from sffuse.mask_engine import MaskMatrix, TokenLayout, build_causal, build_composite
+from sffuse.mask_engine import (
+    BLOCKED_ROLE_PAIRS,
+    MaskMatrix,
+    TokenLayout,
+    build_causal,
+    build_composite,
+)
 
 from conftest import (
     blocked_cells,
@@ -525,6 +531,17 @@ def test_leakage_zero_when_no_audio_roles() -> None:
                          visual_span=range(6, 11), summary_span=range(11, 13))
     assert leakage_probe(0, layout, use_maam=True).direct_leakage == 0.0
     assert leakage_probe(0, layout, use_maam=False).direct_leakage == 0.0
+
+
+def test_leakage_normalizes_by_the_rule_query_rows() -> None:
+    rng = np.random.default_rng(31)
+    for seed in range(25):
+        layout = random_layout(rng, max_length=32)
+        report = leakage_probe(seed, layout, use_maam=False)
+        q = sum(1 for i in range(layout.length)
+                if any(i in getattr(layout, query) for query, _ in BLOCKED_ROLE_PAIRS))
+        expected = report.blocked_pair_mass / (q * 3) if q else 0.0
+        assert report.direct_leakage == expected
 
 
 def test_leakage_blocked_cells_match_brute_force() -> None:

@@ -574,15 +574,23 @@ def test_mask_spec_syntax_error_names_its_path(tmp_path, capsys) -> None:
     assert f"{spec}: invalid layout spec" in err
 
 
-# A child process with its address space capped at 1 GiB: a spec range
-# expanded before its bounds are checked fails there with a MemoryError
-# instead of taking the memory of the machine running the tests.
+# A child process with its address space capped at 1 GiB: an input that
+# needs more memory, such as a spec range expanded before its bounds are
+# checked, fails there with a MemoryError instead of taking the memory of
+# the machine running the tests.
 CAPPED_CLI = """
 import resource, sys
 resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
 from sffuse.cli import main
 sys.exit(main(sys.argv[1:]))
 """
+
+
+def run_capped(argv: list[str]) -> subprocess.CompletedProcess:
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(root / "src"), OPENBLAS_NUM_THREADS="1")
+    return subprocess.run([sys.executable, "-c", CAPPED_CLI, *argv], env=env,
+                          capture_output=True, text=True, timeout=60)
 
 
 @pytest.mark.parametrize("last", [10**12, 10**400], ids=["1e12", "1e400"])
@@ -593,12 +601,25 @@ def test_spec_bound_far_out_of_range_is_one_error_line(tmp_path, command, last) 
     argv = [command, "--spec", str(spec)]
     if command == "attn-report":
         argv += ["--weights", str(tmp_path / "weights.jsonl")]
-    root = Path(__file__).resolve().parent.parent
-    env = dict(os.environ, PYTHONPATH=str(root / "src"), OPENBLAS_NUM_THREADS="1")
-    done = subprocess.run([sys.executable, "-c", CAPPED_CLI, *argv], env=env,
-                          capture_output=True, text=True, timeout=60)
+    done = run_capped(argv)
     assert (done.returncode, done.stdout) == (1, "")
     assert done.stderr == f"error: {spec}: video_input index out of range [0, 4)\n"
+
+
+# Each input is valid but needs more memory than the capped child has.
+@pytest.mark.parametrize("command, document", [
+    (["mask", "--spec", "{doc}", "--row", "0"], {"length": 100_000_000}),
+    (["mask", "--spec", "{doc}", "--out", "{tmp}/mask.txt"], {"length": 100_000_000}),
+    (["annotate", "--mock", "--config", "{doc}", "--in", str(DATA / "instances_12.jsonl"),
+      "--out", "{tmp}/o.jsonl"], {"pipeline": {"n": 1_000_000_000}}),
+], ids=["mask-row", "mask-out", "annotate-n"])
+def test_oversized_input_is_one_error_line(tmp_path, command, document) -> None:
+    doc = tmp_path / "input.json"
+    doc.write_text(json.dumps(document), encoding="utf-8")
+    done = run_capped([arg.format(doc=doc, tmp=tmp_path) for arg in command])
+    assert (done.returncode, done.stdout) == (1, "")
+    assert done.stderr.startswith("error: Unable to allocate ")
+    assert done.stderr.count("\n") == 1 and done.stderr.endswith("\n")
 
 
 @pytest.mark.parametrize("spec, message", [
@@ -611,8 +632,13 @@ def test_spec_bound_far_out_of_range_is_one_error_line(tmp_path, command, last) 
      "video_input index out of range [0, 4)"),
     ({"length": 4, "video_input": [[0, 1]], "audio_input": [[1, 2], [3, 4]]},
      "audio_input index out of range [0, 4)"),
+    ({"length": 10**400, "video_input": [[0, 9]], "audio_input": [[0]]},
+     "audio_input must be a list of [first, last] pairs"),
+    ({"length": 10**400, "video_input": [[-5, 10**401]]},
+     f"length must be <= {np.iinfo(np.intp).max}"),
 ], ids=["pairs-before-bounds", "pairs-before-length", "length-before-bounds",
-        "bounds-in-role-order", "bounds-before-overlap"])
+        "bounds-in-role-order", "bounds-before-overlap", "pairs-before-huge-length",
+        "huge-length-before-bounds"])
 def test_spec_names_its_first_fault(tmp_path, capsys, spec, message) -> None:
     path = tmp_path / "layout.json"
     path.write_text(json.dumps(spec), encoding="utf-8")

@@ -73,6 +73,15 @@ def test_causal_rejects_zero_length() -> None:
         build_causal(0)
 
 
+def test_causal_and_layout_reject_a_length_numpy_cannot_index() -> None:
+    message = f"^length must be <= {np.iinfo(np.intp).max}$"
+    for length in (np.iinfo(np.intp).max + 1, 10**400):
+        with pytest.raises(LayoutError, match=message):
+            build_causal(length)
+        with pytest.raises(LayoutError, match=message):
+            TokenLayout(length=length)
+
+
 def test_mask_matrix_copies_a_callers_matrix() -> None:
     visible = np.ones((3, 3), dtype=bool)
     mask = MaskMatrix(visible)
@@ -194,22 +203,23 @@ def test_incremental_row_out_of_range(fixture_layout) -> None:
         incremental_row(fixture_layout, 6)
 
 
-def test_incremental_row_leaves_cached_flags_read_only_and_unchanged() -> None:
+def test_incremental_row_leaves_cached_table_read_only_and_unchanged() -> None:
     layout = TokenLayout(length=8, video_input={0}, audio_input={1},
                          visual_reasoning={3}, visual_span={2, 3, 4},
                          audio_reasoning={5}, summary_span={6, 7})
-    before = {name: arr.copy() for name, arr in layout.role_flags.items()}
+    before = [arr.copy() for arr in layout._row_table]
     rows = [incremental_row(layout, i) for i in range(layout.length)]
-    flags = layout.role_flags
-    assert flags is layout.role_flags  # computed once, then shared
-    for name, arr in flags.items():
+    cached = layout._row_table
+    assert cached is layout._row_table  # computed once, then shared
+    for arr, old in zip(cached, before):
         assert not arr.flags.writeable
-        assert arr.tolist() == before[name].tolist()
+        assert arr.tobytes() == old.tobytes()
     assert all(not row.flags.writeable for row in rows)
+    table, codes = cached
     with pytest.raises(ValueError):
-        flags["audio_input"][0] = True
-    with pytest.raises(TypeError):
-        flags["audio_input"] = np.ones(8, dtype=bool)  # the shared mapping is read-only
+        table[0, 0] = False
+    with pytest.raises(ValueError):
+        codes[0] = 1
     assert incremental_row(layout, 3).tolist() == [True, False, True, True]
 
 
@@ -393,6 +403,15 @@ def test_locate_layout_overlapping_indicator_pairs_rejected(tokens) -> None:
     for locate in (locate_layout, reference_locate_layout):
         with pytest.raises(LayoutError, match="^video and audio indicator pairs overlap$"):
             locate(tokens, MARKERS)
+
+
+@pytest.mark.parametrize("side", ["tag_open", "tag_close"])
+def test_marker_table_rejects_an_unknown_tag_name(side) -> None:
+    # A misspelled name would otherwise never be located, dropping its rules.
+    tags = {"tag_open": dict(MARKERS.tag_open), "tag_close": dict(MARKERS.tag_close)}
+    tags[side]["A"] = tags[side].pop("a")
+    with pytest.raises(LayoutError, match="^unknown tag name 'A'$"):
+        MarkerTable(video=MARKERS.video, audio=MARKERS.audio, **tags)
 
 
 def test_locate_layout_touching_indicator_pairs_are_valid() -> None:
