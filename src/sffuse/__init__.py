@@ -37,10 +37,12 @@ from .pem_pipeline import (
     solvable,
 )
 from .rl_core import (
+    GroupError,
     GrpoResult,
     RolloutGroup,
     group_advantages,
     grpo_objective,
+    grpo_objectives,
     kl_estimate,
     reward_stage2,
     score_trace,
@@ -63,6 +65,7 @@ __all__ = [
     "AttentionWeights",
     "DiagnosticKind",
     "DiscardReason",
+    "GroupError",
     "GrpoConfig",
     "GrpoResult",
     "Instance",
@@ -88,6 +91,7 @@ __all__ = [
     "gradient_check",
     "group_advantages",
     "grpo_objective",
+    "grpo_objectives",
     "incremental_row",
     "kl_estimate",
     "leakage_probe",

@@ -162,20 +162,18 @@ def cmd_grpo_step(args: argparse.Namespace) -> int:
     if not groups:
         return _fail("rollout file contains no groups")
 
-    results = []
-    for group_id, group in groups:
-        try:
-            outcome = rl_core.grpo_objective(group, cfg)
-        except ValueError as exc:
-            return _fail(f"group {group_id}: {exc}")
-        results.append({
-            "group_id": group_id,
-            "objective": outcome.objective,
-            "advantages": list(outcome.advantages),
-            "ratios": list(outcome.ratios),
-            "surrogate_terms": list(outcome.surrogate_terms),
-            "kl": outcome.kl,
-        })
+    try:
+        outcomes = rl_core.grpo_objectives([group for _, group in groups], cfg)
+    except rl_core.GroupError as exc:
+        return _fail(f"group {groups[exc.index][0]}: {exc}")
+    results = [{
+        "group_id": group_id,
+        "objective": outcome.objective,
+        "advantages": list(outcome.advantages),
+        "ratios": list(outcome.ratios),
+        "surrogate_terms": list(outcome.surrogate_terms),
+        "kl": outcome.kl,
+    } for (group_id, _), outcome in zip(groups, outcomes)]
     if args.json:
         print(dumps({"groups": results}))
     else:

@@ -37,13 +37,18 @@ BLOCKED_ROLE_PAIRS = (
 )
 
 
+# The longest layout whose row table numpy can size: the table holds a row
+# of L bools per rule set, 1 << len(BLOCKED_ROLE_PAIRS) rows in all.
+_MAX_LENGTH = np.iinfo(np.intp).max >> len(BLOCKED_ROLE_PAIRS)
+
+
 def _check_extents(length: int, extents: Sequence[tuple[str, int, int]]) -> None:
     """The length checks, then the bounds of each (role, lowest index,
     highest index) in ``extents``, in order."""
     if length < 1:
         raise LayoutError("length must be >= 1")
-    if length > np.iinfo(np.intp).max:  # numpy could not index it
-        raise LayoutError(f"length must be <= {np.iinfo(np.intp).max}")
+    if length > _MAX_LENGTH:
+        raise LayoutError(f"length must be <= {_MAX_LENGTH}")
     for name, low, high in extents:
         if low < 0 or high >= length:
             raise LayoutError(f"{name} index out of range [0, {length})")

@@ -35,7 +35,7 @@ class RolloutGroup:
     logp_ref: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        for name in ("rewards", "logp_new", "logp_old", "logp_ref"):
+        for name in _GROUP_FIELDS:
             try:
                 values = tuple(map(float, getattr(self, name)))
                 finite = all(map(math.isfinite, values))
@@ -47,13 +47,16 @@ class RolloutGroup:
         g = len(self.rewards)
         if g < 2:
             raise ValueError("a rollout group needs G >= 2 responses")
-        for name in ("logp_new", "logp_old", "logp_ref"):
+        for name in _GROUP_FIELDS[1:]:
             if len(getattr(self, name)) != g:
                 raise ValueError(f"{name} length differs from rewards length")
 
     @property
     def size(self) -> int:
         return len(self.rewards)
+
+
+_GROUP_FIELDS = tuple(f.name for f in fields(RolloutGroup))
 
 
 @dataclass(frozen=True)
@@ -99,6 +102,89 @@ def reward_stage2(
     return score_trace(output_text, gold_pem, ground_truth, cfg).r_stage2
 
 
+# A group's checks, in the order they are made; the gradient makes its own
+# last check in place of the KL and objective ones.
+_VARIANCE_OVERFLOW = "reward variance overflows: rewards are too far apart"
+_RATIO_OVERFLOW = "non-finite importance ratios"
+_KL_OVERFLOW = "KL estimate overflows: logp_ref - logp_new is too large"
+_OBJECTIVE_OVERFLOW = "objective overflows: importance ratios are too large"
+_GRADIENT_OVERFLOW = "gradient overflows: log-probabilities are too far apart"
+
+
+class GroupError(ValueError):
+    """A group whose objective cannot be computed; ``index`` is its place in
+    the sequence given to ``grpo_objectives``."""
+
+    def __init__(self, index: int, message: str) -> None:
+        super().__init__(message)
+        self.index = index
+
+
+# The row-wise core. Each function takes (k, G) arrays, one group per row;
+# numpy reduces the last axis of a C-contiguous array row by row with the
+# same summation order as a 1-D call, so a row's result has the same bits as
+# the group computed alone.
+
+def _advantage_rows(rewards: np.ndarray, eps_stab: float) -> tuple[np.ndarray, np.ndarray]:
+    """Advantages of each row, and which rows' variance overflows.
+
+    A row of equal rewards gets exact zeros (no rounding residue). With
+    ``eps_stab == 0``, a row of distinct rewards whose squared deviations
+    underflow is redone on the rewards times the exact power of two that
+    brings its largest |reward| into [0.5, 1): advantages do not depend on
+    the rewards' scale.
+    """
+    size = rewards.shape[1]
+    equal = (rewards == rewards[:, :1]).all(axis=1)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        centered = rewards - rewards.sum(axis=1, keepdims=True) / size
+        denom = np.sqrt((centered ** 2).sum(axis=1) / size + eps_stab)
+        underflow = ~equal & (denom == 0.0)
+        if underflow.any():
+            tiny = rewards[underflow]
+            tiny = np.ldexp(tiny, -np.frexp(np.abs(tiny).max(axis=1))[1][:, None])
+            centered[underflow] = tiny = tiny - tiny.sum(axis=1, keepdims=True) / size
+            denom[underflow] = np.sqrt((tiny ** 2).sum(axis=1) / size)
+        advantages = centered / denom[:, None]
+    advantages[equal] = 0.0
+    return advantages, ~equal & ~np.isfinite(denom)
+
+
+def _kl_rows(logp_new: np.ndarray, logp_ref: np.ndarray) -> np.ndarray:
+    """Each row's mean of exp(d) - d - 1 with d = logp_ref - logp_new."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        delta = logp_ref - logp_new
+        return (np.exp(delta) - delta - 1.0).sum(axis=1) / delta.shape[1]
+
+
+def _policy_rows(rewards: np.ndarray, logp_new: np.ndarray, logp_old: np.ndarray,
+                 cfg: GrpoConfig):
+    """Advantages, importance ratios rho = exp(logp_new - logp_old), the
+    ratios clipped to [1 - alpha, 1 + alpha], and the checks so far: the
+    rows whose variance overflows and those with a non-finite ratio."""
+    advantages, variance_overflow = _advantage_rows(rewards, cfg.eps_stab)
+    with np.errstate(over="ignore", invalid="ignore"):
+        ratios = np.exp(logp_new - logp_old)
+        clipped = np.clip(ratios, 1.0 - cfg.clip_alpha, 1.0 + cfg.clip_alpha)
+    checks = [(variance_overflow, _VARIANCE_OVERFLOW),
+              (~np.isfinite(ratios).all(axis=1), _RATIO_OVERFLOW)]
+    return advantages, ratios, clipped, checks
+
+
+def _first_fault(checks: Sequence[tuple[np.ndarray, str]]) -> tuple[int, str] | None:
+    """The first row that fails a check, with the first check it fails."""
+    failing = np.array([rows for rows, _ in checks])
+    bad = np.flatnonzero(failing.any(axis=0))
+    if not bad.size:
+        return None
+    row = int(bad[0])
+    return row, checks[int(failing[:, row].argmax())][1]
+
+
+def _stack(groups: Sequence[RolloutGroup]) -> list[np.ndarray]:
+    return [np.array([getattr(group, name) for group in groups]) for name in _GROUP_FIELDS]
+
+
 def group_advantages(rewards: Sequence[float], eps_stab: float) -> list[float]:
     """Center rewards and scale by sqrt(population variance + eps_stab).
 
@@ -109,23 +195,10 @@ def group_advantages(rewards: Sequence[float], eps_stab: float) -> list[float]:
         raise ValueError("need at least 2 rewards")
     if not eps_stab >= 0.0:  # NaN fails too
         raise ValueError("eps_stab must be nonnegative")
-    r = np.asarray(rewards, dtype=float)
-    if (r == r[0]).all():
-        return [0.0] * len(rewards)  # zero numerator exactly, no rounding residue
-    with np.errstate(over="ignore", invalid="ignore"):
-        centered = r - r.mean()
-        denom = math.sqrt(float(np.mean(centered ** 2)) + eps_stab)
-    if not math.isfinite(denom):
-        raise ValueError("reward variance overflows: rewards are too far apart")
-    if denom == 0.0:
-        # Only with eps_stab == 0: distinct rewards whose squared deviations
-        # underflow. Advantages do not depend on the rewards' scale, so redo
-        # the sums on the rewards times the exact power of two that brings
-        # the largest |reward| into [0.5, 1).
-        r = np.ldexp(r, -math.frexp(float(np.abs(r).max()))[1])
-        centered = r - r.mean()
-        denom = math.sqrt(float(np.mean(centered ** 2)))
-    return (centered / denom).tolist()
+    advantages, overflow = _advantage_rows(np.asarray(rewards, dtype=float)[None], eps_stab)
+    if overflow[0]:
+        raise ValueError(_VARIANCE_OVERFLOW)
+    return advantages[0].tolist()
 
 
 def kl_estimate(logp_new: Sequence[float], logp_ref: Sequence[float]) -> float:
@@ -137,11 +210,9 @@ def kl_estimate(logp_new: Sequence[float], logp_ref: Sequence[float]) -> float:
         raise ValueError("logp_new and logp_ref must have equal lengths")
     if not (np.isfinite(new).all() and np.isfinite(ref).all()):
         raise ValueError("log-probabilities must be finite")
-    with np.errstate(over="ignore", invalid="ignore"):
-        delta = ref - new
-        kl = float(np.mean(np.exp(delta) - delta - 1.0))
+    kl = float(_kl_rows(new[None], ref[None])[0])
     if not math.isfinite(kl):
-        raise ValueError("KL estimate overflows: logp_ref - logp_new is too large")
+        raise ValueError(_KL_OVERFLOW)
     return kl
 
 
@@ -154,16 +225,37 @@ class GrpoResult:
     kl: float
 
 
-def _clipped_ratios(group: RolloutGroup, cfg: GrpoConfig) -> tuple[np.ndarray, ...]:
-    """Advantages, importance ratios rho_i = exp(logp_new_i - logp_old_i) and
-    the ratios clipped to [1 - alpha, 1 + alpha]; a ratio that overflows
-    raises."""
-    advantages = np.asarray(group_advantages(group.rewards, cfg.eps_stab))
-    with np.errstate(over="ignore", invalid="ignore"):
-        ratios = np.exp(np.asarray(group.logp_new) - np.asarray(group.logp_old))
-    if not np.isfinite(ratios).all():
-        raise ValueError("non-finite importance ratios")
-    return advantages, ratios, np.clip(ratios, 1.0 - cfg.clip_alpha, 1.0 + cfg.clip_alpha)
+def grpo_objectives(groups: Sequence[RolloutGroup], cfg: GrpoConfig) -> list[GrpoResult]:
+    """``grpo_objective`` of each group, in order, in one array pass per
+    group size: the groups of each size G are stacked into (k, G) arrays.
+
+    Raises ``GroupError`` for the first failing group in input order, with
+    the first check it fails: variance, ratios, KL, then objective overflow.
+    """
+    by_size: dict[int, list[int]] = {}
+    for index, group in enumerate(groups):
+        by_size.setdefault(group.size, []).append(index)
+    results: list[GrpoResult | None] = [None] * len(groups)
+    faults = []
+    for size, indices in by_size.items():
+        rewards, logp_new, logp_old, logp_ref = _stack([groups[i] for i in indices])
+        advantages, ratios, clipped, checks = _policy_rows(rewards, logp_new, logp_old, cfg)
+        kl = _kl_rows(logp_new, logp_ref)
+        with np.errstate(over="ignore", invalid="ignore"):
+            terms = np.minimum(ratios * advantages, clipped * advantages)
+            objective = terms.sum(axis=1) / size - cfg.kl_beta * kl
+        fault = _first_fault(checks + [(~np.isfinite(kl), _KL_OVERFLOW),
+                                       (~np.isfinite(objective), _OBJECTIVE_OVERFLOW)])
+        if fault is not None:
+            faults.append((indices[fault[0]], fault[1]))
+            continue
+        for index, obj, adv, rho, term, div in zip(indices, objective.tolist(),
+                                                   advantages.tolist(), ratios.tolist(),
+                                                   terms.tolist(), kl.tolist()):
+            results[index] = GrpoResult(obj, tuple(adv), tuple(rho), tuple(term), div)
+    if faults:
+        raise GroupError(*min(faults))
+    return results
 
 
 def grpo_objective(group: RolloutGroup, cfg: GrpoConfig) -> GrpoResult:
@@ -173,21 +265,7 @@ def grpo_objective(group: RolloutGroup, cfg: GrpoConfig) -> GrpoResult:
                 - kl_beta * KL(new || ref)
     with rho_i = exp(logp_new_i - logp_old_i).
     """
-    advantages, ratios, clipped = _clipped_ratios(group, cfg)
-    with np.errstate(over="ignore", invalid="ignore"):
-        terms = np.minimum(ratios * advantages, clipped * advantages)
-        surrogate = terms.mean()
-    kl = kl_estimate(group.logp_new, group.logp_ref)
-    objective = float(surrogate - cfg.kl_beta * kl)
-    if not math.isfinite(objective):
-        raise ValueError("objective overflows: importance ratios are too large")
-    return GrpoResult(
-        objective=objective,
-        advantages=tuple(advantages.tolist()),
-        ratios=tuple(ratios.tolist()),
-        surrogate_terms=tuple(terms.tolist()),
-        kl=kl,
-    )
+    return grpo_objectives([group], cfg)[0]
 
 
 def grpo_gradient_logp_new(group: RolloutGroup, cfg: GrpoConfig) -> np.ndarray:
@@ -199,31 +277,31 @@ def grpo_gradient_logp_new(group: RolloutGroup, cfg: GrpoConfig) -> np.ndarray:
     Raises where ``grpo_objective`` would: on a ratio or a KL term that
     overflows.
     """
-    advantages, ratios, clipped = _clipped_ratios(group, cfg)
+    rewards, logp_new, logp_old, logp_ref = _stack([group])
+    advantages, ratios, clipped, checks = _policy_rows(rewards, logp_new, logp_old, cfg)
     with np.errstate(over="ignore", invalid="ignore"):
         surrogate_grad = np.where(
             ratios * advantages <= clipped * advantages, advantages * ratios, 0.0)
-        kl_grad = 1.0 - np.exp(np.asarray(group.logp_ref) - np.asarray(group.logp_new))
+        kl_grad = 1.0 - np.exp(logp_ref - logp_new)
         grad = (surrogate_grad - cfg.kl_beta * kl_grad) / group.size
-    if not np.isfinite(grad).all():
-        raise ValueError("gradient overflows: log-probabilities are too far apart")
-    return grad
+    fault = _first_fault(checks + [(~np.isfinite(grad).all(axis=1), _GRADIENT_OVERFLOW)])
+    if fault is not None:
+        raise ValueError(fault[1])
+    return grad[0]
 
 
 def read_rollout_groups(path: str | Path) -> list[tuple[str, RolloutGroup]]:
     """JSONL rollout records: {group_id, rewards[], logp_new[], logp_old[], logp_ref[]};
     each list must hold JSON numbers only."""
-    names = [f.name for f in fields(RolloutGroup)]
-
     def build(obj: dict, lineno: int) -> tuple[str, RolloutGroup]:
-        for name in names:
+        for name in _GROUP_FIELDS:
             if name not in obj:
                 raise ValueError(f"missing field '{name}'")
             if not is_number_list(obj[name]):
                 raise ValueError(f"field '{name}' must be a list of numbers")
         # The group is checked before its id, so a record with both faults
         # names the group's.
-        group = RolloutGroup(**{name: obj[name] for name in names})
+        group = RolloutGroup(**{name: obj[name] for name in _GROUP_FIELDS})
         return str_fields(obj, "group_id", default=str(lineno))[0], group
 
     return read_records(path, build)

@@ -5,7 +5,8 @@ loop-based references for the hash
 embedder and CoT consistency, the dense attention forward and backward, the
 check-by-check trace parser, a random valid-layout generator used by the
 property and acceptance suites, a scripted sampler, and writers for the
-trace and weights JSONL formats."""
+trace and weights JSONL formats, and the one-group-at-a-time GRPO objective
+as first written."""
 
 from __future__ import annotations
 
@@ -28,6 +29,7 @@ from sffuse.mask_engine import (
     TokenLayout,
 )
 from sffuse.pem_pipeline import Instance, ProbeSetting, SamplingError
+from sffuse.rl_core import GrpoConfig, GrpoResult, RolloutGroup
 from sffuse.tag_grammar import (
     TAG_NAMES,
     DiagnosticKind,
@@ -417,6 +419,76 @@ def reference_parse_trace(text: str) -> tuple[SfrTrace | None, list[ParseDiagnos
         spans=spans,
     )
     return trace, []
+
+
+# --- the GRPO objective one group at a time, as first written ---------------------
+
+def reference_group_advantages(rewards: Sequence[float], eps_stab: float) -> list[float]:
+    if len(rewards) < 2:
+        raise ValueError("need at least 2 rewards")
+    if not eps_stab >= 0.0:  # NaN fails too
+        raise ValueError("eps_stab must be nonnegative")
+    r = np.asarray(rewards, dtype=float)
+    if (r == r[0]).all():
+        return [0.0] * len(rewards)  # zero numerator exactly, no rounding residue
+    with np.errstate(over="ignore", invalid="ignore"):
+        centered = r - r.mean()
+        denom = math.sqrt(float(np.mean(centered ** 2)) + eps_stab)
+    if not math.isfinite(denom):
+        raise ValueError("reward variance overflows: rewards are too far apart")
+    if denom == 0.0:
+        # Only with eps_stab == 0: distinct rewards whose squared deviations
+        # underflow. Advantages do not depend on the rewards' scale, so redo
+        # the sums on the rewards times the exact power of two that brings
+        # the largest |reward| into [0.5, 1).
+        r = np.ldexp(r, -math.frexp(float(np.abs(r).max()))[1])
+        centered = r - r.mean()
+        denom = math.sqrt(float(np.mean(centered ** 2)))
+    return (centered / denom).tolist()
+
+
+def reference_kl_estimate(logp_new: Sequence[float], logp_ref: Sequence[float]) -> float:
+    new = np.asarray(logp_new, dtype=float)
+    ref = np.asarray(logp_ref, dtype=float)
+    if new.shape != ref.shape:
+        raise ValueError("logp_new and logp_ref must have equal lengths")
+    if not (np.isfinite(new).all() and np.isfinite(ref).all()):
+        raise ValueError("log-probabilities must be finite")
+    with np.errstate(over="ignore", invalid="ignore"):
+        delta = ref - new
+        kl = float(np.mean(np.exp(delta) - delta - 1.0))
+    if not math.isfinite(kl):
+        raise ValueError("KL estimate overflows: logp_ref - logp_new is too large")
+    return kl
+
+
+def _reference_clipped_ratios(group: RolloutGroup, cfg: GrpoConfig) -> tuple[np.ndarray, ...]:
+    advantages = np.asarray(reference_group_advantages(group.rewards, cfg.eps_stab))
+    with np.errstate(over="ignore", invalid="ignore"):
+        ratios = np.exp(np.asarray(group.logp_new) - np.asarray(group.logp_old))
+    if not np.isfinite(ratios).all():
+        raise ValueError("non-finite importance ratios")
+    return advantages, ratios, np.clip(ratios, 1.0 - cfg.clip_alpha, 1.0 + cfg.clip_alpha)
+
+
+def reference_grpo_objective(group: RolloutGroup, cfg: GrpoConfig) -> GrpoResult:
+    """One group's clipped surrogate minus the KL penalty, with the checks
+    in their first-written order: variance, ratios, KL, objective."""
+    advantages, ratios, clipped = _reference_clipped_ratios(group, cfg)
+    with np.errstate(over="ignore", invalid="ignore"):
+        terms = np.minimum(ratios * advantages, clipped * advantages)
+        surrogate = terms.mean()
+    kl = reference_kl_estimate(group.logp_new, group.logp_ref)
+    objective = float(surrogate - cfg.kl_beta * kl)
+    if not math.isfinite(objective):
+        raise ValueError("objective overflows: importance ratios are too large")
+    return GrpoResult(
+        objective=objective,
+        advantages=tuple(advantages.tolist()),
+        ratios=tuple(ratios.tolist()),
+        surrogate_terms=tuple(terms.tolist()),
+        kl=kl,
+    )
 
 
 def random_layout(rng: np.random.Generator, max_length: int = 64,

@@ -622,6 +622,16 @@ def test_oversized_input_is_one_error_line(tmp_path, command, document) -> None:
     assert done.stderr.count("\n") == 1 and done.stderr.endswith("\n")
 
 
+# Within intp, but its row table would be larger than numpy can size.
+@pytest.mark.parametrize("extra", [[], ["--row", "0"]], ids=["mask", "row"])
+def test_spec_length_beyond_the_row_table_limit_names_the_field(tmp_path, extra) -> None:
+    spec = tmp_path / "layout.json"
+    spec.write_text(json.dumps({"length": 1 << 62}), encoding="utf-8")
+    done = run_capped(["mask", "--spec", str(spec), *extra])
+    assert (done.returncode, done.stdout) == (1, "")
+    assert done.stderr == f"error: {spec}: length must be <= {(1 << 60) - 1}\n"
+
+
 @pytest.mark.parametrize("spec, message", [
     ({"length": 4, "video_input": [[0, 9]], "summary_span": [[2, 1]]},
      "summary_span: range [2, 1] is reversed"),
@@ -635,7 +645,7 @@ def test_oversized_input_is_one_error_line(tmp_path, command, document) -> None:
     ({"length": 10**400, "video_input": [[0, 9]], "audio_input": [[0]]},
      "audio_input must be a list of [first, last] pairs"),
     ({"length": 10**400, "video_input": [[-5, 10**401]]},
-     f"length must be <= {np.iinfo(np.intp).max}"),
+     f"length must be <= {np.iinfo(np.intp).max >> 3}"),
 ], ids=["pairs-before-bounds", "pairs-before-length", "length-before-bounds",
         "bounds-in-role-order", "bounds-before-overlap", "pairs-before-huge-length",
         "huge-length-before-bounds"])
@@ -685,6 +695,40 @@ def test_grpo_step_text_output_bytes(tmp_path, capsys) -> None:
         "  advantages      = [-0.7071067741154798, -0.7071067741154798, 1.4142135482309597]\n"
         "  ratios          = [1.0, 1.0, 1.0]\n"
         "  surrogate_terms = [-0.7071067741154798, -0.7071067741154798, 1.4142135482309597]\n")
+
+
+@pytest.mark.parametrize("mode, golden", [([], "golden_grpo.txt"),
+                                          (["--json"], "golden_grpo.json")],
+                         ids=["text", "json"])
+def test_grpo_step_mixed_group_sizes_match_golden(capsys, mode, golden) -> None:
+    # Sizes 2, 3 and 8 interleaved; an all-equal group, a clip-bound group
+    # and integer log-probs.
+    code, stdout = run(capsys, "grpo-step", "--rollouts", str(DATA / "rollouts_mixed.jsonl"),
+                       *mode)
+    assert code == 0
+    assert stdout.encode("utf-8") == (DATA / golden).read_bytes()
+
+
+@pytest.mark.parametrize("mode", [[], ["--json"]], ids=["text", "json"])
+def test_grpo_step_names_the_first_failing_group_in_file_order(tmp_path, capsys,
+                                                               mode) -> None:
+    # Sizes 3, 2, 3: the second group's KL estimate overflows and the third
+    # group's ratios are not finite; nothing is printed for the first.
+    rollouts = tmp_path / "rollouts.jsonl"
+    rollouts.write_text(
+        '{"group_id": "a", "rewards": [1, 0, 1], "logp_new": [0, 0, 0], '
+        '"logp_old": [0, 0, 0], "logp_ref": [0, 0, 0]}\n'
+        '{"group_id": "b", "rewards": [1, 0], "logp_new": [0, 0], "logp_old": [0, 0], '
+        '"logp_ref": [710, 0]}\n'
+        '{"group_id": "c", "rewards": [1, 0, 1], "logp_new": [1000, 0, 0], '
+        '"logp_old": [0, 0, 0], "logp_ref": [0, 0, 0]}\n', encoding="utf-8")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["grpo-step", "--rollouts", str(rollouts), *mode])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (1, "")
+    assert captured.err == ("error: group b: KL estimate overflows: "
+                            "logp_ref - logp_new is too large\n")
 
 
 def test_grpo_step_rejects_bad_alpha(capsys) -> None:
@@ -784,6 +828,21 @@ def test_grpo_step_kl_subtraction_overflow_is_one_error_line(tmp_path, capsys) -
     assert captured.out == ""
     assert assert_one_error_line(code, captured.err) == (
         "error: group g: KL estimate overflows: logp_ref - logp_new is too large\n")
+
+
+def test_grpo_step_objective_subtraction_overflow_is_one_error_line(tmp_path, capsys) -> None:
+    # The surrogate (about -8.2e307) and beta * KL (about 1.2e308) are each
+    # finite; their difference is not.
+    rollouts = tmp_path / "rollouts.jsonl"
+    rollouts.write_text('{"group_id": "g", "rewards": [0, 1], "logp_new": [709.7, 0], '
+                        '"logp_old": [0, 0], "logp_ref": [1418.7, 0]}\n', encoding="utf-8")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["grpo-step", "--rollouts", str(rollouts), "--beta", "3"])
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert assert_one_error_line(code, captured.err) == (
+        "error: group g: objective overflows: importance ratios are too large\n")
 
 
 # --- attn-report -----------------------------------------------------------------------

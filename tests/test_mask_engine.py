@@ -73,13 +73,23 @@ def test_causal_rejects_zero_length() -> None:
         build_causal(0)
 
 
+# The row table holds 1 << len(BLOCKED_ROLE_PAIRS) rows of L bools; numpy
+# cannot size it beyond this length.
+MAX_LENGTH = np.iinfo(np.intp).max >> len(BLOCKED_ROLE_PAIRS)
+
+
 def test_causal_and_layout_reject_a_length_numpy_cannot_index() -> None:
-    message = f"^length must be <= {np.iinfo(np.intp).max}$"
-    for length in (np.iinfo(np.intp).max + 1, 10**400):
+    message = f"^length must be <= {MAX_LENGTH}$"
+    for length in (MAX_LENGTH + 1, 1 << 62, np.iinfo(np.intp).max + 1, 10**400):
         with pytest.raises(LayoutError, match=message):
             build_causal(length)
         with pytest.raises(LayoutError, match=message):
             TokenLayout(length=length)
+
+
+def test_layout_accepts_the_longest_length_its_row_table_can_hold() -> None:
+    # Checked without building the table, which is built on first use.
+    assert TokenLayout(length=MAX_LENGTH).length == MAX_LENGTH
 
 
 def test_mask_matrix_copies_a_callers_matrix() -> None:

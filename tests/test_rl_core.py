@@ -5,16 +5,20 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import reference_parse_trace
+from conftest import reference_group_advantages, reference_grpo_objective, reference_parse_trace
 from sffuse.normalize import answers_match
 from sffuse.rl_core import (
+    GroupError,
     GrpoConfig,
     RewardConfig,
     RolloutGroup,
     group_advantages,
     grpo_gradient_logp_new,
     grpo_objective,
+    grpo_objectives,
     kl_estimate,
     read_rollout_groups,
     reward_stage2,
@@ -362,6 +366,108 @@ def test_grpo_config_rejects_nan(field, message) -> None:
 def test_advantages_reject_a_nan_eps() -> None:
     with pytest.raises(ValueError, match="eps_stab must be nonnegative"):
         group_advantages([0.0, 1.0], math.nan)
+
+
+# --- many groups in one array pass --------------------------------------------------
+
+# Scales of the deviations for "tiny" rows, around sqrt of the smallest
+# normal (~1.5e-154) and of the smallest subnormal (~2.2e-162): their
+# squares are subnormal, or 0 for some or all of a row.
+NEAR_SQRT_TINY = (1e-155, 1e-160, 1e-162, 1e-170, 1e-300)
+# In the order they are applied; the last four make a check fail (objective
+# overflow needs G >= 3).
+ROW_KINDS = ("random", "equal", "clip", "tiny", "objective", "variance", "ratio", "kl")
+
+
+def _row(kinds, size: int, seed: int) -> RolloutGroup:
+    """One group of ``size`` responses with each of ``kinds``' special cases,
+    so one row may fail several checks."""
+    rng = np.random.default_rng(seed)
+    rewards = rng.choice([0.0, 0.2, 1.0, 1.2], size=size)
+    logp_old = rng.normal(-1.0, 0.5, size=size)
+    logp_new = logp_old + rng.normal(0.0, 0.1, size=size)
+    logp_ref = logp_old + rng.normal(0.0, 0.1, size=size)
+    for kind in sorted(kinds, key=ROW_KINDS.index):
+        if kind == "random":
+            rewards = rng.normal(size=size) * 10.0 ** rng.integers(-3, 4)
+        elif kind == "equal":  # some means overflow, yet the advantages are exact zeros
+            rewards[:] = rng.choice([0.2, 0.7, 1e308, -1e308])
+        elif kind == "clip":  # every ratio beyond the clip band, on either side
+            logp_new = logp_old + rng.choice([-0.5, 0.5], size=size)
+        elif kind == "tiny":
+            rewards = rng.normal(size=size) * rng.choice(NEAR_SQRT_TINY)
+        elif kind == "objective":  # each ratio is finite, their weighted sum is not
+            rewards = np.zeros(size)
+            rewards[-1] = 1.0
+            logp_new[:] = logp_ref[:] = 709.5
+            logp_old[:] = 0.0
+        elif kind == "variance":
+            rewards[: size // 2 + 1] = 1e308
+            rewards[-1] = -1e308
+        elif kind == "ratio":  # exp overflows, or logp_new - logp_old does first
+            logp_new[0], logp_old[0] = rng.choice([(1000.0, 0.0), (1e308, -1e308)])
+        elif kind == "kl":  # in the last response, whose ratio is 1
+            logp_ref[-1], logp_new[-1] = rng.choice([(710.0, 0.0), (1e308, -1e308)])
+            logp_old[-1] = logp_new[-1]
+    return RolloutGroup(rewards.tolist(), logp_new.tolist(), logp_old.tolist(),
+                        logp_ref.tolist())
+
+
+def _reference_run(groups, cfg):
+    """Results one group at a time, or (index, message) of the first failure."""
+    results = []
+    for index, group in enumerate(groups):
+        try:
+            # The reference's last subtraction is not guarded: it may warn.
+            with np.errstate(over="ignore", invalid="ignore"):
+                results.append(reference_grpo_objective(group, cfg))
+        except ValueError as exc:
+            return index, str(exc)
+    return results
+
+
+@settings(max_examples=200, deadline=None)
+@given(rows=st.lists(st.tuples(st.sets(st.sampled_from(ROW_KINDS), max_size=3),
+                               st.integers(2, 16), st.integers(0, 2**32 - 1)),
+                     min_size=1, max_size=20),
+       alpha=st.sampled_from([0.1, 0.2, 0.5]), beta=st.sampled_from([0.0, 0.01, 1.0]),
+       eps=st.sampled_from([1e-8, 1.0, 5e-324]))
+def test_grpo_objectives_have_the_bits_of_one_group_at_a_time(rows, alpha, beta, eps) -> None:
+    groups = [_row(kinds, size, seed) for kinds, size, seed in rows]
+    cfg = GrpoConfig(clip_alpha=alpha, kl_beta=beta, eps_stab=eps)
+    want = _reference_run(groups, cfg)
+    try:
+        got = grpo_objectives(groups, cfg)
+    except GroupError as exc:
+        assert (exc.index, str(exc)) == want
+    else:
+        assert repr(got) == repr(want)  # repr tells every float apart, -0.0 too
+
+
+@settings(max_examples=200, deadline=None)
+@given(rows=st.lists(st.tuples(st.sampled_from([{"tiny"}, {"equal"}, {"random"}]),
+                               st.integers(0, 2**32 - 1)), min_size=1, max_size=20),
+       size=st.integers(2, 16))
+def test_advantage_rows_with_zero_eps_have_the_bits_of_one_row_at_a_time(rows, size) -> None:
+    # GrpoConfig requires eps_stab > 0; group_advantages accepts 0, and then
+    # a row whose squared deviations underflow is rescaled.
+    stacked = np.array([_row(kinds, size, seed).rewards for kinds, seed in rows])
+    advantages, overflow = rl_core._advantage_rows(stacked, 0.0)
+    for row, rewards in enumerate(stacked.tolist()):
+        with np.errstate(over="ignore", invalid="ignore"):
+            want = reference_group_advantages(rewards, 0.0)
+        assert repr(advantages[row].tolist()) == repr(want)
+        assert repr(group_advantages(rewards, 0.0)) == repr(want)
+    assert not overflow.any()
+
+
+def test_grpo_objectives_name_the_first_failing_group_across_sizes() -> None:
+    # Size 3 is stacked first, and its failing group comes later in the input.
+    groups = [_row({"random"}, 3, 1), _row({"kl"}, 2, 2), _row({"ratio"}, 3, 3)]
+    with pytest.raises(GroupError, match="^KL estimate overflows") as caught:
+        grpo_objectives(groups, GrpoConfig())
+    assert caught.value.index == 1
+    assert grpo_objectives([], GrpoConfig()) == []
 
 
 # --- GRPO gradient fidelity -----------------------------------------------------------
