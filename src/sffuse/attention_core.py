@@ -13,7 +13,7 @@ query-key pairs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
 from typing import Sequence
@@ -44,14 +44,15 @@ class AttentionInputs:
 
     q, k and v are held as read-only copies, so the softmax weights, computed
     on first use, stay valid for the life of the object and are shared by the
-    forward and the backward pass.
+    forward and the backward pass. Logits are scaled by ``scale = 1 / sqrt(d)``
+    for feature dimension d.
     """
 
     q: np.ndarray
     k: np.ndarray
     v: np.ndarray
     mask: MaskMatrix
-    scale: float | None = None
+    scale: float = field(init=False)
 
     def __post_init__(self) -> None:
         q, k, v = (np.array(arr, dtype=float) for arr in (self.q, self.k, self.v))
@@ -65,15 +66,10 @@ class AttentionInputs:
             if not np.isfinite(arr).all():
                 raise ValueError(f"{name} contains non-finite entries")
             arr.setflags(write=False)
-        scale = self.scale if self.scale is not None else 1.0 / math.sqrt(q.shape[1])
-        if not math.isfinite(scale):
-            raise ValueError(f"scale must be finite, got {scale}")
-        if scale <= 0:
-            raise ValueError("scale must be positive")
         object.__setattr__(self, "q", q)
         object.__setattr__(self, "k", k)
         object.__setattr__(self, "v", v)
-        object.__setattr__(self, "scale", float(scale))
+        object.__setattr__(self, "scale", 1.0 / math.sqrt(q.shape[1]))
 
     @property
     def length(self) -> int:
@@ -192,7 +188,7 @@ def gradient_check(
     upstream = np.ones(inputs.q.shape) if d_output is None else np.asarray(d_output)
 
     def loss(q: np.ndarray, k: np.ndarray, v: np.ndarray) -> float:
-        probe = AttentionInputs(q=q, k=k, v=v, mask=inputs.mask, scale=inputs.scale)
+        probe = AttentionInputs(q=q, k=k, v=v, mask=inputs.mask)
         output, _ = masked_attention(probe)
         return float(np.sum(output * upstream))
 
@@ -257,7 +253,7 @@ def attention_allocation(
                 f"the layout needs {list(square)}")
     rows = sorted(layout.summary_span)
     if not rows:
-        raise ValueError("query span is empty and layout has no summary span")
+        raise ValueError("layout has no summary_span positions")
     audio_cols = sorted(layout.audio_reasoning)
     visual_cols = sorted(layout.visual_reasoning)
 

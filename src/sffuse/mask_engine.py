@@ -202,6 +202,10 @@ class MarkerTable:
         for name in [*self.tag_open, *self.tag_close]:
             if name not in TAG_NAMES:
                 raise LayoutError(f"unknown tag name {name!r}")
+        for name in TAG_NAMES:
+            if (name in self.tag_open) != (name in self.tag_close):
+                missing = "tag_close" if name in self.tag_open else "tag_open"
+                raise LayoutError(f"tag {name!r} has no {missing} id")
 
 
 def _pair(starts: list[int], ends: list[int], label: str) -> tuple[int, int] | None:
@@ -228,8 +232,7 @@ def locate_layout(tokens: Sequence[int], markers: MarkerTable) -> TokenLayout:
     if not tokens:
         raise LayoutError("empty token sequence")
 
-    tags = [name for name in TAG_NAMES
-            if name in markers.tag_open and name in markers.tag_close]
+    tags = [name for name in TAG_NAMES if name in markers.tag_open]
     ids = [markers.video, markers.audio]
     ids += [(markers.tag_open[name], markers.tag_close[name]) for name in tags]
     labels = ["video", "audio"] + [f"<{name}>" for name in tags]

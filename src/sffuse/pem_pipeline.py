@@ -425,20 +425,15 @@ class HashEmbedder:
     across platforms, so goldens built on it are byte-reproducible.
 
     Each text is hashed on its own; the batch's digests are then mapped to
-    vectors and normalized in one pass. An empty batch gives a (0, dim)
+    vectors and normalized in one pass. An empty batch gives a (0, 32)
     array.
     """
 
-    def __init__(self, dim: int = 32):
-        if isinstance(dim, bool) or not isinstance(dim, int):
-            raise ValueError(f"dim must be an int, not {type(dim).__name__}")
-        if dim < 2:
-            raise ValueError("dim must be >= 2")
-        self.dim = dim
-        # The hash state after each counter's "{counter}:" prefix. ``embed``
-        # copies them and never updates them, so threads can share them.
-        self._prefixes = tuple(
-            hashlib.sha256(f"{counter}:".encode()) for counter in range(-(-dim // 4)))
+    dim = 32
+    # The hash state after each counter's "{counter}:" prefix. ``embed``
+    # copies them and never updates them, so every instance and thread can
+    # share them.
+    _prefixes = tuple(hashlib.sha256(f"{counter}:".encode()) for counter in range(dim // 4))
 
     def embed(self, texts: Sequence[str]) -> np.ndarray:
         # Each SHA-256 digest of "{counter}:{text}" gives four big-endian
@@ -454,7 +449,7 @@ class HashEmbedder:
                 state.update(data)
                 digests.append(state.digest())
         vectors = np.frombuffer(b"".join(digests), dtype=">u8").reshape(
-            len(texts), 4 * len(self._prefixes))[:, :self.dim] / 2.0 ** 63 - 1.0
+            len(texts), self.dim) / 2.0 ** 63 - 1.0
         # Row by row, not norm(axis=1), einsum or a Gram matrix: those round
         # differently from the 1-D dot, and the goldens pin its bytes.
         norms = np.array([math.sqrt(row.dot(row)) for row in vectors])

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 import warnings
@@ -130,8 +131,8 @@ def test_fully_blocked_rows_are_named_before_an_overflow() -> None:
     # Row 0's logits overflow; rows 1 and 3 see no key, whatever their logits.
     visible = np.tri(4, dtype=bool)
     visible[[1, 3]] = False
-    inputs = AttentionInputs(q=np.ones((4, 2)), k=np.ones((4, 2)), v=np.ones((4, 2)),
-                             mask=MaskMatrix(visible), scale=1e308)
+    big = np.full((4, 2), 1e154)
+    inputs = AttentionInputs(q=big, k=big, v=np.ones((4, 2)), mask=MaskMatrix(visible))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(FullyBlockedRowError, match=r"^mask rows fully blocked: \[1, 3\]$"):
@@ -146,9 +147,6 @@ def test_inputs_validation() -> None:
     with pytest.raises(ValueError, match="finite"):
         AttentionInputs(q=np.full((2, 2), np.nan), k=np.zeros((2, 2)),
                         v=np.zeros((2, 2)), mask=mask)
-    with pytest.raises(ValueError, match="scale"):
-        AttentionInputs(q=np.zeros((2, 2)), k=np.zeros((2, 2)),
-                        v=np.zeros((2, 2)), mask=mask, scale=-1.0)
     with pytest.raises(ValueError, match="^feature dimension must be >= 1$"):
         AttentionInputs(q=np.zeros((2, 0)), k=np.zeros((2, 0)), v=np.zeros((2, 0)), mask=mask)
     with pytest.raises(ValueError, match="^mask length must match sequence length$"):
@@ -161,19 +159,41 @@ def test_inputs_validation() -> None:
         attention_gradients(inputs, np.ones((2, 3)))
 
 
-@pytest.mark.parametrize("scale", [math.nan, math.inf])
-def test_inputs_reject_a_non_finite_scale(scale) -> None:
-    with pytest.raises(ValueError, match="scale must be finite"):
-        AttentionInputs(q=np.zeros((2, 2)), k=np.zeros((2, 2)),
-                        v=np.zeros((2, 2)), mask=build_causal(2), scale=scale)
+@pytest.mark.parametrize("dim", [1, 2, 3, 4, 5, 31, 32, 33, 64])
+def test_logits_are_scaled_by_one_over_root_dim(dim) -> None:
+    # Row 1's logits are q[1] . k = [dim, 0], so its weights are the softmax
+    # of [sqrt(dim), 0].
+    ones, zeros = np.ones(dim), np.zeros(dim)
+    inputs = AttentionInputs(q=np.array([zeros, ones]), k=np.array([ones, zeros]),
+                             v=np.zeros((2, dim)), mask=build_causal(2))
+    assert inputs.scale == 1.0 / math.sqrt(dim)
+    _, weights = masked_attention(inputs)
+    top = math.exp(math.sqrt(dim))
+    assert weights.matrix[1].tolist() == pytest.approx([top / (top + 1), 1 / (top + 1)],
+                                                       rel=1e-12)
+
+
+@pytest.mark.parametrize("how", ["init", "replace"])
+def test_scale_is_derived_not_passed(how) -> None:
+    inputs = AttentionInputs(q=np.zeros((2, 4)), k=np.zeros((2, 4)), v=np.zeros((2, 4)),
+                             mask=build_causal(2))
+    with pytest.raises((TypeError, ValueError), match="scale"):
+        if how == "init":
+            AttentionInputs(q=inputs.q, k=inputs.k, v=inputs.v, mask=inputs.mask, scale=1.0)
+        else:
+            dataclasses.replace(inputs, scale=1.0)
+    # A rebuild with another feature dimension derives its own scale.
+    wider = dataclasses.replace(inputs, q=np.zeros((2, 9)), k=np.zeros((2, 9)),
+                                v=np.zeros((2, 9)))
+    assert (inputs.scale, wider.scale) == (0.5, 1.0 / 3.0)
 
 
 @pytest.mark.parametrize("q_row, row", [([1.0, 1.0], 0), ([0.0, 0.0], 1)])
 def test_weights_reject_overflowing_logits(q_row, row) -> None:
     # Finite inputs whose scaled logits overflow: all-NaN weights before.
-    q = np.array([q_row, [1.0, 1.0], [0.0, 0.0]])
-    inputs = AttentionInputs(q=q, k=np.ones((3, 2)), v=np.ones((3, 2)),
-                             mask=build_causal(3), scale=1e308)
+    q = 1e154 * np.array([q_row, [1.0, 1.0], [0.0, 0.0]])
+    inputs = AttentionInputs(q=q, k=np.full((3, 2), 1e154), v=np.ones((3, 2)),
+                             mask=build_causal(3))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match=rf"^attention logits overflow in row {row}$"):
@@ -217,17 +237,16 @@ def oracle_test_mask(rng, layout, kind):
 @pytest.mark.parametrize("lengths", sorted(LENGTHS))
 @settings(max_examples=15, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), dim=st.sampled_from([1, 4, 64]),
-       scale=st.floats(1e-3, 10.0), default_upstream=st.booleans(),
+       default_upstream=st.booleans(),
        mask_kind=st.sampled_from(["composite", "random", "all-visible"]))
-def test_kernel_bytes_equal_the_dense_oracle(lengths, seed, dim, scale,
-                                             default_upstream, mask_kind) -> None:
+def test_kernel_bytes_equal_the_dense_oracle(lengths, seed, dim, default_upstream,
+                                             mask_kind) -> None:
     rng = np.random.default_rng(seed)
     low, high = LENGTHS[lengths]
     layout = random_layout(rng, max_length=high, min_length=low)
     inputs = AttentionInputs(
         q=rng.normal(size=(layout.length, dim)), k=rng.normal(size=(layout.length, dim)),
-        v=rng.normal(size=(layout.length, dim)), mask=oracle_test_mask(rng, layout, mask_kind),
-        scale=scale)
+        v=rng.normal(size=(layout.length, dim)), mask=oracle_test_mask(rng, layout, mask_kind))
     d_output = None if default_upstream else rng.normal(size=(layout.length, dim))
     output, weights = masked_attention(inputs)
     gradients = attention_gradients(inputs, d_output)
@@ -244,7 +263,7 @@ def test_an_overflowing_blocked_logit_gets_weight_zero() -> None:
     # visible logit is finite, so exp must never see the blocked one.
     q = np.array([[1e200, 0.0], [0.0, 1.0]])
     k = np.array([[0.0, 1.0], [1e200, 0.0]])
-    inputs = AttentionInputs(q=q, k=k, v=np.ones((2, 2)), mask=build_causal(2), scale=1.0)
+    inputs = AttentionInputs(q=q, k=k, v=np.ones((2, 2)), mask=build_causal(2))
     with np.errstate(over="ignore"):
         assert np.isinf((q @ k.T)[0, 1])
     with warnings.catch_warnings():
@@ -342,8 +361,7 @@ def test_mask_monotonicity_extra_block_renormalizes_upward(fixture_layout) -> No
     row = 4
     col = next(j for j in range(row) if visible[row, j])
     visible[row, col] = False
-    stricter = AttentionInputs(q=inputs.q, k=inputs.k, v=inputs.v,
-                               mask=MaskMatrix(visible), scale=inputs.scale)
+    stricter = AttentionInputs(q=inputs.q, k=inputs.k, v=inputs.v, mask=MaskMatrix(visible))
     _, tightened = masked_attention(stricter)
     for j in range(inputs.length):
         if visible[row, j]:
@@ -375,6 +393,16 @@ def test_gradient_check_five_seeds_with_asymmetric_masks() -> None:
         assert gradient_check(inputs, step=1e-4) < 1e-4
 
 
+@pytest.mark.parametrize("dim", [1, 4, 64])
+def test_gradient_check_at_each_feature_dimension(dim) -> None:
+    # The probes that gradient_check builds derive their scale from d as the
+    # checked inputs do, so the numeric and analytic gradients agree at any d.
+    rng = np.random.default_rng(dim)
+    inputs = AttentionInputs(q=rng.normal(size=(4, dim)), k=rng.normal(size=(4, dim)),
+                             v=rng.normal(size=(4, dim)), mask=build_causal(4))
+    assert gradient_check(inputs, step=1e-4) < 1e-4
+
+
 def test_gradient_check_step_bounds(fixture_layout) -> None:
     rng = np.random.default_rng(2)
     inputs = random_inputs(rng, fixture_layout)
@@ -393,8 +421,7 @@ def test_blocked_pair_gets_zero_gradient(fixture_layout) -> None:
 
     # Finite-difference probe of the same blocked path.
     def row2_loss(k):
-        probe = AttentionInputs(q=inputs.q, k=k, v=inputs.v,
-                                mask=inputs.mask, scale=inputs.scale)
+        probe = AttentionInputs(q=inputs.q, k=k, v=inputs.v, mask=inputs.mask)
         out, _ = masked_attention(probe)
         return float(out[2].sum())
 
@@ -496,7 +523,7 @@ def test_allocation_errors() -> None:
     layer = _weights_with((8, 9), {5: 0.5})
     with pytest.raises(ValueError, match="last_k"):
         attention_allocation([layer], ALLOC_LAYOUT, last_k=2)
-    with pytest.raises(ValueError, match="query span"):
+    with pytest.raises(ValueError, match="^layout has no summary_span positions$"):
         attention_allocation([layer], TokenLayout(length=10), last_k=1)
     no_mass = _weights_with((8, 9), {})
     with pytest.raises(ValueError, match="zero attention mass"):

@@ -847,6 +847,32 @@ def test_grpo_step_objective_subtraction_overflow_is_one_error_line(tmp_path, ca
 
 # --- attn-report -----------------------------------------------------------------------
 
+@pytest.mark.parametrize("mode, golden", [([], "golden_attn_report.txt"),
+                                          (["--json"], "golden_attn_report.json")],
+                         ids=["text", "json"])
+def test_attn_report_matches_golden(capsys, mode, golden) -> None:
+    # Four causal layers in eighths; in the third the summary rows put all
+    # their mass on key 0, so it has no span mass.
+    code, stdout = run(capsys, "attn-report", "--weights", str(DATA / "weights_l10.jsonl"),
+                       "--spec", str(DATA / "layout_l10.json"), *mode)
+    assert code == 0
+    assert stdout.encode("utf-8") == (DATA / golden).read_bytes()
+
+
+@pytest.mark.parametrize("mode", [[], ["--json"]], ids=["text", "json"])
+def test_attn_report_names_a_layout_without_a_summary_span(tmp_path, capsys, mode) -> None:
+    spec = json.loads((DATA / "layout_l10.json").read_text(encoding="utf-8"))
+    del spec["summary_span"]
+    spec_path = tmp_path / "layout.json"
+    spec_path.write_text(json.dumps(spec), encoding="utf-8")
+    code = main(["attn-report", "--weights", str(DATA / "weights_l10.jsonl"),
+                 "--spec", str(spec_path), *mode])
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert assert_one_error_line(code, captured.err) == (
+        "error: layout has no summary_span positions\n")
+
+
 def test_attn_report_rejects_non_finite_weights(tmp_path, capsys) -> None:
     weights = tmp_path / "weights.jsonl"
     data = [1.0 / 6] * 35 + ["NaN"]

@@ -23,6 +23,7 @@ from sffuse.mask_engine import (
     mask_to_rle,
     mask_to_text,
 )
+from sffuse.tag_grammar import TAG_NAMES
 
 from conftest import (
     blocked_cells,
@@ -388,14 +389,14 @@ def test_locate_layout_tags_before_inputs_rejected() -> None:
         locate_layout(sequence, MARKERS)
 
 
-# Marker tables: the standard one, one whose tag tables lack a name on one
-# side (that pair is not located), and one whose ids coincide.
+# Marker tables: the standard one, one that names only some tags (the others
+# are not located), and one whose ids coincide.
 MARKER_TABLES = {
     "standard": MARKERS,
     "partial tags": MarkerTable(
         video=(100, 101), audio=(102, 103),
-        tag_open={"mod": 118, "v": 110, "a": 112, "sum": 114},
-        tag_close={"v": 111, "a": 113, "sum": 115, "ans": 117}),
+        tag_open={"v": 110, "a": 112, "sum": 114},
+        tag_close={"v": 111, "a": 113, "sum": 115}),
     "shared ids": MarkerTable(
         video=(100, 101), audio=(101, 103),
         tag_open={"mod": 118, "v": 110, "a": 110, "sum": 114, "ans": 116},
@@ -422,6 +423,34 @@ def test_marker_table_rejects_an_unknown_tag_name(side) -> None:
     tags[side]["A"] = tags[side].pop("a")
     with pytest.raises(LayoutError, match="^unknown tag name 'A'$"):
         MarkerTable(video=MARKERS.video, audio=MARKERS.audio, **tags)
+
+
+@pytest.mark.parametrize("name", TAG_NAMES)
+@pytest.mark.parametrize("missing", ["tag_open", "tag_close"])
+def test_marker_table_rejects_a_tag_named_on_one_side_only(missing, name) -> None:
+    # Such a pair would never be located, dropping its rules.
+    tags = {"tag_open": dict(MARKERS.tag_open), "tag_close": dict(MARKERS.tag_close)}
+    del tags[missing][name]
+    with pytest.raises(LayoutError, match=f"^tag '{name}' has no {missing} id$"):
+        MarkerTable(video=MARKERS.video, audio=MARKERS.audio, **tags)
+
+
+@pytest.mark.parametrize("missing", ["tag_open", "tag_close"])
+def test_marker_table_with_one_side_empty_names_the_first_tag(missing) -> None:
+    tags = {"tag_open": dict(MARKERS.tag_open), "tag_close": dict(MARKERS.tag_close)}
+    tags[missing] = {}
+    with pytest.raises(LayoutError, match=f"^tag 'mod' has no {missing} id$"):
+        MarkerTable(video=MARKERS.video, audio=MARKERS.audio, **tags)
+
+
+def test_locate_layout_without_tag_ids_reads_tags_as_payload() -> None:
+    # With no tag ids named, SEQUENCE's tag tokens are ordinary tokens: only
+    # the input sets are located.
+    layout = locate_layout(SEQUENCE, MarkerTable(video=MARKERS.video, audio=MARKERS.audio))
+    assert (layout.video_input, layout.audio_input) == ({1}, {4})
+    assert layout.visual_span == layout.audio_reasoning == frozenset()
+    assert layout == reference_locate_layout(
+        SEQUENCE, MarkerTable(video=MARKERS.video, audio=MARKERS.audio))
 
 
 def test_locate_layout_touching_indicator_pairs_are_valid() -> None:

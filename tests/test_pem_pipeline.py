@@ -4,6 +4,7 @@ import itertools
 import math
 import urllib.error
 import urllib.request
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, fields
 from pathlib import Path
 
@@ -148,60 +149,66 @@ def test_consistency_scores_tiny_and_huge_rows_by_direction() -> None:
 
 # --- oracles: exact equality with the loop references ---------------------------
 
-HASH_DIMS = (2, 3, 4, 5, 31, 32, 33, 64)
+RANDOM_DIMS = (2, 3, 4, 5, 31, 32, 33, 64)
 # A small pool, so drawn text lists repeat texts often.
 TEXT_POOL = ("", "same", "Ünïcødé 🐕 音声", "a\nb")
 
 
-@pytest.mark.parametrize("dim", HASH_DIMS)
 @settings(max_examples=40, deadline=None)
 @example(texts=["", "collie", "Ünïcødé 🐕 音声"])
 @given(texts=st.lists(st.text(), min_size=1, max_size=5))
-def test_hash_embedder_matches_loop_reference(dim, texts) -> None:
-    got = HashEmbedder(dim).embed(texts)
-    want = np.stack([reference_hash_vector(text, dim) for text in texts])
+def test_hash_embedder_matches_loop_reference(texts) -> None:
+    got = HashEmbedder().embed(texts)
+    want = np.stack([reference_hash_vector(text, 32) for text in texts])
     assert got.shape == want.shape
     assert (got == want).all()
 
 
-@pytest.mark.parametrize("dim", HASH_DIMS)
-def test_hash_embedder_empty_batch(dim) -> None:
-    got = HashEmbedder(dim).embed([])
-    assert got.shape == (0, dim)
+def test_hash_embedder_empty_batch() -> None:
+    got = HashEmbedder().embed([])
+    assert got.shape == (0, 32)
     assert got.dtype == np.float64
 
 
-@pytest.mark.parametrize("dim", HASH_DIMS)
-def test_hash_embedder_reused_across_batches(dim) -> None:
-    # One embedder serves every call; a hash prefix state updated in place
-    # would leak one batch's text into the next batch's vectors. Dim 64 also
-    # covers counters 10-15, whose prefixes are three bytes long.
-    embedder = HashEmbedder(dim)
+@pytest.mark.parametrize("instances", ["fresh", "shared"])
+def test_hash_embedder_reused_across_batches(instances) -> None:
+    # Every embedder shares the class's hash prefix states; one updated in
+    # place would leak one batch's text into the next batch's vectors.
     first, second = ["same", "Ünïcødé 🐕 音声", ""], ["a\nb", "same"]
+    shared = HashEmbedder()
     for texts in (first, [], second, first):
+        embedder = HashEmbedder() if instances == "fresh" else shared
         got = embedder.embed(texts)
-        assert got.shape == (len(texts), dim)
+        assert got.shape == (len(texts), 32)
         for row, text in zip(got, texts):
-            assert row.tobytes() == reference_hash_vector(text, dim).tobytes()
+            assert row.tobytes() == reference_hash_vector(text, 32).tobytes()
 
 
-@pytest.mark.parametrize("dim", [2.5, 32.0, True, "32", None, np.float64(8)])
-def test_hash_embedder_rejects_a_dim_that_is_not_an_int(dim) -> None:
-    with pytest.raises(ValueError, match="^dim must be an int, not "):
-        HashEmbedder(dim)
+@pytest.mark.parametrize("threads", [2, 4, 8])
+def test_hash_embedder_threads_share_the_prefix_states(threads) -> None:
+    # Each thread embeds its own batch through the one class-level tuple of
+    # prefix states; every vector must still equal the loop reference.
+    batches = [[f"{t}:{k}" for k in range(50)] for t in range(threads)]
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        results = list(pool.map(HashEmbedder().embed, batches))
+    for texts, got in zip(batches, results):
+        want = np.stack([reference_hash_vector(text, 32) for text in texts])
+        assert got.tobytes() == want.tobytes()
 
 
-def test_hash_embedder_rejects_a_dim_below_two() -> None:
-    with pytest.raises(ValueError, match="^dim must be >= 2$"):
-        HashEmbedder(1)
+@pytest.mark.parametrize("call", [lambda: HashEmbedder(32), lambda: HashEmbedder(dim=32)],
+                         ids=["positional", "keyword"])
+def test_hash_embedder_takes_no_dim(call) -> None:
+    with pytest.raises(TypeError):
+        call()
+    assert HashEmbedder.dim == 32
 
 
-@pytest.mark.parametrize("dim", HASH_DIMS)
 @settings(max_examples=40, deadline=None)
 @given(texts=st.lists(st.sampled_from(TEXT_POOL) | st.text(max_size=12),
                       min_size=2, max_size=10))
-def test_consistency_matches_loop_reference_on_hash_vectors(dim, texts) -> None:
-    embedder = HashEmbedder(dim)
+def test_consistency_matches_loop_reference_on_hash_vectors(texts) -> None:
+    embedder = HashEmbedder()
     assert consistency(texts, embedder) == reference_consistency(texts, embedder)
 
 
@@ -214,7 +221,7 @@ def random_vector_embedder(dim, seed):
 
 
 @settings(max_examples=100, deadline=None)
-@given(dim=st.sampled_from(HASH_DIMS), seed=st.integers(0, 2 ** 32 - 1),
+@given(dim=st.sampled_from(RANDOM_DIMS), seed=st.integers(0, 2 ** 32 - 1),
        picks=st.lists(st.integers(0, 5), min_size=2, max_size=12))
 def test_consistency_matches_loop_reference_on_random_vectors(dim, seed, picks) -> None:
     embedder = random_vector_embedder(dim, seed)
@@ -227,14 +234,14 @@ ANSWER_POOL = ("collie", " Collie. ", "COLLIE!", "sheep", "the collie")
 
 @pytest.mark.parametrize("kind", ["random", "hash"])
 @settings(max_examples=50, deadline=None)
-@given(dim=st.sampled_from(HASH_DIMS), seed=st.integers(0, 2 ** 32 - 1),
+@given(dim=st.sampled_from(RANDOM_DIMS), seed=st.integers(0, 2 ** 32 - 1),
        n=st.sampled_from((2, 3, 4, 8)),
        picks=st.lists(st.tuples(st.integers(0, 4), st.integers(0, 5)),
                       min_size=24, max_size=24))
 def test_annotate_screening_matches_loop_reference(kind, dim, seed, n, picks) -> None:
     # Texts repeat within and across settings; each setting's consistency
     # and accuracy must still equal the loops over its own n samples.
-    embedder = random_vector_embedder(dim, seed) if kind == "random" else HashEmbedder(dim)
+    embedder = random_vector_embedder(dim, seed) if kind == "random" else HashEmbedder()
     inst = make_instance("r1")
     script = {(inst.id, setting): [(ANSWER_POOL[a], f"t{k}") for a, k in picks[n * s:n * s + n]]
               for s, setting in enumerate(ProbeSetting)}
