@@ -43,6 +43,11 @@ class EndpointConfig(EmbedderEndpointConfig):
 
     temperature: float = 1.0
 
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        if not 0.0 <= self.temperature < math.inf:  # NaN fails too
+            raise ValueError("temperature must be finite and >= 0")
+
 
 @dataclass(frozen=True)
 class PipelineConfig:
@@ -85,10 +90,10 @@ class GrpoConfig:
     def __post_init__(self) -> None:
         if not 0.0 < self.clip_alpha < 1.0:
             raise ValueError("clip_alpha must lie in (0, 1)")
-        if not self.kl_beta >= 0.0:  # NaN fails too
-            raise ValueError("kl_beta must be nonnegative")
-        if not self.eps_stab > 0.0:  # NaN fails too
-            raise ValueError("eps_stab must be positive")
+        if not 0.0 <= self.kl_beta < math.inf:  # NaN fails too
+            raise ValueError("kl_beta must be nonnegative and finite")
+        if not 0.0 < self.eps_stab < math.inf:  # NaN fails too
+            raise ValueError("eps_stab must be positive and finite")
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,5 @@
 """The one JSON boundary: the decoder behind every file loader and the
-encoder behind every JSON output."""
+encoder behind every JSON output, HTTP request bodies included."""
 
 from __future__ import annotations
 

@@ -344,7 +344,11 @@ def mask_to_text(mask: MaskMatrix) -> str:
 
 
 def mask_from_text(text: str) -> MaskMatrix:
-    """Inverse of ``mask_to_text``; blank lines are skipped."""
+    """Inverse of ``mask_to_text``, and looser than it: blank lines are
+    skipped, the last row needs no "\\n", and rows split at every
+    ``str.splitlines`` break ("\\r\\n", "\\r", "\\v", "\\f", "\\x1c" to "\\x1e",
+    "\\x85", "\\u2028", "\\u2029"). Any other character but "0" and "1", rows
+    of unequal length or a grid that is not square raise ValueError."""
     # An exact grid of 0/1 rows, each ending in "\n", is read in one pass;
     # any other text is diagnosed line by line below.
     width = text.find("\n")

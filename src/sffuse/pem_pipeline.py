@@ -27,7 +27,7 @@ from typing import Callable, Iterable, Mapping, Protocol
 import numpy as np
 
 from .config import EmbedderEndpointConfig, EndpointConfig, PipelineConfig
-from .jsonl import is_number_list, read_records, str_fields, write_records
+from .jsonl import dumps, is_number_list, read_records, str_fields, write_records
 from .normalize import normalize_answer
 from .tag_grammar import PemLabel
 
@@ -460,29 +460,17 @@ class HashEmbedder:
 
 _ANSWER_LINE = re.compile(r"(?im)^answer:\s*(.+?)\s*$")
 
-Transport = Callable[[str, dict, dict, float], dict]
+# (url, request body, headers, timeout) -> answer body.
+Transport = Callable[[str, bytes, dict, float], bytes]
 
 
-class _AnswerNotJson(Exception):
-    """An answer arrived, but its body is not UTF-8 JSON."""
-
-
-def _urllib_transport(url: str, payload: dict, headers: dict, timeout: float) -> dict:
+def _urllib_transport(url: str, body: bytes, headers: dict, timeout: float) -> bytes:
     # Imported here: it loads http.client, email, ssl and socket, which only
     # live probing uses.
     import urllib.request
-    request = urllib.request.Request(
-        url,
-        data=json.dumps(payload).encode("utf-8"),
-        headers={"Content-Type": "application/json", **headers},
-        method="POST",
-    )
+    request = urllib.request.Request(url, data=body, headers=headers, method="POST")
     with urllib.request.urlopen(request, timeout=timeout) as response:
-        body = response.read()
-    try:
-        return json.loads(body.decode("utf-8"))
-    except ValueError as exc:  # JSONDecodeError or UnicodeDecodeError
-        raise _AnswerNotJson(exc) from exc
+        return response.read()
 
 
 class _Endpoint:
@@ -505,20 +493,23 @@ class _Endpoint:
         self.transport = transport
 
     def _request(self, payload: dict, what: str) -> dict:
-        """POST with an optional bearer token and return the JSON object
-        answered. Timeouts, connection errors, cut-short answers, 429 and 5xx
-        are retried up to ``endpoint.retries`` times; then, or at once on any
+        """POST ``payload`` as JSON and return the JSON object answered.
+        Timeouts, connection errors, cut-short answers, 429 and 5xx are
+        retried up to ``endpoint.retries`` times; then, or at once on any
         other HTTP status, raise ``error("{what}: {last error}")``. An answer
-        that is not JSON, or not a JSON object, raises ``error`` at once."""
+        that is not UTF-8 JSON, or not a JSON object, raises ``error`` at once."""
         # Imported here, not at module level: only live probing needs them.
         import http.client
         import urllib.error
-        headers = {"Authorization": f"Bearer {self.token}"} if self.token else {}
+        headers = {"Content-Type": "application/json"}
+        if self.token:
+            headers["Authorization"] = f"Bearer {self.token}"
+        body = dumps(payload).encode("utf-8")
         last_error: Exception | None = None
         for _ in range(self.endpoint.retries + 1):
             try:
-                response = self.transport(
-                    self.endpoint.base_url, payload, headers, self.endpoint.timeout)
+                answer = self.transport(
+                    self.endpoint.base_url, body, headers, self.endpoint.timeout)
             except (urllib.error.URLError, http.client.HTTPException, TimeoutError,
                     ConnectionError) as exc:
                 last_error = exc
@@ -527,7 +518,9 @@ class _Endpoint:
                         exc.code == 429 or 500 <= exc.code < 600):
                     break
                 continue
-            except _AnswerNotJson as exc:
+            try:
+                response = json.loads(answer.decode("utf-8"))
+            except ValueError as exc:  # JSONDecodeError or UnicodeDecodeError
                 raise self.error(f"{what}: the answer is not JSON: {exc}") from exc
             if not isinstance(response, dict):
                 raise self.error(f"{what}: the answer is not a JSON object")

@@ -193,9 +193,12 @@ def group_advantages(rewards: Sequence[float], eps_stab: float) -> list[float]:
     """
     if len(rewards) < 2:
         raise ValueError("need at least 2 rewards")
-    if not eps_stab >= 0.0:  # NaN fails too
-        raise ValueError("eps_stab must be nonnegative")
-    advantages, overflow = _advantage_rows(np.asarray(rewards, dtype=float)[None], eps_stab)
+    if not 0.0 <= eps_stab < math.inf:  # NaN fails too
+        raise ValueError("eps_stab must be nonnegative and finite")
+    row = np.asarray(rewards, dtype=float)
+    if not np.isfinite(row).all():
+        raise ValueError("rewards must hold finite numbers")
+    advantages, overflow = _advantage_rows(row[None], eps_stab)
     if overflow[0]:
         raise ValueError(_VARIANCE_OVERFLOW)
     return advantages[0].tolist()

@@ -72,6 +72,18 @@ def test_annotate_rejects_an_embedder_temperature(tmp_path, capsys) -> None:
     assert not (tmp_path / "o.jsonl").exists()
 
 
+def test_annotate_rejects_a_negative_temperature(tmp_path, capsys) -> None:
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"pipeline": {"endpoint": {"temperature": -3}}}),
+                      encoding="utf-8")
+    code = main(["annotate", "--in", str(DATA / "instances_12.jsonl"),
+                 "--out", str(tmp_path / "o.jsonl"), "--mock", "--config", str(config)])
+    err = assert_one_error_line(code, capsys.readouterr().err)
+    assert err == (f"error: {config}: "
+                   "config.pipeline.endpoint: temperature must be finite and >= 0\n")
+    assert not (tmp_path / "o.jsonl").exists()
+
+
 def test_annotate_invalid_config(tmp_path, capsys) -> None:
     config = tmp_path / "config.json"
     config.write_text(json.dumps({"pipeline": {"tau_acc": 1.5}}), encoding="utf-8")
@@ -499,11 +511,11 @@ def test_mask_row_prints_fixture_row(capsys) -> None:
     assert stdout.strip() == "0101"
 
 
-# The composite mask of layout_l6.json, pinned as literals so the CLI tests
-# do not compare the mask builders with themselves. Query 2 (visual
+# The composite mask of layout_l6.json, pinned as a golden file so the CLI
+# tests do not compare the mask builders with themselves. Query 2 (visual
 # reasoning) cannot see key 1 (audio input); query 3 (audio reasoning)
 # cannot see key 0 (video input) or key 2 (the visual span).
-L6_GRID = "100000\n110000\n101000\n010100\n111110\n111111\n"
+L6_GRID = (DATA / "golden_mask_l6.txt").read_bytes().decode("utf-8")
 # Header (magic, length 6, first bit 1, 15 runs), then the run lengths.
 L6_RLE = struct.pack("<4sIBI15I", b"MRL1", 6, 1, 15,
                      1, 5, 2, 4, 1, 1, 1, 4, 1, 1, 1, 2, 5, 1, 6)
@@ -760,8 +772,9 @@ def test_grpo_step_group_error_names_the_group(capsys, tmp_path) -> None:
 
 @pytest.mark.parametrize("flag, field", [("--beta", "kl_beta"), ("--eps", "eps_stab"),
                                          ("--alpha", "clip_alpha")])
-def test_grpo_step_rejects_a_nan_setting(capsys, flag, field) -> None:
-    code = main(["grpo-step", "--rollouts", str(DATA / "rollouts_equal.jsonl"), flag, "nan"])
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_grpo_step_rejects_a_nan_setting(capsys, flag, field, value) -> None:
+    code = main(["grpo-step", "--rollouts", str(DATA / "rollouts_equal.jsonl"), flag, value])
     captured = capsys.readouterr()
     err = assert_one_error_line(code, captured.err)
     assert captured.out == ""
@@ -981,6 +994,14 @@ def test_leakage_with_mask_is_zero(capsys) -> None:
     payload = json.loads(stdout)
     assert payload["direct_leakage"] == 0.0
     assert payload["use_maam"] is True
+
+
+def test_leakage_json_matches_golden_bytes(capsys) -> None:
+    # The masked probe prints exact zeros, which do not depend on the BLAS
+    # build. The --no-maam sums get no golden file: their last digits may.
+    code, stdout = run(capsys, "leakage", "--seed", "0", "--json")
+    assert code == 0
+    assert stdout.encode() == (DATA / "golden_leakage.json").read_bytes()
 
 
 def test_leakage_without_mask_positive(capsys) -> None:

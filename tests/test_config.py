@@ -89,6 +89,8 @@ def test_endpoint_values_the_client_cannot_use_rejected(section, values, message
      "config.pipeline.endpoint: retries must be >= 0"),
     ({"pipeline": {"embedder_endpoint": {"retries": -1}}},
      "config.pipeline.embedder_endpoint: retries must be >= 0"),
+    ({"pipeline": {"endpoint": {"temperature": -3}}},
+     "config.pipeline.endpoint: temperature must be finite and >= 0"),
     ({"pipeline": {"tau_acc": 1.5}}, "config.pipeline: tau_acc must lie in (0, 1]"),
     ({"pipeline": {"endpoint": {"retry": 1}}},
      "config.pipeline.endpoint.retry is not a config field"),
@@ -106,11 +108,14 @@ def test_section_check_errors_name_the_section(obj, line) -> None:
     ({"timeout": 0.0}, "timeout must be finite and > 0"),
     ({"timeout": float("nan")}, "timeout must be finite and > 0"),
     ({"timeout": float("inf")}, "timeout must be finite and > 0"),
+    ({"temperature": -3}, "temperature must be finite and >= 0"),
+    ({"temperature": float("nan")}, "temperature must be finite and >= 0"),
+    ({"temperature": float("inf")}, "temperature must be finite and >= 0"),
 ])
 def test_endpoint_config_rejects_values_the_client_cannot_use(values, message) -> None:
     with pytest.raises(ValueError, match=message):
         EndpointConfig(**values)
-    assert EndpointConfig(retries=0, timeout=1e-3).retries == 0
+    assert EndpointConfig(retries=0, timeout=1e-3, temperature=0.0).retries == 0
 
 
 @pytest.mark.parametrize("value", [1.0, 0.0, "hot", None])

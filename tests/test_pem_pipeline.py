@@ -1,6 +1,7 @@
 import http.client
 import io
 import itertools
+import json
 import math
 import urllib.error
 import urllib.request
@@ -31,6 +32,7 @@ from sffuse.pem_pipeline import (
     ProbeSetting,
     SamplingError,
     SolvabilityRecord,
+    _urllib_transport,
     accuracy_rate,
     annotate,
     build_probe_prompt,
@@ -479,7 +481,7 @@ def test_mock_sampler_rejects_tiny_n() -> None:
         ScriptedSampler({}).sample(make_instance(), ProbeSetting.A, 1)
     calls = []
     sampler = HttpSampler(EndpointConfig(base_url="http://x/chat"),
-                          transport=lambda *a: calls.append(a) or recorded_response(1))
+                          transport=json_transport(recorded_response(1), calls))
     with pytest.raises(ValueError, match="n must be >= 2"):
         sampler.sample(make_instance(), ProbeSetting.A, 1)
     assert calls == []  # rejected before any request
@@ -551,16 +553,26 @@ def recorded_response(n=2):
                         for text in RECORDED_COMPLETIONS[:n]]}
 
 
+def json_transport(answer, calls=None):
+    """A transport that decodes each request body, appends the request's
+    url, payload and headers to ``calls`` when it is given, and answers
+    ``answer`` (``answer(payload)`` if it is callable) as a JSON body."""
+
+    def transport(url, body, headers, timeout):
+        payload = json.loads(body.decode("utf-8"))
+        if calls is not None:
+            calls.append({"url": url, "payload": payload, "headers": headers})
+        return json.dumps(answer(payload) if callable(answer) else answer).encode()
+
+    return transport
+
+
 def test_http_sampler_parses_recorded_stub() -> None:
-    seen = {}
-
-    def transport(url, payload, headers, timeout):
-        seen.update(url=url, payload=payload, headers=headers)
-        return recorded_response()
-
+    calls = []
     sampler = HttpSampler(EndpointConfig(base_url="http://localhost:9/chat"),
-                          token="sekrit", transport=transport)
+                          token="sekrit", transport=json_transport(recorded_response(), calls))
     result = sampler.sample(make_instance(), ProbeSetting.AV, 2)
+    (seen,) = calls
     assert result == [
         ("two", RECORDED_COMPLETIONS[0]),
         ("two", RECORDED_COMPLETIONS[1]),
@@ -576,26 +588,20 @@ def test_http_sampler_sends_the_configured_temperature() -> None:
     endpoint = config_from_dict(
         {"pipeline": {"endpoint": {"base_url": "http://x/chat", "temperature": 0.7}}}
     ).pipeline.endpoint
-    seen = {}
-
-    def transport(url, payload, headers, timeout):
-        seen.update(payload)
-        return recorded_response()
-
-    HttpSampler(endpoint, transport=transport).sample(make_instance(), ProbeSetting.A, 2)
-    assert seen["temperature"] == 0.7
+    calls = []
+    HttpSampler(endpoint, transport=json_transport(recorded_response(), calls)).sample(
+        make_instance(), ProbeSetting.A, 2)
+    assert calls[0]["payload"]["temperature"] == 0.7
 
 
 def test_http_sampler_setting_controls_forwarded_media() -> None:
-    captured = {}
-
-    def transport(url, payload, headers, timeout):
-        captured[payload["media"].get("audio_ref"), payload["media"].get("video_ref")] = True
-        return recorded_response()
-
-    sampler = HttpSampler(EndpointConfig(base_url="http://x/chat"), transport=transport)
+    calls = []
+    sampler = HttpSampler(EndpointConfig(base_url="http://x/chat"),
+                          transport=json_transport(recorded_response(), calls))
     sampler.sample(make_instance(), ProbeSetting.A, 2)
     sampler.sample(make_instance(), ProbeSetting.V, 2)
+    captured = {(call["payload"]["media"].get("audio_ref"),
+                 call["payload"]["media"].get("video_ref")) for call in calls}
     assert ("mock://audio/x1", None) in captured
     assert (None, "mock://video/x1") in captured
 
@@ -603,7 +609,7 @@ def test_http_sampler_setting_controls_forwarded_media() -> None:
 def test_http_sampler_retries_then_fails_typed() -> None:
     attempts = []
 
-    def transport(url, payload, headers, timeout):
+    def transport(url, body, headers, timeout):
         attempts.append(1)
         raise urllib.error.URLError("connection refused")
 
@@ -615,10 +621,8 @@ def test_http_sampler_retries_then_fails_typed() -> None:
 
 
 def test_http_sampler_malformed_completion() -> None:
-    def transport(url, payload, headers, timeout):
-        return {"choices": [{"message": {"content": "no marker here"}},
-                            {"message": {"content": "Answer: fine"}}]}
-
+    transport = json_transport({"choices": [{"message": {"content": "no marker here"}},
+                                            {"message": {"content": "Answer: fine"}}]})
     sampler = HttpSampler(EndpointConfig(base_url="http://x/chat"), transport=transport)
     with pytest.raises(SamplingError, match="Answer"):
         sampler.sample(make_instance(), ProbeSetting.A, 2)
@@ -633,14 +637,14 @@ def test_http_sampler_malformed_completion() -> None:
 ], ids=["no-content", "not-an-object", "null", "number", "list"])
 def test_http_sampler_rejects_a_completion_without_content(choices) -> None:
     sampler = HttpSampler(EndpointConfig(base_url="http://x/chat"),
-                          transport=lambda *a: {"choices": choices})
+                          transport=json_transport({"choices": choices}))
     with pytest.raises(SamplingError, match="^malformed completion for x1/A$"):
         sampler.sample(make_instance(), ProbeSetting.A, 2)
 
 
 def test_http_sampler_wrong_completion_count() -> None:
     sampler = HttpSampler(EndpointConfig(base_url="http://x/chat"),
-                          transport=lambda *a: recorded_response(1))
+                          transport=json_transport(recorded_response(1)))
     with pytest.raises(SamplingError, match="wanted 2"):
         sampler.sample(make_instance(), ProbeSetting.A, 2)
 
@@ -652,11 +656,8 @@ def test_parse_completion_uses_last_answer_line() -> None:
 
 
 def test_http_embedder_stub() -> None:
-    def transport(url, payload, headers, timeout):
-        return {"data": [{"embedding": [1.0, 0.0]} for _ in payload["input"]]}
-
-    embedder = HttpEmbedder(EndpointConfig(base_url="http://x/embed"),
-                            transport=transport)
+    embedder = HttpEmbedder(EndpointConfig(base_url="http://x/embed"), transport=json_transport(
+        lambda payload: {"data": [{"embedding": [1.0, 0.0]} for _ in payload["input"]]}))
     vectors = embedder.embed(["a", "b"])
     assert vectors.shape == (2, 2)
     assert consistency(["a", "b"], embedder) == pytest.approx(1.0)
@@ -667,14 +668,14 @@ def test_http_embedder_stub() -> None:
                          ids=["no-embedding", "data-not-a-list", "no-data"])
 def test_http_embedder_rejects_a_malformed_response(answer) -> None:
     embedder = HttpEmbedder(EndpointConfig(base_url="http://x/embed"),
-                            transport=lambda *a: answer)
+                            transport=json_transport(answer))
     with pytest.raises(EmbeddingError, match="^malformed embedding response$"):
         embedder.embed(["a", "b"])
 
 
 def test_http_embedder_rejects_a_vector_count_mismatch() -> None:
     embedder = HttpEmbedder(EndpointConfig(base_url="http://x/embed"),
-                            transport=lambda *a: {"data": [{"embedding": [1.0, 0.0]}]})
+                            transport=json_transport({"data": [{"embedding": [1.0, 0.0]}]}))
     with pytest.raises(EmbeddingError, match="^embedder returned 1 vectors for 2 texts$"):
         embedder.embed(["a", "b"])
 
@@ -683,27 +684,24 @@ def test_http_embedder_rejects_a_vector_count_mismatch() -> None:
                                        [[0.5], [1.0]], 0.5, "0.5"],
                          ids=["string-and-bool", "bool", "null", "nested", "number", "string"])
 def test_http_embedder_rejects_an_entry_that_is_not_a_number(embedding) -> None:
-    def transport(url, payload, headers, timeout):
-        return {"data": [{"embedding": embedding} for _ in payload["input"]]}
-
-    embedder = HttpEmbedder(EndpointConfig(base_url="http://x/embed"),
-                            transport=transport)
+    embedder = HttpEmbedder(EndpointConfig(base_url="http://x/embed"), transport=json_transport(
+        lambda payload: {"data": [{"embedding": embedding} for _ in payload["input"]]}))
     with pytest.raises(EmbeddingError, match="not a list of numbers"):
         embedder.embed(["a", "b"])
 
 
 def test_http_embedder_payload_holds_distinct_texts() -> None:
-    inputs = []
+    calls = []
 
-    def transport(url, payload, headers, timeout):
-        inputs.append(payload["input"])
+    def answer(payload):
         vectors = HashEmbedder().embed(payload["input"])
         return {"data": [{"embedding": vec.tolist()} for vec in vectors]}
 
     embedder = HttpEmbedder(EndpointConfig(base_url="http://x/embed"),
-                            transport=transport)
+                            transport=json_transport(answer, calls))
     dataset = load_fixture_dataset()
     result = annotate(dataset, MockCotSampler(), embedder, PipelineConfig())
+    inputs = [call["payload"]["input"] for call in calls]
     assert len(inputs) == len(dataset)
     assert all(len(set(texts)) == len(texts) for texts in inputs)
     assert result.labeled == run_fixture().labeled
@@ -714,7 +712,7 @@ def test_http_embedder_payload_holds_distinct_texts() -> None:
 def test_http_adapters_retry_only_transient_statuses(adapter, code, calls) -> None:
     attempts = []
 
-    def transport(url, payload, headers, timeout):
+    def transport(url, body, headers, timeout):
         attempts.append(1)
         raise urllib.error.HTTPError(url, code, "status", {}, None)
 
@@ -745,13 +743,8 @@ ADAPTER_ERRORS = {"sampler": SamplingError, "embedder": EmbeddingError}
 @pytest.mark.parametrize("adapter", ["sampler", "embedder"])
 def test_http_adapters_reject_an_answer_that_is_not_an_object(adapter, answer) -> None:
     attempts = []
-
-    def transport(url, payload, headers, timeout):
-        attempts.append(1)
-        return answer
-
     with pytest.raises(ADAPTER_ERRORS[adapter], match=": the answer is not a JSON object$"):
-        call_adapter(adapter, transport)
+        call_adapter(adapter, json_transport(answer, attempts))
     assert len(attempts) == 1
 
 
@@ -792,6 +785,38 @@ def test_http_adapters_reject_an_answer_that_is_not_json(monkeypatch, adapter, w
     assert attempts == ["http://x/api"]
 
 
+@pytest.mark.parametrize("body", NOT_JSON)
+@pytest.mark.parametrize("adapter, what", [("sampler", "endpoint unreachable for x1/A"),
+                                           ("embedder", "embedder unreachable")])
+def test_http_adapters_reject_an_injected_answer_that_is_not_json(adapter, what,
+                                                                 body) -> None:
+    attempts = []
+    data, cause = NOT_JSON[body]
+    with pytest.raises(ADAPTER_ERRORS[adapter]) as raised:
+        call_adapter(adapter, lambda *request: attempts.append(request) or data)
+    assert str(raised.value) == f"{what}: the answer is not JSON: {cause}"
+    assert len(attempts) == 1
+
+
+def test_urllib_transport_posts_the_body_and_headers_it_is_given(monkeypatch) -> None:
+    sent = []
+
+    def urlopen(request, timeout):
+        sent.append((request, timeout))
+        return io.BytesIO(b"answer bytes")
+
+    monkeypatch.setattr(urllib.request, "urlopen", urlopen)
+    body = '{"input": ["caf\u00e9"]}'.encode()
+    headers = {"Content-Type": "application/json", "Authorization": "Bearer sekrit"}
+    assert _urllib_transport("http://x/api", body, headers, 7.5) == b"answer bytes"
+    ((request, timeout),) = sent
+    assert (request.full_url, request.get_method(), request.data, timeout) == (
+        "http://x/api", "POST", body, 7.5)
+    # ``Request`` stores each header name capitalized.
+    assert dict(request.header_items()) == {
+        "Content-type": "application/json", "Authorization": "Bearer sekrit"}
+
+
 def test_http_sampler_url_it_cannot_send_to_stays_a_value_error() -> None:
     sampler = HttpSampler(EndpointConfig(base_url="chat", retries=2))
     with pytest.raises(ValueError, match="^unknown url type: 'chat'$") as raised:
@@ -805,7 +830,7 @@ def test_http_sampler_rejects_embedder_settings_when_built() -> None:
         HttpSampler(EmbedderEndpointConfig(base_url="http://x/chat"))
 
 
-def cut_short(url, payload, headers, timeout):
+def cut_short(url, body, headers, timeout):
     raise http.client.IncompleteRead(b"{", 10)
 
 
@@ -843,7 +868,7 @@ def test_annotate_records_an_unusable_endpoint_answer(monkeypatch, answer, error
 ], ids=["integer-beyond-float", "ragged"])
 def test_http_embedder_rejects_vectors_it_cannot_stack(rows, message) -> None:
     embedder = HttpEmbedder(EndpointConfig(base_url="http://x/embed"),
-                            transport=lambda *a: {"data": [{"embedding": r} for r in rows]})
+                            transport=json_transport({"data": [{"embedding": r} for r in rows]}))
     with pytest.raises(EmbeddingError, match=f"^embedder returned {message}$"):
         embedder.embed(["a", "b"])
 
@@ -852,13 +877,14 @@ def http_embedder_failing_on(bad_vector):
     """An HttpEmbedder whose answer for the texts of instance ``big`` has
     ``bad_vector`` as its first row; every other row is a hash vector."""
 
-    def transport(url, payload, headers, timeout):
+    def answer(payload):
         rows = HashEmbedder().embed(payload["input"]).tolist()
         if any("big" in text for text in payload["input"]):
             rows[0] = bad_vector
         return {"data": [{"embedding": row} for row in rows]}
 
-    return HttpEmbedder(EndpointConfig(base_url="http://x/embed"), transport=transport)
+    return HttpEmbedder(EndpointConfig(base_url="http://x/embed"),
+                        transport=json_transport(answer))
 
 
 @pytest.mark.parametrize("embedder, error", [
@@ -900,15 +926,26 @@ def test_annotate_scores_huge_embeddings_by_direction() -> None:
 
 
 def test_http_embedder_sends_the_bearer_token() -> None:
-    seen = {}
-
-    def transport(url, payload, headers, timeout):
-        seen.update(url=url, headers=headers)
-        return {"data": [{"embedding": [1.0, 0.0]} for _ in payload["input"]]}
-
+    calls = []
+    transport = json_transport(
+        lambda payload: {"data": [{"embedding": [1.0, 0.0]} for _ in payload["input"]]}, calls)
     HttpEmbedder(EndpointConfig(base_url="http://x/embed"), token="sekrit",
                  transport=transport).embed(["a"])
-    assert seen == {"url": "http://x/embed", "headers": {"Authorization": "Bearer sekrit"}}
+    (seen,) = calls
+    assert (seen["url"], seen["headers"]) == (
+        "http://x/embed", {"Content-Type": "application/json", "Authorization": "Bearer sekrit"})
+
+
+def test_http_embedder_sends_sorted_utf8_json() -> None:
+    bodies = []
+
+    def transport(url, body, headers, timeout):
+        bodies.append(body)
+        return b'{"data": [{"embedding": [1.0, 0.0]}, {"embedding": [0.0, 1.0]}]}'
+
+    HttpEmbedder(EndpointConfig(base_url="http://x/embed"),
+                 transport=transport).embed(["caf\u00e9", "b"])
+    assert bodies == ['{"input": ["caf\u00e9", "b"], "model": "probe-model"}'.encode()]
 
 
 def test_probe_prompt_templates() -> None:

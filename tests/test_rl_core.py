@@ -353,19 +353,27 @@ def test_grpo_config_validation() -> None:
         GrpoConfig(eps_stab=0.0)
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf])
 @pytest.mark.parametrize("field, message", [
     ("clip_alpha", "clip_alpha must lie in"),
     ("kl_beta", "kl_beta must be nonnegative"),
     ("eps_stab", "eps_stab must be positive"),
 ])
-def test_grpo_config_rejects_nan(field, message) -> None:
+def test_grpo_config_rejects_nan(field, message, value) -> None:
     with pytest.raises(ValueError, match=message):
-        GrpoConfig(**{field: math.nan})
+        GrpoConfig(**{field: value})
 
 
-def test_advantages_reject_a_nan_eps() -> None:
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_advantages_reject_a_nan_eps(value) -> None:
     with pytest.raises(ValueError, match="eps_stab must be nonnegative"):
-        group_advantages([0.0, 1.0], math.nan)
+        group_advantages([0.0, 1.0], value)
+
+
+@pytest.mark.parametrize("reward", [math.nan, math.inf])
+def test_advantages_reject_a_reward_that_is_not_finite(reward) -> None:
+    with pytest.raises(ValueError, match="^rewards must hold finite numbers$"):
+        group_advantages([reward, 1.0], 1e-8)
 
 
 # --- many groups in one array pass --------------------------------------------------
