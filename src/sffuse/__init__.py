@@ -43,7 +43,6 @@ from .rl_core import (
     group_advantages,
     grpo_objective,
     grpo_objectives,
-    kl_estimate,
     reward_stage2,
     score_trace,
 )
@@ -93,7 +92,6 @@ __all__ = [
     "grpo_objective",
     "grpo_objectives",
     "incremental_row",
-    "kl_estimate",
     "leakage_probe",
     "locate_layout",
     "masked_attention",

@@ -71,10 +71,6 @@ class AttentionInputs:
         object.__setattr__(self, "v", v)
         object.__setattr__(self, "scale", 1.0 / math.sqrt(q.shape[1]))
 
-    @property
-    def length(self) -> int:
-        return self.q.shape[0]
-
     @cached_property
     def weights(self) -> AttentionWeights:
         """Softmax of the scaled logits over visible cells, built in one

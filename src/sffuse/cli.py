@@ -23,6 +23,7 @@ from pathlib import Path
 from . import attention_core, mask_engine, pem_pipeline, rl_core, tag_grammar
 from .config import DEFAULT_ALLOCATION_WINDOW, GrpoConfig, load_config
 from .jsonl import dumps, read_records, str_fields
+from .normalize import check_gold_answer
 
 
 def _fail(message: str) -> int:
@@ -83,6 +84,7 @@ def _label_record(obj: dict, _lineno: int) -> tuple[str, tag_grammar.PemLabel, s
     pem = tag_grammar.PemLabel.from_text(pem_text)
     if pem is None:
         raise ValueError(f"unknown PEM value {pem_text!r}")
+    check_gold_answer(answer, "answer")
     return record_id, pem, answer
 
 

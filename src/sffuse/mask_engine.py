@@ -344,11 +344,10 @@ def mask_to_text(mask: MaskMatrix) -> str:
 
 
 def mask_from_text(text: str) -> MaskMatrix:
-    """Inverse of ``mask_to_text``, and looser than it: blank lines are
-    skipped, the last row needs no "\\n", and rows split at every
-    ``str.splitlines`` break ("\\r\\n", "\\r", "\\v", "\\f", "\\x1c" to "\\x1e",
-    "\\x85", "\\u2028", "\\u2029"). Any other character but "0" and "1", rows
-    of unequal length or a grid that is not square raise ValueError."""
+    """Inverse of ``mask_to_text``, and exactly as strict: the text must be
+    L rows of L "0"/"1" cells, each row ending in "\\n". Any other text
+    raises ValueError, which names the first bad row where there is one:
+    a "\\r\\n" break, a blank line or a missing final "\\n" among them."""
     # An exact grid of 0/1 rows, each ending in "\n", is read in one pass;
     # any other text is diagnosed line by line below.
     width = text.find("\n")
@@ -359,22 +358,25 @@ def mask_from_text(text: str) -> MaskMatrix:
         if ((grid[:, width] == ord("\n")).all()
                 and cells.min() >= ord("0") and cells.max() <= ord("1")):
             return MaskMatrix._adopt(cells == ord("1"))
-    rows = [line for line in text.splitlines() if line]
-    if not rows:
+    *rows, last = text.split("\n")
+    if last:
+        raise ValueError(f'mask text row {len(rows)} does not end in "\\n"')
+    if not any(rows):
         raise ValueError("mask text has no rows")
+    if "" in rows:
+        raise ValueError(f"mask text row {rows.index('')} is blank")
     width = len(rows[0])
     ragged = next((k for k, line in enumerate(rows) if len(line) != width), None)
     if ragged is not None:
         raise ValueError(
             f"mask text row {ragged} has {len(rows[ragged])} cells, row 0 has {width}")
-    # "replace" maps each non-ASCII character to one "?", keeping positions.
+    # Rows of equal width, each ending in "\n", fail the one-pass read only
+    # at a cell that is not "0" or "1". "replace" maps each non-ASCII
+    # character to one "?", keeping positions.
     codes = np.frombuffer("".join(rows).encode("ascii", "replace"), dtype=np.uint8)
     bad = np.flatnonzero((codes | 1) != ord("1"))  # "0" and "1" differ in bit 0 only
-    if bad.size:
-        row, col = divmod(int(bad[0]), width)
-        raise ValueError(
-            f"mask text row {row} column {col}: {rows[row][col]!r} is not 0 or 1")
-    return MaskMatrix._adopt((codes == ord("1")).reshape(len(rows), width))
+    row, col = divmod(int(bad[0]), width)
+    raise ValueError(f"mask text row {row} column {col}: {rows[row][col]!r} is not 0 or 1")
 
 
 _RLE_MAGIC = b"MRL1"

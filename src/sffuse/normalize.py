@@ -24,6 +24,14 @@ def normalize_answer(text: str) -> str:
     return result
 
 
+def check_gold_answer(text: str, name: str) -> None:
+    """Raise ``ValueError("<name> must be nonempty")`` if ``text`` normalizes
+    to "": such a gold answer would count every answer that normalizes to ""
+    (a blank, a lone ".") as correct."""
+    if not normalize_answer(text):
+        raise ValueError(f"{name} must be nonempty")
+
+
 def answers_match(candidate: str, reference: str) -> bool:
     """True iff the two answers are equal after normalization."""
     return normalize_answer(candidate) == normalize_answer(reference)

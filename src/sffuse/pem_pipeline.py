@@ -28,7 +28,7 @@ import numpy as np
 
 from .config import EmbedderEndpointConfig, EndpointConfig, PipelineConfig
 from .jsonl import dumps, is_number_list, read_records, str_fields, write_records
-from .normalize import normalize_answer
+from .normalize import check_gold_answer, normalize_answer
 from .tag_grammar import PemLabel
 
 
@@ -64,8 +64,7 @@ class Instance:
     choices: tuple[str, ...] | None = None
 
     def __post_init__(self) -> None:
-        if not self.gold_answer:
-            raise ValueError(f"instance {self.id!r}: gold_answer must be nonempty")
+        check_gold_answer(self.gold_answer, f"instance {self.id!r}: gold_answer")
         if self.choices is not None:
             object.__setattr__(self, "choices", tuple(self.choices))
 

@@ -36,14 +36,7 @@ class RolloutGroup:
 
     def __post_init__(self) -> None:
         for name in _GROUP_FIELDS:
-            try:
-                values = tuple(map(float, getattr(self, name)))
-                finite = all(map(math.isfinite, values))
-            except OverflowError:  # an integer beyond the float range
-                finite = False
-            if not finite:
-                raise ValueError(f"{name} must hold finite numbers")
-            object.__setattr__(self, name, values)
+            object.__setattr__(self, name, _finite_floats(getattr(self, name), name))
         g = len(self.rewards)
         if g < 2:
             raise ValueError("a rollout group needs G >= 2 responses")
@@ -57,6 +50,18 @@ class RolloutGroup:
 
 
 _GROUP_FIELDS = tuple(f.name for f in fields(RolloutGroup))
+
+
+def _finite_floats(values: Sequence[float], name: str) -> tuple[float, ...]:
+    """``values`` as floats; ValueError naming ``name`` unless all are finite."""
+    try:
+        floats = tuple(map(float, values))
+        finite = all(map(math.isfinite, floats))
+    except OverflowError:  # an integer beyond the float range
+        finite = False
+    if not finite:
+        raise ValueError(f"{name} must hold finite numbers")
+    return floats
 
 
 @dataclass(frozen=True)
@@ -151,7 +156,8 @@ def _advantage_rows(rewards: np.ndarray, eps_stab: float) -> tuple[np.ndarray, n
 
 
 def _kl_rows(logp_new: np.ndarray, logp_ref: np.ndarray) -> np.ndarray:
-    """Each row's mean of exp(d) - d - 1 with d = logp_ref - logp_new."""
+    """Each row's KL estimate: the mean of exp(d) - d - 1 with
+    d = logp_ref - logp_new, nonnegative and zero iff the log-probs agree."""
     with np.errstate(over="ignore", invalid="ignore"):
         delta = logp_ref - logp_new
         return (np.exp(delta) - delta - 1.0).sum(axis=1) / delta.shape[1]
@@ -195,28 +201,11 @@ def group_advantages(rewards: Sequence[float], eps_stab: float) -> list[float]:
         raise ValueError("need at least 2 rewards")
     if not 0.0 <= eps_stab < math.inf:  # NaN fails too
         raise ValueError("eps_stab must be nonnegative and finite")
-    row = np.asarray(rewards, dtype=float)
-    if not np.isfinite(row).all():
-        raise ValueError("rewards must hold finite numbers")
-    advantages, overflow = _advantage_rows(row[None], eps_stab)
+    rows = np.array([_finite_floats(rewards, "rewards")])
+    advantages, overflow = _advantage_rows(rows, eps_stab)
     if overflow[0]:
         raise ValueError(_VARIANCE_OVERFLOW)
     return advantages[0].tolist()
-
-
-def kl_estimate(logp_new: Sequence[float], logp_ref: Sequence[float]) -> float:
-    """Nonnegative per-sample KL estimator: mean of exp(d) - d - 1 with
-    d = logp_ref - logp_new. Zero iff the log-probs agree elementwise."""
-    new = np.asarray(logp_new, dtype=float)
-    ref = np.asarray(logp_ref, dtype=float)
-    if new.shape != ref.shape:
-        raise ValueError("logp_new and logp_ref must have equal lengths")
-    if not (np.isfinite(new).all() and np.isfinite(ref).all()):
-        raise ValueError("log-probabilities must be finite")
-    kl = float(_kl_rows(new[None], ref[None])[0])
-    if not math.isfinite(kl):
-        raise ValueError(_KL_OVERFLOW)
-    return kl
 
 
 @dataclass(frozen=True)

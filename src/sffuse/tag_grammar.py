@@ -17,7 +17,7 @@ from __future__ import annotations
 import enum
 import itertools
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 from .jsonl import read_records, str_fields
@@ -71,17 +71,15 @@ class ParseDiagnostic:
 
 @dataclass(frozen=True)
 class SfrTrace:
-    """A parsed trace. Equality compares the label and the four segment texts;
-    ``spans`` records the (tag, start, end) source offsets of each tagged
-    region and is excluded from comparison so that re-parsing a canonical
-    rendering yields an equal value regardless of original whitespace."""
+    """A parsed trace: the label and the four segment texts. Whitespace
+    between tags is not kept, so re-parsing a canonical rendering yields an
+    equal value regardless of original whitespace."""
 
     pem: PemLabel
     visual_text: str
     audio_text: str
     summary_text: str
     answer_text: str
-    spans: tuple[tuple[str, int, int], ...] = field(default=(), compare=False)
 
 
 # A tag token is (literal, name, closing, start, end), in source order.
@@ -180,7 +178,6 @@ def parse_trace(text: str) -> tuple[SfrTrace | None, list[ParseDiagnostic]]:
         audio_text=segments[2],
         summary_text=segments[3],
         answer_text=segments[4],
-        spans=tuple(zip(TAG_NAMES, starts[1::4], starts[4::4])),
     )
     return trace, []
 

@@ -195,24 +195,26 @@ def reference_locate_layout(tokens: Sequence[int], markers: MarkerTable) -> Toke
 
 
 def reference_mask_from_text(text: str) -> MaskMatrix:
-    """The line-by-line text reader as first written; ``mask_from_text``
-    must return the same mask or error message."""
-    rows = [line for line in text.splitlines() if line]
-    if not rows:
+    """The strict line-by-line text reader: L rows of L "0"/"1" cells, each
+    ending in "\\n". ``mask_from_text`` must return the same mask or error
+    message."""
+    rows = text.split("\n")
+    if rows.pop():
+        raise ValueError(f'mask text row {len(rows)} does not end in "\\n"')
+    if not "".join(rows):
         raise ValueError("mask text has no rows")
+    for k, row in enumerate(rows):
+        if not row:
+            raise ValueError(f"mask text row {k} is blank")
     width = len(rows[0])
-    ragged = next((k for k, line in enumerate(rows) if len(line) != width), None)
-    if ragged is not None:
-        raise ValueError(
-            f"mask text row {ragged} has {len(rows[ragged])} cells, row 0 has {width}")
-    # "replace" maps each non-ASCII character to one "?", keeping positions.
-    codes = np.frombuffer("".join(rows).encode("ascii", "replace"), dtype=np.uint8)
-    bad = np.flatnonzero((codes | 1) != ord("1"))  # "0" and "1" differ in bit 0 only
-    if bad.size:
-        row, col = divmod(int(bad[0]), width)
-        raise ValueError(
-            f"mask text row {row} column {col}: {rows[row][col]!r} is not 0 or 1")
-    return MaskMatrix((codes == ord("1")).reshape(len(rows), width))
+    for k, row in enumerate(rows):
+        if len(row) != width:
+            raise ValueError(f"mask text row {k} has {len(row)} cells, row 0 has {width}")
+    for k, row in enumerate(rows):
+        for col, cell in enumerate(row):
+            if cell not in ("0", "1"):
+                raise ValueError(f"mask text row {k} column {col}: {cell!r} is not 0 or 1")
+    return MaskMatrix([[cell == "1" for cell in row] for row in rows])
 
 
 def reference_hash_vector(text: str, dim: int) -> np.ndarray:
@@ -366,8 +368,8 @@ def _reference_check_order(tokens: list[_ReferenceTagToken]) -> list[ParseDiagno
 
 def reference_parse_trace(text: str) -> tuple[SfrTrace | None, list[ParseDiagnostic]]:
     """Counts, then pairing, then order, each a scan of the token list, then
-    the content checks; ``parse_trace`` must return the same trace, spans
-    and diagnostics."""
+    the content checks; ``parse_trace`` must return the same trace and
+    diagnostics."""
     tokens = _reference_tokenize(text)
 
     diags = _reference_check_counts(tokens)
@@ -416,7 +418,6 @@ def reference_parse_trace(text: str) -> tuple[SfrTrace | None, list[ParseDiagnos
         audio_text=segments["a"],
         summary_text=segments["sum"],
         answer_text=segments["ans"],
-        spans=spans,
     )
     return trace, []
 

@@ -363,7 +363,7 @@ def test_mask_monotonicity_extra_block_renormalizes_upward(fixture_layout) -> No
     visible[row, col] = False
     stricter = AttentionInputs(q=inputs.q, k=inputs.k, v=inputs.v, mask=MaskMatrix(visible))
     _, tightened = masked_attention(stricter)
-    for j in range(inputs.length):
+    for j in range(inputs.mask.length):
         if visible[row, j]:
             assert tightened.matrix[row, j] >= base.matrix[row, j] - 1e-15
     _, oracle_w = oracle_attention(inputs.q, inputs.k, inputs.v, inputs.scale, visible)

@@ -492,7 +492,9 @@ def test_validate_unknown_pem_label_is_one_error_line(tmp_path, capsys) -> None:
     ('{"id": "t1", "pem": "Audio"}', "missing field 'answer'"),
     ('{"id": "t1", "pem": "Audio", "answer": null}', "field 'answer' must be a string"),
     ('{"id": "t1", "pem": 3, "answer": "x"}', "field 'pem' must be a string"),
-], ids=["missing", "null-answer", "int-pem"])
+    # A blank gold answer would match the answer "." and score it correct.
+    ('{"id": "t1", "pem": "Audio", "answer": "  "}', "answer must be nonempty"),
+], ids=["missing", "null-answer", "int-pem", "blank-answer"])
 def test_validate_label_fields_name_their_place(tmp_path, capsys, line, message) -> None:
     labels = tmp_path / "labels.jsonl"
     labels.write_text(line + "\n", encoding="utf-8")

@@ -622,6 +622,9 @@ def test_mask_rle_rejects_malformed_records(blob, message) -> None:
     ("1\u00e9\n11\n", "'\u00e9' is not 0 or 1"),
     ("\n\n", "no rows"),
     ("0\n1\n", "mask must be a square matrix"),
+    ("10\r\n01\r\n", r"row 0 column 2: '\\r' is not 0 or 1"),
+    ("10\n\n01\n", "row 1 is blank"),
+    ("10\n01", r'row 1 does not end in "\\n"'),
 ])
 def test_mask_text_rejects_malformed_grids(text, message) -> None:
     with pytest.raises(ValueError, match=message):
@@ -630,8 +633,8 @@ def test_mask_text_rejects_malformed_grids(text, message) -> None:
 
 def test_mask_matrix_is_immutable(fixture_layout) -> None:
     mask = build_composite(fixture_layout)
-    # Every builder and reader, both text paths included.
+    # Every builder and reader.
     for made in (mask, build_causal(6), mask_from_text(mask_to_text(mask)),
-                 mask_from_text("10\n\n11\n"), mask_from_rle(mask_to_rle(mask))):
+                 mask_from_rle(mask_to_rle(mask))):
         with pytest.raises(ValueError):
             made.visible[0, 0] = False

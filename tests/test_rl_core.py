@@ -19,7 +19,6 @@ from sffuse.rl_core import (
     grpo_gradient_logp_new,
     grpo_objective,
     grpo_objectives,
-    kl_estimate,
     read_rollout_groups,
     reward_stage2,
     score_trace,
@@ -165,13 +164,21 @@ def test_advantages_require_group_of_two() -> None:
 
 # --- KL estimator -----------------------------------------------------------------
 
+def _kl(logp_new, logp_ref) -> float:
+    """The objective's KL term for these log-probs, with equal rewards and
+    logp_old = logp_new, so that no other check can fail first."""
+    group = RolloutGroup(rewards=[0.0] * len(logp_new), logp_new=logp_new,
+                         logp_old=logp_new, logp_ref=logp_ref)
+    return grpo_objective(group, GrpoConfig()).kl
+
+
 def test_kl_zero_for_identical_policies() -> None:
-    assert kl_estimate([-1.0, -2.0], [-1.0, -2.0]) == 0.0
+    assert _kl([-1.0, -2.0], [-1.0, -2.0]) == 0.0
 
 
 def test_kl_ln2_closed_form() -> None:
     expected = 2.0 - math.log(2.0) - 1.0
-    assert kl_estimate([0.0, 0.0], [math.log(2), math.log(2)]) == pytest.approx(expected)
+    assert _kl([0.0, 0.0], [math.log(2), math.log(2)]) == pytest.approx(expected)
 
 
 def test_advantages_reject_overflowing_rewards() -> None:
@@ -187,8 +194,8 @@ def test_kl_rejects_an_overflowing_estimate() -> None:
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match="KL estimate overflows"):
-            kl_estimate([0.0, 0.0], [710.0, 0.0])
-        assert math.isfinite(kl_estimate([0.0, 0.0], [709.0, 0.0]))
+            _kl([0.0, 0.0], [710.0, 0.0])
+        assert math.isfinite(_kl([0.0, 0.0], [709.0, 0.0]))
 
 
 def test_kl_rejects_an_overflowing_difference_without_a_warning() -> None:
@@ -196,7 +203,7 @@ def test_kl_rejects_an_overflowing_difference_without_a_warning() -> None:
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match="KL estimate overflows"):
-            kl_estimate([-1e308, 0.0], [1e308, 0.0])
+            _kl([-1e308, 0.0], [1e308, 0.0])
 
 
 def test_objective_rejects_overflowing_surrogate_terms() -> None:
@@ -228,7 +235,7 @@ def test_gradient_rejects_an_overflow_like_the_objective(field, objective_error,
 
 
 def test_kl_is_directional() -> None:
-    assert kl_estimate([0.0], [1.0]) != kl_estimate([1.0], [0.0])
+    assert _kl([0.0, 0.0], [1.0, 1.0]) != _kl([1.0, 1.0], [0.0, 0.0])
 
 
 def test_kl_nonnegative_random() -> None:
@@ -236,14 +243,14 @@ def test_kl_nonnegative_random() -> None:
     for _ in range(100):
         new = rng.normal(size=5)
         ref = rng.normal(size=5)
-        assert kl_estimate(new.tolist(), ref.tolist()) >= 0.0
+        assert _kl(new.tolist(), ref.tolist()) >= 0.0
 
 
 def test_kl_validation() -> None:
-    with pytest.raises(ValueError):
-        kl_estimate([0.0], [0.0, 1.0])
-    with pytest.raises(ValueError):
-        kl_estimate([float("inf")], [0.0])
+    with pytest.raises(ValueError, match="logp_ref length differs"):
+        _kl([0.0, 0.0], [0.0, 1.0, 2.0])
+    with pytest.raises(ValueError, match="logp_new must hold finite numbers"):
+        _kl([float("inf"), 0.0], [0.0, 0.0])
 
 
 # --- GRPO objective ------------------------------------------------------------------
@@ -370,7 +377,8 @@ def test_advantages_reject_a_nan_eps(value) -> None:
         group_advantages([0.0, 1.0], value)
 
 
-@pytest.mark.parametrize("reward", [math.nan, math.inf])
+@pytest.mark.parametrize("reward", [math.nan, math.inf, 10**400],
+                         ids=["nan", "inf", "int-beyond-float"])
 def test_advantages_reject_a_reward_that_is_not_finite(reward) -> None:
     with pytest.raises(ValueError, match="^rewards must hold finite numbers$"):
         group_advantages([reward, 1.0], 1e-8)
