@@ -9,7 +9,7 @@ calibrated against; the other defaults are engineering choices.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields, is_dataclass
+from dataclasses import dataclass, field, is_dataclass
 from pathlib import Path
 from typing import get_type_hints
 
@@ -77,8 +77,9 @@ class RewardConfig:
     lambda_mps: float = 0.2  # modality-preference & structure weight; recipe value
 
     def __post_init__(self) -> None:
-        if not (self.lambda_acc >= 0.0 and self.lambda_mps >= 0.0):  # NaN fails too
-            raise ValueError("reward weights must be nonnegative")
+        weights = (self.lambda_acc, self.lambda_mps)
+        if not all(0.0 <= w < math.inf for w in weights):  # NaN fails too
+            raise ValueError("reward weights must be nonnegative and finite")
 
 
 @dataclass(frozen=True)
@@ -146,22 +147,13 @@ def _build(cls, obj, name: str):
 
 def config_from_dict(obj: object) -> AppConfig:
     """Build and validate an AppConfig from a parsed JSON document."""
-    if not isinstance(obj, dict):
-        raise ConfigError("config root must be an object")
-    unknown = set(obj) - {f.name for f in fields(AppConfig)}
-    if unknown:
-        raise ConfigError(f"unknown config sections: {sorted(unknown)}")
     return _build(AppConfig, obj, "config")
 
 
 def load_config(path: str | Path | None) -> AppConfig:
-    """Load a JSON config file; None yields the defaults above. Every error
-    is a ConfigError that names ``path``."""
+    """The JSON config file at ``path``; None yields the defaults above. A
+    file that cannot be opened raises its OSError, and every other error is a
+    ValueError that names ``path``: a ConfigError for a setting."""
     if path is None:
         return AppConfig()
-    try:
-        return read_document(path, config_from_dict, "not valid JSON")
-    except OSError as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    except ValueError as exc:  # a decode error, or one config_from_dict raised
-        raise ConfigError(str(exc)) from exc
+    return read_document(path, config_from_dict)

@@ -12,32 +12,33 @@ _T = TypeVar("_T")
 _NUMBER_TYPES = frozenset((int, float))
 
 
-def _decode(text: str, place: str, invalid: str = "invalid JSON") -> object:
+def _decode(text: str, place: str) -> object:
     """One JSON document. A syntax error, or nesting deeper than the decoder
-    can recurse, raises ``ValueError("place: <invalid>: ...")``."""
+    can recurse, raises ``ValueError("place: invalid JSON: ...")``."""
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
         at = f"line {exc.lineno} column {exc.colno}" if exc.lineno > 1 else f"column {exc.colno}"
-        raise ValueError(f"{place}: {invalid}: {exc.msg} at {at}") from None
+        raise ValueError(f"{place}: invalid JSON: {exc.msg} at {at}") from None
     except RecursionError:
-        raise ValueError(f"{place}: {invalid}: nested too deeply") from None
+        raise ValueError(f"{place}: invalid JSON: nested too deeply") from None
 
 
 def _not_utf8(path: str | Path, exc: UnicodeDecodeError) -> ValueError:
     return ValueError(f"{path}: not UTF-8 text: {exc.reason}")
 
 
-def read_document(path: str | Path, build: Callable[[object], _T], invalid: str) -> _T:
-    """``build`` of the file at ``path`` decoded as one JSON document. Every
-    error names ``path``: a decode error says ``invalid``, and a ValueError
-    from ``build`` is raised again, of the same type, as ``path: ...``."""
+def read_document(path: str | Path, build: Callable[[object], _T]) -> _T:
+    """``build`` of the file at ``path`` decoded as one JSON document. A file
+    that cannot be opened raises ``open``'s OSError; every other error names
+    ``path``: a decode error says ``invalid JSON``, and a ValueError from
+    ``build`` is raised again, of the same type, as ``path: ...``."""
     with open(path, encoding="utf-8") as fh:
         try:
             text = fh.read()
         except UnicodeDecodeError as exc:
             raise _not_utf8(path, exc) from None
-    document = _decode(text, str(path), invalid)
+    document = _decode(text, str(path))
     try:
         return build(document)
     except ValueError as exc:

@@ -329,7 +329,7 @@ def layout_from_spec(spec: Mapping) -> TokenLayout:
 
 def load_layout_spec(path: str | Path) -> TokenLayout:
     """The layout spec in the file at ``path``; every error names ``path``."""
-    return read_document(path, layout_from_spec, "invalid layout spec")
+    return read_document(path, layout_from_spec)
 
 
 # --- Mask export formats --------------------------------------------------
@@ -394,7 +394,7 @@ def mask_to_rle(mask: MaskMatrix) -> bytes:
 
 
 def mask_from_rle(blob: bytes) -> MaskMatrix:
-    """Inverse of ``mask_to_rle``; a malformed record raises ValueError."""
+    """Inverse of ``mask_to_rle``; a record it would not write raises ValueError."""
     if len(blob) < _RLE_RUNS_AT or blob[:4] != _RLE_MAGIC:
         raise ValueError("not a mask run-length record")
     length, first_bit, n_runs = _RLE_HEADER.unpack_from(blob, len(_RLE_MAGIC))
@@ -407,6 +407,8 @@ def mask_from_rle(blob: bytes) -> MaskMatrix:
         raise ValueError(
             f"mask run-length record is {len(blob)} bytes, its header needs {size}")
     runs = np.frombuffer(blob, dtype="<u4", count=n_runs, offset=_RLE_RUNS_AT)
+    if not runs.all():  # mask_to_rle writes no empty run
+        raise ValueError(f"mask run-length record run {int(np.argmin(runs))} is empty")
     if int(runs.sum(dtype=np.uint64)) != length * length:
         raise ValueError("run lengths do not cover the grid")
     bits = np.arange(n_runs) % 2 != first_bit

@@ -52,16 +52,21 @@ class RolloutGroup:
 _GROUP_FIELDS = tuple(f.name for f in fields(RolloutGroup))
 
 
+# The types of the values ``float()`` would coerce that are not numbers.
+_NOT_NUMBERS = frozenset((str, bytes, bool, np.str_, np.bytes_, np.bool_))
+
+
 def _finite_floats(values: Sequence[float], name: str) -> tuple[float, ...]:
-    """``values`` as floats; ValueError naming ``name`` unless all are finite."""
-    try:
-        floats = tuple(map(float, values))
-        finite = all(map(math.isfinite, floats))
-    except OverflowError:  # an integer beyond the float range
-        finite = False
-    if not finite:
-        raise ValueError(f"{name} must hold finite numbers")
-    return floats
+    """``values`` as floats; ValueError naming ``name`` unless each is a
+    finite number (a string or a bool is not one)."""
+    if _NOT_NUMBERS.isdisjoint(map(type, values)):
+        try:
+            floats = tuple(map(float, values))
+            if all(map(math.isfinite, floats)):
+                return floats
+        except OverflowError:  # an integer beyond the float range
+            pass
+    raise ValueError(f"{name} must hold finite numbers")
 
 
 @dataclass(frozen=True)

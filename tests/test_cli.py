@@ -328,13 +328,13 @@ CONFIG_ARGV = ["--in", str(DATA / "instances_12.jsonl"), "--out", "{tmp}/o.jsonl
      "{bad}:1: invalid JSON"),
     (["grpo-step", "--rollouts", "{bad}"], "{bad}:1: invalid JSON"),
     (["attn-report", "--weights", "{bad}", "--spec", LAYOUT], "{bad}:1: invalid JSON"),
-    (["mask", "--spec", "{bad}"], "{bad}: invalid layout spec"),
+    (["mask", "--spec", "{bad}"], "{bad}: invalid JSON"),
     (["attn-report", "--weights", "{tmp}/w.jsonl", "--spec", "{bad}"],
-     "{bad}: invalid layout spec"),
-    (["annotate", *CONFIG_ARGV, "--config", "{bad}"], "{bad}: not valid JSON"),
+     "{bad}: invalid JSON"),
+    (["annotate", *CONFIG_ARGV, "--config", "{bad}"], "{bad}: invalid JSON"),
     (["validate", "--traces", str(DATA / "traces_perfect.jsonl"),
       "--labels", str(DATA / "labels_perfect.jsonl"), "--config", "{bad}"],
-     "{bad}: not valid JSON"),
+     "{bad}: invalid JSON"),
 ], ids=["jsonl-annotate", "jsonl-validate-traces", "jsonl-validate-labels", "jsonl-grpo-step",
         "jsonl-attn-report", "spec-mask", "spec-attn-report", "config-annotate",
         "config-validate"])
@@ -462,9 +462,10 @@ def test_validate_unwritable_output_is_one_error_line(tmp_path, capsys) -> None:
 
 
 @pytest.mark.parametrize("config, message", [
-    ({"rewards": {"lambda_acc": -1}}, "config.rewards: reward weights must be nonnegative"),
+    ({"rewards": {"lambda_acc": -1}},
+     "config.rewards: reward weights must be nonnegative and finite"),
     ({"rewards": {"lambda_acc": 10**400}}, "config.rewards.lambda_acc must be a finite number"),
-    ([1, 2], "config root must be an object"),
+    ([1, 2], "config must be an object"),
 ], ids=["negative-weight", "beyond-float-weight", "array-root"])
 def test_validate_config_errors_name_their_file(tmp_path, capsys, config, message) -> None:
     path = tmp_path / "bad.json"
@@ -473,6 +474,14 @@ def test_validate_config_errors_name_their_file(tmp_path, capsys, config, messag
                  "--labels", str(DATA / "labels_perfect.jsonl"), "--config", str(path)])
     err = assert_one_error_line(code, capsys.readouterr().err)
     assert err == f"error: {path}: {message}\n"
+
+
+def test_validate_absent_config_gives_the_os_message(tmp_path, capsys) -> None:
+    absent = tmp_path / "absent.json"
+    code = main(["validate", "--traces", str(DATA / "traces_perfect.jsonl"),
+                 "--labels", str(DATA / "labels_perfect.jsonl"), "--config", str(absent)])
+    err = assert_one_error_line(code, capsys.readouterr().err)
+    assert err == f"error: [Errno 2] No such file or directory: '{absent}'\n"
 
 
 def test_validate_unknown_pem_label_is_one_error_line(tmp_path, capsys) -> None:
@@ -585,7 +594,7 @@ def test_mask_spec_syntax_error_names_its_path(tmp_path, capsys) -> None:
     spec.write_text('{"length": 3,', encoding="utf-8")
     code = main(["mask", "--spec", str(spec)])
     err = assert_one_error_line(code, capsys.readouterr().err)
-    assert f"{spec}: invalid layout spec" in err
+    assert f"{spec}: invalid JSON" in err
 
 
 # A child process with its address space capped at 1 GiB: an input that

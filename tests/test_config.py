@@ -50,7 +50,7 @@ def test_load_nested_sections(tmp_path) -> None:
 
 
 def test_unknown_section_rejected() -> None:
-    with pytest.raises(ConfigError, match="unknown"):
+    with pytest.raises(ConfigError, match=r"^config\.optimizer is not a config field$"):
         config_from_dict({"optimizer": {}})
 
 
@@ -59,7 +59,7 @@ def test_unread_sections_rejected(section) -> None:
     # grpo-step takes its constants from flags, leakage its seed from --seed
     # and attn-report its window from --last-k, so a config file that sets
     # these is refused, not ignored.
-    with pytest.raises(ConfigError, match=rf"unknown config sections: \['{section}'\]"):
+    with pytest.raises(ConfigError, match=rf"^config\.{section} is not a config field$"):
         config_from_dict({section: {"clip_alpha": 0.1} if section == "grpo" else 7})
 
 
@@ -143,15 +143,15 @@ def test_config_imports_no_domain_module() -> None:
 
 
 def test_missing_or_invalid_file(tmp_path) -> None:
-    with pytest.raises(ConfigError, match="cannot read"):
+    with pytest.raises(FileNotFoundError):
         load_config(tmp_path / "absent.json")
     bad = tmp_path / "bad.json"
     bad.write_text("{not json", encoding="utf-8")
-    with pytest.raises(ConfigError, match="not valid JSON"):
+    with pytest.raises(ValueError, match="invalid JSON"):
         load_config(bad)
     array = tmp_path / "array.json"
     array.write_text("[1, 2]", encoding="utf-8")
-    with pytest.raises(ConfigError, match="root"):
+    with pytest.raises(ConfigError, match="config must be an object"):
         load_config(array)
 
 

@@ -83,13 +83,13 @@ def test_read_document_names_its_path_and_keeps_the_error_type(tmp_path) -> None
 
     path = tmp_path / "doc.json"
     path.write_text("[1, 2]", encoding="utf-8")
-    assert read_document(path, len, "invalid document") == 2
+    assert read_document(path, len) == 2
     with pytest.raises(DocumentError) as info:
-        read_document(path, build, "invalid document")
+        read_document(path, build)
     assert str(info.value) == f"{path}: cannot use [1, 2]"
     path.write_text("[1,", encoding="utf-8")
-    with pytest.raises(ValueError, match=f"^{path}: invalid document: "):
-        read_document(path, build, "invalid document")
+    with pytest.raises(ValueError, match=f"^{path}: invalid JSON: "):
+        read_document(path, build)
 
 
 def test_write_jsonl_names_the_row_and_leaves_the_file_as_it_was(tmp_path) -> None:

@@ -610,6 +610,9 @@ def _rle(length: int, first_bit: int, runs: list[int]) -> bytes:
     (_rle(0, 1, []), "length 0"),
     (_rle(2, 2, [1, 3]), "first bit"),
     (_rle(2, 1, [1, 2]), "cover"),
+    # Each decodes to the grid mask_to_rle writes as first bit 1, runs [2, 2].
+    (_rle(2, 0, [0, 2, 2]), "^mask run-length record run 0 is empty$"),
+    (_rle(2, 1, [2, 0, 0, 2]), "^mask run-length record run 1 is empty$"),
 ])
 def test_mask_rle_rejects_malformed_records(blob, message) -> None:
     with pytest.raises(ValueError, match=message):

@@ -101,10 +101,11 @@ def test_reward_config_validation() -> None:
         RewardConfig(lambda_acc=-0.1)
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf])
 @pytest.mark.parametrize("field", ["lambda_acc", "lambda_mps"])
-def test_reward_config_rejects_nan_weights(field) -> None:
+def test_reward_config_rejects_nan_weights(field, value) -> None:
     with pytest.raises(ValueError, match="reward weights must be nonnegative"):
-        RewardConfig(**{field: math.nan})
+        RewardConfig(**{field: value})
 
 
 # --- advantages -----------------------------------------------------------------
@@ -343,12 +344,21 @@ def test_rollout_group_validation() -> None:
 
 
 @pytest.mark.parametrize("field", ["rewards", "logp_new", "logp_old", "logp_ref"])
-@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+# float() would coerce the last four, but none of them is a number.
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, "1", b"1", True, np.bool_(True)],
+                         ids=["nan", "inf", "-inf", "str", "bytes", "bool", "np-bool"])
 def test_rollout_group_rejects_non_finite_values(field, value) -> None:
     values = {name: [0.0, 1.0] for name in ("rewards", "logp_new", "logp_old", "logp_ref")}
     values[field] = [value, 1.0]
     with pytest.raises(ValueError, match=f"{field} must hold finite numbers"):
         RolloutGroup(**values)
+
+
+def test_rollout_group_accepts_numpy_numbers() -> None:
+    group = RolloutGroup(rewards=np.array([1.0, 0.0]), logp_new=[np.float32(0.5), 0.0],
+                         logp_old=[np.int64(0), 0], logp_ref=np.zeros(2))
+    assert group.rewards == (1.0, 0.0) and group.logp_new == (0.5, 0.0)
+    assert group_advantages(np.array([1, 0]), 0.0) == [1.0, -1.0]
 
 
 def test_grpo_config_validation() -> None:
@@ -377,8 +387,10 @@ def test_advantages_reject_a_nan_eps(value) -> None:
         group_advantages([0.0, 1.0], value)
 
 
-@pytest.mark.parametrize("reward", [math.nan, math.inf, 10**400],
-                         ids=["nan", "inf", "int-beyond-float"])
+@pytest.mark.parametrize("reward", [math.nan, math.inf, 10**400, "1", b"1", True, np.bool_(True),
+                                    np.str_("1")],
+                         ids=["nan", "inf", "int-beyond-float", "str", "bytes", "bool",
+                              "np-bool", "np-str"])
 def test_advantages_reject_a_reward_that_is_not_finite(reward) -> None:
     with pytest.raises(ValueError, match="^rewards must hold finite numbers$"):
         group_advantages([reward, 1.0], 1e-8)
