@@ -21,7 +21,7 @@ from typing import Sequence
 import numpy as np
 
 from .config import DEFAULT_ALLOCATION_WINDOW
-from .jsonl import is_number_list, read_records
+from .jsonl import finite_floats, read_records
 from .mask_engine import (
     BLOCKED_ROLE_PAIRS,
     MaskMatrix,
@@ -359,8 +359,8 @@ def leakage_probe(
 def read_weights_jsonl(path: str | Path) -> list[np.ndarray]:
     """One layer per line, in line order: ``{"layer", "shape": [L, L],
     "data": [row-major values]}``; ``layer`` is not read, each shape entry
-    must be a positive JSON integer (numpy would infer a -1), and each data
-    entry a JSON number."""
+    must be a positive JSON integer (numpy would infer a -1), and ``data``
+    must hold finite numbers (``jsonl.finite_floats``), one per cell."""
     def build(obj: dict, lineno: int) -> np.ndarray:
         shape = obj.get("shape")
         if not isinstance(shape, list) or not all(
@@ -368,18 +368,12 @@ def read_weights_jsonl(path: str | Path) -> list[np.ndarray]:
             raise ValueError("weights shape must be a list of positive integers")
         if len(shape) != 2:
             raise ValueError(f"weights shape {shape} is not 2-D")
-        if not is_number_list(obj.get("data")):
-            raise ValueError("bad weights record: data must be a list of numbers")
-        try:
-            layer = np.asarray(obj["data"], dtype=float)
-        except OverflowError:  # an integer beyond the float range
-            raise ValueError("weights must be finite numbers") from None
-        try:
-            layer = layer.reshape(shape)
-        except ValueError as exc:
-            raise ValueError(f"bad weights record: {exc!r}") from exc
-        if not np.isfinite(layer).all():
-            raise ValueError("weights must be finite numbers")
-        return layer
+        data = finite_floats(obj.get("data"))
+        if data is None:
+            raise ValueError("data must hold finite numbers")
+        if data.size != shape[0] * shape[1]:
+            raise ValueError(f"data has {data.size} numbers, shape {shape} needs "
+                             f"{shape[0] * shape[1]}")
+        return data.reshape(shape)
 
     return read_records(path, build)

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field, is_dataclass
 from pathlib import Path
 from typing import get_type_hints
 
-from .jsonl import read_document
+from .jsonl import finite_floats, read_document
 
 # ``attn-report --last-k``: the final layers an allocation report sums over.
 DEFAULT_ALLOCATION_WINDOW = 16
@@ -107,17 +107,11 @@ class ConfigError(ValueError):
     pass
 
 
-# JSON types accepted for each scalar field type; nothing is coerced.
-_SCALARS = {int: ((int,), "an integer"), float: ((int, float), "a finite number"),
-            str: ((str,), "a string")}
-
-
-def _finite(value: int | float) -> bool:
-    """Whether ``value`` is a finite float, or an int within the float range."""
-    try:
-        return math.isfinite(value)
-    except OverflowError:
-        return False
+# The test each scalar field type puts to its JSON value; nothing is coerced.
+_SCALARS = {int: (lambda value: isinstance(value, int) and not isinstance(value, bool),
+                  "an integer"),
+            float: (lambda value: finite_floats([value]) is not None, "a finite number"),
+            str: (lambda value: isinstance(value, str), "a string")}
 
 
 def _build(cls, obj, name: str):
@@ -134,9 +128,8 @@ def _build(cls, obj, name: str):
         if is_dataclass(kind):
             value = _build(kind, value, where)
         else:
-            accepted, noun = _SCALARS[kind]
-            if (isinstance(value, bool) or not isinstance(value, accepted)
-                    or kind is float and not _finite(value)):
+            accepts, noun = _SCALARS[kind]
+            if not accepts(value):
                 raise ConfigError(f"{where} must be {noun}")
         values[key] = value
     try:

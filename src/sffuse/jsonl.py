@@ -1,5 +1,6 @@
-"""The one JSON boundary: the decoder behind every file loader and the
-encoder behind every JSON output, HTTP request bodies included."""
+"""The one JSON boundary: the decoder behind every file loader, the encoder
+behind every JSON output, HTTP request bodies included, and ``finite_floats``,
+the one rule for a number read from outside."""
 
 from __future__ import annotations
 
@@ -7,9 +8,9 @@ import json
 from pathlib import Path
 from typing import Callable, Iterable, TypeVar
 
-_T = TypeVar("_T")
+import numpy as np
 
-_NUMBER_TYPES = frozenset((int, float))
+_T = TypeVar("_T")
 
 
 def _decode(text: str, place: str) -> object:
@@ -108,7 +109,17 @@ def str_fields(obj: dict, *names: str, default: str | None = None) -> tuple[str,
     return tuple(values)
 
 
-def is_number_list(value: object) -> bool:
-    """True iff ``value`` decoded from a JSON array of numbers: a list whose
-    every element is an int or a float (a bool is neither)."""
-    return isinstance(value, list) and set(map(type, value)) <= _NUMBER_TYPES
+def finite_floats(value: object) -> np.ndarray | None:
+    """``value`` as a 1-D float64 array if it is a sequence of finite
+    numbers, else None. Ints and floats count, numpy's included; a bool, str,
+    bytes or None does not, and neither does an int beyond the float range."""
+    try:
+        if not all(issubclass(kind, (int, float, np.integer, np.floating)) and kind is not bool
+                   for kind in set(map(type, value))):
+            return None
+        floats = np.asarray(value, dtype=np.float64)
+    except (TypeError, ValueError, OverflowError):
+        return None
+    if floats.ndim != 1 or not np.isfinite(floats).all():
+        return None
+    return floats

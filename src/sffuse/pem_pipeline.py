@@ -27,7 +27,7 @@ from typing import Callable, Iterable, Mapping, Protocol
 import numpy as np
 
 from .config import EmbedderEndpointConfig, EndpointConfig, PipelineConfig
-from .jsonl import dumps, is_number_list, read_records, str_fields, write_records
+from .jsonl import dumps, finite_floats, read_records, str_fields, write_records
 from .normalize import check_gold_answer, normalize_answer
 from .tag_grammar import PemLabel
 
@@ -621,11 +621,10 @@ class HttpEmbedder(_Endpoint):
         if len(vectors) != len(texts):
             raise EmbeddingError(
                 f"embedder returned {len(vectors)} vectors for {len(texts)} texts")
-        if not all(map(is_number_list, vectors)):
-            raise EmbeddingError("embedder returned an embedding that is not a list of numbers")
-        if len(set(map(len, vectors))) > 1:
+        rows = [finite_floats(vector) for vector in vectors]
+        if any(row is None for row in rows):
+            raise EmbeddingError(
+                "embedder returned an embedding that is not a list of finite numbers")
+        if len(set(map(len, rows))) > 1:
             raise EmbeddingError("embedder returned vectors of different lengths")
-        try:
-            return np.asarray(vectors, dtype=float)
-        except OverflowError as exc:
-            raise EmbeddingError("embedder returned a number beyond the float range") from exc
+        return np.array(rows)

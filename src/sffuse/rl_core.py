@@ -20,7 +20,7 @@ from typing import Sequence
 import numpy as np
 
 from .config import GrpoConfig, RewardConfig
-from .jsonl import is_number_list, read_records, str_fields
+from .jsonl import finite_floats, read_records, str_fields
 from .normalize import answers_match
 from .tag_grammar import ParseDiagnostic, PemLabel, parse_trace
 
@@ -52,21 +52,13 @@ class RolloutGroup:
 _GROUP_FIELDS = tuple(f.name for f in fields(RolloutGroup))
 
 
-# The types of the values ``float()`` would coerce that are not numbers.
-_NOT_NUMBERS = frozenset((str, bytes, bool, np.str_, np.bytes_, np.bool_))
-
-
 def _finite_floats(values: Sequence[float], name: str) -> tuple[float, ...]:
-    """``values`` as floats; ValueError naming ``name`` unless each is a
-    finite number (a string or a bool is not one)."""
-    if _NOT_NUMBERS.isdisjoint(map(type, values)):
-        try:
-            floats = tuple(map(float, values))
-            if all(map(math.isfinite, floats)):
-                return floats
-        except OverflowError:  # an integer beyond the float range
-            pass
-    raise ValueError(f"{name} must hold finite numbers")
+    """``values`` as floats; ValueError naming ``name`` unless they are a
+    sequence of finite numbers by ``jsonl.finite_floats``."""
+    floats = finite_floats(values)
+    if floats is None:
+        raise ValueError(f"{name} must hold finite numbers")
+    return tuple(floats.tolist())
 
 
 @dataclass(frozen=True)
@@ -202,11 +194,11 @@ def group_advantages(rewards: Sequence[float], eps_stab: float) -> list[float]:
     ``eps_stab`` may be zero (useful for exact-algebra checks); a group with
     zero variance then yields all-zero advantages rather than 0/0.
     """
-    if len(rewards) < 2:
+    rows = np.array([_finite_floats(rewards, "rewards")])
+    if rows.shape[1] < 2:
         raise ValueError("need at least 2 rewards")
     if not 0.0 <= eps_stab < math.inf:  # NaN fails too
         raise ValueError("eps_stab must be nonnegative and finite")
-    rows = np.array([_finite_floats(rewards, "rewards")])
     advantages, overflow = _advantage_rows(rows, eps_stab)
     if overflow[0]:
         raise ValueError(_VARIANCE_OVERFLOW)
@@ -289,13 +281,11 @@ def grpo_gradient_logp_new(group: RolloutGroup, cfg: GrpoConfig) -> np.ndarray:
 
 def read_rollout_groups(path: str | Path) -> list[tuple[str, RolloutGroup]]:
     """JSONL rollout records: {group_id, rewards[], logp_new[], logp_old[], logp_ref[]};
-    each list must hold JSON numbers only."""
+    ``RolloutGroup`` checks the lists, so each must hold finite numbers."""
     def build(obj: dict, lineno: int) -> tuple[str, RolloutGroup]:
         for name in _GROUP_FIELDS:
             if name not in obj:
                 raise ValueError(f"missing field '{name}'")
-            if not is_number_list(obj[name]):
-                raise ValueError(f"field '{name}' must be a list of numbers")
         # The group is checked before its id, so a record with both faults
         # names the group's.
         group = RolloutGroup(**{name: obj[name] for name in _GROUP_FIELDS})

@@ -5,8 +5,8 @@ loop-based references for the hash
 embedder and CoT consistency, the dense attention forward and backward, the
 check-by-check trace parser, a random valid-layout generator used by the
 property and acceptance suites, a scripted sampler, and writers for the
-trace and weights JSONL formats, and the one-group-at-a-time GRPO objective
-as first written."""
+trace and weights JSONL formats, the one-group-at-a-time GRPO objective
+as first written, and a plain-Python rule for a list of finite JSON numbers."""
 
 from __future__ import annotations
 
@@ -420,6 +420,20 @@ def reference_parse_trace(text: str) -> tuple[SfrTrace | None, list[ParseDiagnos
         answer_text=segments["ans"],
     )
     return trace, []
+
+
+# --- a list of finite JSON numbers ---------------------------------------------
+
+def reference_finite_floats(value: object) -> tuple[float, ...] | None:
+    """The floats of a list whose elements are exactly int or float, each
+    within the float range and finite; None for any other value."""
+    if not isinstance(value, list) or not all(type(x) in (int, float) for x in value):
+        return None
+    try:
+        floats = tuple(map(float, value))
+    except OverflowError:
+        return None
+    return floats if all(map(math.isfinite, floats)) else None
 
 
 # --- the GRPO objective one group at a time, as first written ---------------------

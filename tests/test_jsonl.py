@@ -1,14 +1,19 @@
 """The JSON boundary: ``read_records`` names every bad record's ``path:line``
-once, ``read_document`` names its file, and ``write_jsonl`` never writes a
-NaN or infinity."""
+once, ``read_document`` names its file, ``write_jsonl`` never writes a NaN or
+infinity, and ``finite_floats`` agrees with a plain-Python rule on any
+decoded JSON value."""
 
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from conftest import reference_finite_floats
 from sffuse.cli import main
-from sffuse.jsonl import read_document, read_records
+from sffuse.jsonl import finite_floats, read_document, read_records
 from sffuse.pem_pipeline import write_jsonl
 
 DATA = Path(__file__).parent / "data"
@@ -128,3 +133,42 @@ def test_validate_overflow_is_one_error_line_and_writes_nothing(
     assert captured.err == "error: mean_stage2 overflows: reward weights are too large\n"
     assert captured.out == ""
     assert not out.exists()
+
+
+# Any value json.loads can return: ints past +-2**1024 and floats with NaN,
+# infinities, subnormals and -0.0 among the numbers.
+JSON_NUMBERS = st.integers(-(2 ** 1100), 2 ** 1100) | st.floats(allow_subnormal=True)
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | JSON_NUMBERS | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=6) | st.dictionaries(st.text(max_size=4), inner,
+                                                                  max_size=3),
+    max_leaves=12)
+
+
+@settings(max_examples=400, deadline=None)
+@given(value=JSON_VALUES | st.lists(JSON_NUMBERS, max_size=8))
+@example(value=[True, 1.0])
+@example(value=[10 ** 400, 0.0])
+@example(value=[-0.0, 5e-324, 2 ** 1023 * 2 - 1])
+@example(value=[[1.0], [2.0]])
+@example(value=[])
+def test_finite_floats_agrees_with_the_plain_rule(value) -> None:
+    expected = reference_finite_floats(value)
+    floats = finite_floats(value)
+    if expected is None:
+        assert floats is None
+    else:
+        assert floats.dtype == np.float64 and floats.ndim == 1
+        assert list(map(float.hex, floats.tolist())) == list(map(float.hex, expected))
+
+
+@pytest.mark.parametrize("value, expected", [
+    ((1, 2.5), [1.0, 2.5]), (np.array([1, 0]), [1.0, 0.0]),
+    ([np.float32(0.5), np.int64(-3)], [0.5, -3.0]), (b"12", None), ("12", None),
+    ([np.bool_(True), 0.0], None), ([np.str_("1")], None), (np.array([[1.0]]), None),
+    ({1: 2.0}, None), (5, None), (None, None),
+], ids=["tuple", "int-array", "numpy-scalars", "bytes", "str", "np-bool", "np-str",
+        "2-d-array", "int-keyed-dict", "int", "none"])
+def test_finite_floats_takes_python_and_numpy_sequences_only(value, expected) -> None:
+    floats = finite_floats(value)
+    assert (None if floats is None else floats.tolist()) == expected

@@ -682,13 +682,24 @@ def test_http_embedder_rejects_a_vector_count_mismatch() -> None:
         embedder.embed(["a", "b"])
 
 
-@pytest.mark.parametrize("embedding", [["0.5", True], [0.5, True], [0.5, None],
-                                       [[0.5], [1.0]], 0.5, "0.5"],
-                         ids=["string-and-bool", "bool", "null", "nested", "number", "string"])
+NOT_FINITE_NUMBERS = "embedder returned an embedding that is not a list of finite numbers"
+
+
+# Each embedding is JSON text, as the endpoint sends it: json.loads reads
+# 1e999 as infinity and accepts NaN.
+@pytest.mark.parametrize("embedding", ['["0.5", true]', "[0.5, true]", "[0.5, null]",
+                                       "[[0.5], [1.0]]", "0.5", '"0.5"', "[0.5, 1e999]",
+                                       "[NaN, 0.5]"],
+                         ids=["string-and-bool", "bool", "null", "nested", "number", "string",
+                              "1e999", "nan"])
 def test_http_embedder_rejects_an_entry_that_is_not_a_number(embedding) -> None:
-    embedder = HttpEmbedder(EndpointConfig(base_url="http://x/embed"), transport=json_transport(
-        lambda payload: {"data": [{"embedding": embedding} for _ in payload["input"]]}))
-    with pytest.raises(EmbeddingError, match="not a list of numbers"):
+    def transport(url, body, headers, timeout):
+        texts = json.loads(body.decode("utf-8"))["input"]
+        return ('{"data": [%s]}' % ", ".join(
+            ['{"embedding": %s}' % embedding] * len(texts))).encode()
+
+    embedder = HttpEmbedder(EndpointConfig(base_url="http://x/embed"), transport=transport)
+    with pytest.raises(EmbeddingError, match=f"^{NOT_FINITE_NUMBERS}$"):
         embedder.embed(["a", "b"])
 
 
@@ -865,7 +876,7 @@ def test_annotate_records_an_unusable_endpoint_answer(monkeypatch, answer, error
 
 
 @pytest.mark.parametrize("rows, message", [
-    ([[10 ** 400, 0.0], [1.0, 0.0]], "a number beyond the float range"),
+    ([[10 ** 400, 0.0], [1.0, 0.0]], "an embedding that is not a list of finite numbers"),
     ([[1.0, 0.0], [1.0, 0.0, 0.0]], "vectors of different lengths"),
 ], ids=["integer-beyond-float", "ragged"])
 def test_http_embedder_rejects_vectors_it_cannot_stack(rows, message) -> None:
@@ -891,7 +902,7 @@ def http_embedder_failing_on(bad_vector):
 
 @pytest.mark.parametrize("embedder, error", [
     (http_embedder_failing_on([10 ** 400] + [0.0] * 31),
-     "embedder returned a number beyond the float range"),
+     NOT_FINITE_NUMBERS),
     (http_embedder_failing_on([1.0, 0.0]), "embedder returned vectors of different lengths"),
 ], ids=["integer-beyond-float", "ragged"])
 def test_annotate_records_an_unusable_embedding_and_goes_on(embedder, error) -> None:

@@ -396,6 +396,18 @@ def test_advantages_reject_a_reward_that_is_not_finite(reward) -> None:
         group_advantages([reward, 1.0], 1e-8)
 
 
+# float() raises TypeError for each of these; both entry points must say
+# ValueError, as for any other value that is not a finite number.
+@pytest.mark.parametrize("rewards", [[None, 1.0], [[1.0], 0.0], [1j, 0.0], 5],
+                         ids=["none", "nested", "complex", "not-iterable"])
+def test_rewards_that_float_cannot_take_are_a_value_error(rewards) -> None:
+    with pytest.raises(ValueError, match="^rewards must hold finite numbers$"):
+        group_advantages(rewards, 1e-8)
+    with pytest.raises(ValueError, match="^rewards must hold finite numbers$"):
+        RolloutGroup(rewards=rewards, logp_new=[0.0, 0.0], logp_old=[0.0, 0.0],
+                     logp_ref=[0.0, 0.0])
+
+
 # --- many groups in one array pass --------------------------------------------------
 
 # Scales of the deviations for "tiny" rows, around sqrt of the smallest
@@ -592,8 +604,8 @@ def test_read_rollout_groups_requires_lists_of_numbers(tmp_path, field, value) -
     path = tmp_path / "rollouts.jsonl"
     path.write_text("{" + ", ".join(f'"{k}": {v}' for k, v in record.items()) + "}\n",
                     encoding="utf-8")
-    with pytest.raises(ValueError, match=rf"rollouts\.jsonl:1: field '{field}' must be a list "
-                                         "of numbers"):
+    with pytest.raises(ValueError, match=rf"rollouts\.jsonl:1: {field} must hold finite "
+                                         "numbers$"):
         read_rollout_groups(path)
 
 
