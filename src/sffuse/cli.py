@@ -32,6 +32,12 @@ def _fail(message: str) -> int:
     return 1
 
 
+def _check_unique(kind: str, ids: list[str]) -> None:
+    repeated = sorted(k for k, n in Counter(ids).items() if n > 1)
+    if repeated:
+        raise ValueError(f"duplicate {kind} ids: {repeated}")
+
+
 # --- annotate ---------------------------------------------------------------
 
 def cmd_annotate(args: argparse.Namespace) -> int:
@@ -93,10 +99,8 @@ def cmd_validate(args: argparse.Namespace) -> int:
     traces = tag_grammar.read_trace_records(args.traces)
     labels = read_records(args.labels, _label_record)
 
-    for kind, ids in (("trace", [t[0] for t in traces]), ("label", [t[0] for t in labels])):
-        repeated = sorted(k for k, n in Counter(ids).items() if n > 1)
-        if repeated:
-            return _fail(f"duplicate {kind} ids: {repeated}")
+    _check_unique("trace", [record_id for record_id, _ in traces])
+    _check_unique("label", [record_id for record_id, _, _ in labels])
     labels_by_id = {record_id: (pem, answer) for record_id, pem, answer in labels}
     trace_ids = {record_id for record_id, _ in traces}
     if trace_ids != set(labels_by_id):
@@ -163,6 +167,7 @@ def cmd_grpo_step(args: argparse.Namespace) -> int:
     groups = rl_core.read_rollout_groups(args.rollouts)
     if not groups:
         return _fail("rollout file contains no groups")
+    _check_unique("group", [group_id for group_id, _ in groups])
 
     try:
         outcomes = rl_core.grpo_objectives([group for _, group in groups], cfg)

@@ -1,9 +1,14 @@
 """The one JSON boundary: the decoder behind every file loader, the encoder
 behind every JSON output, HTTP request bodies included, and ``finite_floats``,
-the one rule for a number read from outside."""
+the one rule for a number read from outside.
+
+There is one encoder, ``_ENCODER``, built once at import and shared by every
+thread: ``JSONEncoder.encode`` keeps no state between calls. A record's
+``path:line`` is formatted only when the record is at fault."""
 
 from __future__ import annotations
 
+import functools
 import json
 from pathlib import Path
 from typing import Callable, Iterable, TypeVar
@@ -12,17 +17,18 @@ import numpy as np
 
 _T = TypeVar("_T")
 
+_ENCODER = json.JSONEncoder(ensure_ascii=False, sort_keys=True, allow_nan=False)
+# What ``json.loads`` raises on a syntax error, or on nesting deeper than the
+# decoder can recurse.
+_DECODE_ERRORS = (json.JSONDecodeError, RecursionError)
 
-def _decode(text: str, place: str) -> object:
-    """One JSON document. A syntax error, or nesting deeper than the decoder
-    can recurse, raises ``ValueError("place: invalid JSON: ...")``."""
-    try:
-        return json.loads(text)
-    except json.JSONDecodeError as exc:
-        at = f"line {exc.lineno} column {exc.colno}" if exc.lineno > 1 else f"column {exc.colno}"
-        raise ValueError(f"{place}: invalid JSON: {exc.msg} at {at}") from None
-    except RecursionError:
-        raise ValueError(f"{place}: invalid JSON: nested too deeply") from None
+
+def _invalid_json(place: str, exc: Exception) -> ValueError:
+    """``ValueError("place: invalid JSON: ...")`` for a ``_DECODE_ERRORS`` error."""
+    if isinstance(exc, RecursionError):
+        return ValueError(f"{place}: invalid JSON: nested too deeply")
+    at = f"line {exc.lineno} column {exc.colno}" if exc.lineno > 1 else f"column {exc.colno}"
+    return ValueError(f"{place}: invalid JSON: {exc.msg} at {at}")
 
 
 def _not_utf8(path: str | Path, exc: UnicodeDecodeError) -> ValueError:
@@ -39,7 +45,10 @@ def read_document(path: str | Path, build: Callable[[object], _T]) -> _T:
             text = fh.read()
         except UnicodeDecodeError as exc:
             raise _not_utf8(path, exc) from None
-    document = _decode(text, str(path))
+    try:
+        document = json.loads(text)
+    except _DECODE_ERRORS as exc:
+        raise _invalid_json(str(path), exc) from None
     try:
         return build(document)
     except ValueError as exc:
@@ -56,17 +65,21 @@ def read_records(path: str | Path, build: Callable[[dict, int], _T]) -> list[_T]
     with open(path, encoding="utf-8") as fh:
         try:
             for lineno, line in enumerate(fh, start=1):
-                if not line.strip():
+                # A line read from a file is never empty, so this is true
+                # exactly for a line of whitespace only, and copies nothing.
+                if line.isspace():
                     continue
-                place = f"{path}:{lineno}"
-                obj = _decode(line, place)
+                try:
+                    obj = json.loads(line)
+                except _DECODE_ERRORS as exc:
+                    raise _invalid_json(f"{path}:{lineno}", exc) from None
                 if not isinstance(obj, dict):
                     raise ValueError(
-                        f"{place}: expected a JSON object, got {type(obj).__name__}")
+                        f"{path}:{lineno}: expected a JSON object, got {type(obj).__name__}")
                 try:
                     records.append(build(obj, lineno))
                 except ValueError as exc:
-                    raise ValueError(f"{place}: {exc}") from exc
+                    raise ValueError(f"{path}:{lineno}: {exc}") from exc
         except UnicodeDecodeError as exc:
             raise _not_utf8(path, exc) from None
     return records
@@ -92,7 +105,7 @@ def dumps(obj: object) -> str:
     """The one JSON encoder: sorted keys, UTF-8 text as is, and strict, so a
     NaN or infinity raises ValueError instead of writing a token no JSON
     parser has to accept."""
-    return json.dumps(obj, ensure_ascii=False, sort_keys=True, allow_nan=False)
+    return _ENCODER.encode(obj)
 
 
 def str_fields(obj: dict, *names: str, default: str | None = None) -> tuple[str, ...]:
@@ -109,17 +122,23 @@ def str_fields(obj: dict, *names: str, default: str | None = None) -> tuple[str,
     return tuple(values)
 
 
+@functools.cache
+def _is_number_type(kind: type) -> bool:
+    """The type half of ``finite_floats``'s rule, decided once per type."""
+    return issubclass(kind, (int, float, np.integer, np.floating)) and kind is not bool
+
+
 def finite_floats(value: object) -> np.ndarray | None:
     """``value`` as a 1-D float64 array if it is a sequence of finite
     numbers, else None. Ints and floats count, numpy's included; a bool, str,
     bytes or None does not, and neither does an int beyond the float range."""
     try:
-        if not all(issubclass(kind, (int, float, np.integer, np.floating)) and kind is not bool
-                   for kind in set(map(type, value))):
+        if not all(map(_is_number_type, set(map(type, value)))):
             return None
         floats = np.asarray(value, dtype=np.float64)
     except (TypeError, ValueError, OverflowError):
         return None
-    if floats.ndim != 1 or not np.isfinite(floats).all():
+    if floats.ndim != 1 or np.count_nonzero(np.isfinite(floats)) != floats.size:
         return None
     return floats
+

@@ -86,7 +86,7 @@ class SfrTrace:
 _Token = tuple[str, str, bool, int, int]
 
 
-def _diagnose(tokens: list[_Token]) -> list[ParseDiagnostic]:
+def _diagnose_tags(tokens: list[_Token]) -> list[ParseDiagnostic]:
     """Why a tag sequence is not the canonical one: the count defects of
     every tag, else the first reversed or overlapping pair, else the first
     tag out of place."""
@@ -138,6 +138,33 @@ def _diagnose(tokens: list[_Token]) -> list[ParseDiagnostic]:
         DiagnosticKind.OUT_OF_ORDER, got[3], f"expected {want} but found {got[0]}")]
 
 
+def _diagnose(pieces: list[str]) -> list[ParseDiagnostic]:
+    """Why the split pieces of a trace are not a sound trace: the tag
+    sequence's defects, else an unknown PEM value and any stray content,
+    in offset order."""
+    starts = list(itertools.accumulate(map(len, pieces), initial=0))  # piece i is at starts[i]
+    if pieces[1::2] != _CANONICAL:
+        return _diagnose_tags([
+            (literal, literal.strip("</>"), literal[1] == "/", start, end)
+            for literal, start, end in zip(pieces[1::2], starts[1::2], starts[2::2])])
+
+    diags = []
+    pem_text = pieces[2]
+    if PemLabel.from_text(pem_text) is None:
+        diags.append(ParseDiagnostic(
+            DiagnosticKind.UNKNOWN_PEM_VALUE, starts[2],
+            f"{pem_text.strip()!r} is not one of {list(_PEM_BY_TEXT)}"))
+
+    # The gaps before the first span, between spans, and after the last.
+    for gap, start in zip(pieces[0::4], starts[0::4]):
+        if gap.strip():
+            offset = start + (len(gap) - len(gap.lstrip()))
+            diags.append(ParseDiagnostic(
+                DiagnosticKind.STRAY_CONTENT, offset,
+                "non-whitespace content outside tags"))
+    return sorted(diags, key=lambda d: d.offset)
+
+
 def parse_trace(text: str) -> tuple[SfrTrace | None, list[ParseDiagnostic]]:
     """Parse a trace, returning ``(trace, [])`` or ``(None, diagnostics)``.
 
@@ -147,39 +174,14 @@ def parse_trace(text: str) -> tuple[SfrTrace | None, list[ParseDiagnostic]]:
     """
     # A sound trace splits into exactly gap, <mod>, segment, </mod>, gap,
     # <v>, ..., </ans>, gap: tag k opens at piece 4k + 1 and closes at 4k + 3.
+    # Soundness is decided from the pieces alone; offsets are for diagnostics.
     pieces = _TAG_SPLIT.split(text)
-    starts = list(itertools.accumulate(map(len, pieces), initial=0))  # piece i is at starts[i]
-    if pieces[1::2] != _CANONICAL:
-        return None, _diagnose([
-            (literal, literal.strip("</>"), literal[1] == "/", start, end)
-            for literal, start, end in zip(pieces[1::2], starts[1::2], starts[2::2])])
-    segments = pieces[2::4]
-
-    diags = []
-    pem = PemLabel.from_text(segments[0])
-    if pem is None:
-        diags.append(ParseDiagnostic(
-            DiagnosticKind.UNKNOWN_PEM_VALUE, starts[2],
-            f"{segments[0].strip()!r} is not one of {list(_PEM_BY_TEXT)}"))
-
-    # The gaps before the first span, between spans, and after the last.
-    for gap, start in zip(pieces[0::4], starts[0::4]):
-        if gap.strip():
-            offset = start + (len(gap) - len(gap.lstrip()))
-            diags.append(ParseDiagnostic(
-                DiagnosticKind.STRAY_CONTENT, offset,
-                "non-whitespace content outside tags"))
-    if diags:
-        return None, sorted(diags, key=lambda d: d.offset)
-
-    trace = SfrTrace(
-        pem=pem,
-        visual_text=segments[1],
-        audio_text=segments[2],
-        summary_text=segments[3],
-        answer_text=segments[4],
-    )
-    return trace, []
+    if pieces[1::2] == _CANONICAL and not "".join(pieces[0::4]).strip():
+        pem_text, *texts = pieces[2::4]  # in TAG_NAMES order, as SfrTrace's fields
+        pem = PemLabel.from_text(pem_text)
+        if pem is not None:
+            return SfrTrace(pem, *texts), []
+    return None, _diagnose(pieces)
 
 
 def validate_structure(text: str) -> tuple[bool, list[ParseDiagnostic]]:

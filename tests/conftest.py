@@ -6,7 +6,8 @@ embedder and CoT consistency, the dense attention forward and backward, the
 check-by-check trace parser, a random valid-layout generator used by the
 property and acceptance suites, a scripted sampler, and writers for the
 trace and weights JSONL formats, the one-group-at-a-time GRPO objective
-as first written, and a plain-Python rule for a list of finite JSON numbers."""
+as first written, the stdlib form of the JSON encoder, and a plain-Python
+rule for a list of finite JSON numbers."""
 
 from __future__ import annotations
 
@@ -420,6 +421,13 @@ def reference_parse_trace(text: str) -> tuple[SfrTrace | None, list[ParseDiagnos
         answer_text=segments["ans"],
     )
     return trace, []
+
+
+# --- the JSON encoder ------------------------------------------------------------
+
+def reference_dumps(value: object) -> str:
+    """``jsonl.dumps`` as the stdlib spells it, one encoder built per call."""
+    return json.dumps(value, ensure_ascii=False, sort_keys=True, allow_nan=False)
 
 
 # --- a list of finite JSON numbers ---------------------------------------------

@@ -754,6 +754,18 @@ def test_grpo_step_names_the_first_failing_group_in_file_order(tmp_path, capsys,
                             "logp_ref - logp_new is too large\n")
 
 
+def test_grpo_step_rejects_duplicate_group_ids(tmp_path, capsys) -> None:
+    # The third record has no group_id, so its id is its line number, "3".
+    record = ('"rewards": [1, 0], "logp_new": [0, 0], "logp_old": [0, 0], '
+              '"logp_ref": [0, 0]}\n')
+    rollouts = tmp_path / "rollouts.jsonl"
+    rollouts.write_text(f'{{"group_id": "3", {record}' * 2 + f'{{{record}', encoding="utf-8")
+    code = main(["grpo-step", "--rollouts", str(rollouts)])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (1, "")
+    assert captured.err == "error: duplicate group ids: ['3']\n"
+
+
 def test_grpo_step_rejects_bad_alpha(capsys) -> None:
     code = main(["grpo-step", "--rollouts", str(DATA / "rollouts_equal.jsonl"),
                  "--alpha", "7"])

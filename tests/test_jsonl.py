@@ -1,9 +1,14 @@
 """The JSON boundary: ``read_records`` names every bad record's ``path:line``
 once, ``read_document`` names its file, ``write_jsonl`` never writes a NaN or
-infinity, and ``finite_floats`` agrees with a plain-Python rule on any
-decoded JSON value."""
+infinity, ``dumps`` writes what the stdlib encoder writes from any thread,
+and ``finite_floats`` agrees with a plain-Python rule on any decoded JSON
+value."""
 
 import json
+import math
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -11,9 +16,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import reference_finite_floats
+from conftest import reference_dumps, reference_finite_floats
 from sffuse.cli import main
-from sffuse.jsonl import finite_floats, read_document, read_records
+from sffuse.jsonl import dumps, finite_floats, read_document, read_records
 from sffuse.pem_pipeline import write_jsonl
 
 DATA = Path(__file__).parent / "data"
@@ -64,9 +69,17 @@ def test_rollout_group_fault_is_named_before_its_id(tmp_path, capsys) -> None:
 
 
 def test_read_records_builds_in_line_order(tmp_path) -> None:
+    # A line of whitespace only, by str.isspace, is skipped; the record after
+    # it keeps its line number in the file.
     path = tmp_path / "r.jsonl"
-    path.write_text('{"v": 1}\n \n{"v": 2}\n', encoding="utf-8")
-    assert read_records(path, lambda obj, lineno: (lineno, obj["v"])) == [(1, 1), (3, 2)]
+    for text, expected in [
+        ('{"v": 1}\n \n{"v": 2}\n', [(1, 1), (3, 2)]),
+        ('{"v": 1}\n\u3000\n{"v": 2}\n', [(1, 1), (3, 2)]),
+        ('\t\x0b\n{"v": 1}\n{"v": 2}', [(2, 1), (3, 2)]),
+        ('{"v": 1}\r\n\r\n \r\n{"v": 2}\r\n', [(1, 1), (4, 2)]),
+    ]:
+        path.write_bytes(text.encode("utf-8"))
+        assert read_records(path, lambda obj, lineno: (lineno, obj["v"])) == expected, text
 
 
 def test_read_records_prefixes_only_value_errors(tmp_path) -> None:
@@ -160,6 +173,50 @@ def test_finite_floats_agrees_with_the_plain_rule(value) -> None:
     else:
         assert floats.dtype == np.float64 and floats.ndim == 1
         assert list(map(float.hex, floats.tolist())) == list(map(float.hex, expected))
+
+
+def _holds_non_finite(value: object) -> bool:
+    if isinstance(value, float):
+        return not math.isfinite(value)
+    if isinstance(value, (list, dict)):
+        return any(map(_holds_non_finite, value.values() if isinstance(value, dict) else value))
+    return False
+
+
+@settings(max_examples=400, deadline=None)
+@given(value=JSON_VALUES)
+@example(value={"ключ": ["é", "\u3000", "\U0001f600"], "b": {"z": -0.0, "a": 0.0}})
+@example(value=[2 ** 64, -(2 ** 64) - 1, 10 ** 400])
+@example(value={"x": [1.0, float("nan")]})
+@example(value=float("inf"))
+@example(value=[-float("inf")])
+def test_dumps_matches_the_stdlib_encoder(value) -> None:
+    if _holds_non_finite(value):
+        for encode in (reference_dumps, dumps):
+            with pytest.raises(ValueError, match="^Out of range float values"):
+                encode(value)
+    else:
+        assert dumps(value) == reference_dumps(value)
+
+
+def test_dumps_is_shared_safely_across_threads() -> None:
+    rows = [{"id": f"t{k}", "k": -k, "text": "é" * k, "v": {"x": [k / 3] * (40 + k)}}
+            for k in range(8)]
+    expected = [dumps(row) for row in rows]
+    start = threading.Barrier(len(rows), timeout=30)
+
+    def encode(row: dict) -> set[str]:
+        start.wait()
+        return {dumps(row) for _ in range(500)}
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=len(rows)) as pool:
+            encoded = list(pool.map(encode, rows, timeout=60))
+    finally:
+        sys.setswitchinterval(interval)
+    assert encoded == [{line} for line in expected]
 
 
 @pytest.mark.parametrize("value, expected", [
