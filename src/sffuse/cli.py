@@ -16,13 +16,12 @@ import functools
 import math
 import os
 import sys
-from collections import Counter
 from dataclasses import asdict, replace
 from pathlib import Path
 
 from . import attention_core, mask_engine, pem_pipeline, rl_core, tag_grammar
 from .config import DEFAULT_ALLOCATION_WINDOW, GrpoConfig, load_config
-from .jsonl import dumps, read_records, str_fields
+from .jsonl import check_unique, dumps, read_records, str_fields
 from .normalize import check_gold_answer
 
 
@@ -30,12 +29,6 @@ def _fail(message: str) -> int:
     # One line even when the message quotes a line break from an input.
     print("error:", " ".join(message.splitlines()), file=sys.stderr)
     return 1
-
-
-def _check_unique(kind: str, ids: list[str]) -> None:
-    repeated = sorted(k for k, n in Counter(ids).items() if n > 1)
-    if repeated:
-        raise ValueError(f"duplicate {kind} ids: {repeated}")
 
 
 # --- annotate ---------------------------------------------------------------
@@ -99,8 +92,8 @@ def cmd_validate(args: argparse.Namespace) -> int:
     traces = tag_grammar.read_trace_records(args.traces)
     labels = read_records(args.labels, _label_record)
 
-    _check_unique("trace", [record_id for record_id, _ in traces])
-    _check_unique("label", [record_id for record_id, _, _ in labels])
+    check_unique("trace", [record_id for record_id, _ in traces])
+    check_unique("label", [record_id for record_id, _, _ in labels])
     labels_by_id = {record_id: (pem, answer) for record_id, pem, answer in labels}
     trace_ids = {record_id for record_id, _ in traces}
     if trace_ids != set(labels_by_id):
@@ -167,7 +160,7 @@ def cmd_grpo_step(args: argparse.Namespace) -> int:
     groups = rl_core.read_rollout_groups(args.rollouts)
     if not groups:
         return _fail("rollout file contains no groups")
-    _check_unique("group", [group_id for group_id, _ in groups])
+    check_unique("group", [group_id for group_id, _ in groups])
 
     try:
         outcomes = rl_core.grpo_objectives([group for _, group in groups], cfg)

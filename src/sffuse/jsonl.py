@@ -1,6 +1,7 @@
 """The one JSON boundary: the decoder behind every file loader, the encoder
-behind every JSON output, HTTP request bodies included, and ``finite_floats``,
-the one rule for a number read from outside.
+behind every JSON output, HTTP request bodies included, ``finite_floats``,
+the one rule for a number read from outside, and ``check_unique``, the one
+rule for a file's record ids.
 
 There is one encoder, ``_ENCODER``, built once at import and shared by every
 thread: ``JSONEncoder.encode`` keeps no state between calls. A record's
@@ -10,8 +11,9 @@ from __future__ import annotations
 
 import functools
 import json
+from collections import Counter
 from pathlib import Path
-from typing import Callable, Iterable, TypeVar
+from typing import Callable, Iterable, Sequence, TypeVar
 
 import numpy as np
 
@@ -120,6 +122,15 @@ def str_fields(obj: dict, *names: str, default: str | None = None) -> tuple[str,
             raise ValueError(f"field '{name}' must be a string")
         values.append(value)
     return tuple(values)
+
+
+def check_unique(kind: str, ids: Sequence[str]) -> None:
+    """Raise ``ValueError("duplicate {kind} ids: [...]")``, the repeated ids
+    sorted, if an id occurs twice; the ids are counted only then."""
+    if len(set(ids)) == len(ids):
+        return
+    repeated = sorted(k for k, n in Counter(ids).items() if n > 1)
+    raise ValueError(f"duplicate {kind} ids: {repeated}")
 
 
 @functools.cache

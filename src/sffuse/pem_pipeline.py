@@ -27,7 +27,8 @@ from typing import Callable, Iterable, Mapping, Protocol
 import numpy as np
 
 from .config import EmbedderEndpointConfig, EndpointConfig, PipelineConfig
-from .jsonl import dumps, finite_floats, read_records, str_fields, write_records
+from .jsonl import (check_unique, dumps, finite_floats, read_records, str_fields,
+                    write_records)
 from .normalize import check_gold_answer, normalize_answer
 from .tag_grammar import PemLabel
 
@@ -124,9 +125,14 @@ class TextEmbedder(Protocol):
 # --- Screening ---------------------------------------------------------------
 
 def accuracy_rate(samples: _Samples, gold: str) -> float:
-    """Fraction of sampled answers matching gold after normalization."""
+    """Fraction of sampled answers matching gold after normalization. An
+    answer equal to ``gold`` counts without being normalized (the
+    normalizer is a pure function)."""
+    if not samples:
+        raise ValueError("accuracy_rate needs at least 1 sample")
     target = normalize_answer(gold)
-    hits = sum(1 for answer, _ in samples if normalize_answer(answer) == target)
+    hits = sum(1 for answer, _ in samples
+               if answer == gold or normalize_answer(answer) == target)
     return hits / len(samples)
 
 
@@ -136,26 +142,30 @@ _NORM_FLOOR = math.sqrt(np.finfo(float).tiny)
 def _unit_rows(texts: Sequence[str], embedder: TextEmbedder) -> np.ndarray:
     """Embed each distinct text once, in first-seen order, and return one
     unit-length row per entry of ``texts``; identical texts share a row."""
-    distinct = list(dict.fromkeys(texts))
-    vectors = np.asarray(embedder.embed(distinct), dtype=float)
-    if vectors.ndim != 2 or vectors.shape[0] != len(distinct):
+    row_of: dict[str, int] = {}
+    rows = [row_of.setdefault(text, len(row_of)) for text in texts]
+    vectors = np.asarray(embedder.embed(list(row_of)), dtype=float)
+    if vectors.ndim != 2 or vectors.shape[0] != len(row_of):
         raise ValueError("embedder must return one vector per text")
-    if not np.isfinite(vectors).all():
-        raise ValueError("embedder returned non-finite values")
     with np.errstate(over="ignore"):
         norms = np.linalg.norm(vectors, axis=1, keepdims=True)
-    # A norm below sqrt(tiny), the smallest normal float, has lost bits to
-    # subnormal squares, and an infinite one overflowed; such a row is first
-    # divided by its largest |entry|. Other rows are divided by 1 (exact).
-    extreme = (norms < _NORM_FLOOR) | (norms == np.inf)
-    if extreme.any():
+    # Every norm normal and finite is the common case, and needs no check: a
+    # NaN or infinite entry makes its row's norm NaN or inf, and a NaN fails
+    # both comparisons, so such rows still reach the finite check first.
+    if not (norms.min() >= _NORM_FLOOR and norms.max() < np.inf):
+        if not np.isfinite(vectors).all():
+            raise ValueError("embedder returned non-finite values")
+        # A norm below sqrt(tiny), the smallest normal float, has lost bits to
+        # subnormal squares, and an infinite one overflowed; such a row is
+        # first divided by its largest |entry|. Other rows are divided by 1
+        # (exact).
+        extreme = (norms < _NORM_FLOOR) | (norms == np.inf)
         peaks = np.abs(vectors).max(axis=1, keepdims=True, initial=0.0)
         if not peaks.all():
             raise ValueError("embedder returned a zero vector")
         vectors = vectors / np.where(extreme, peaks, 1.0)
         norms = np.linalg.norm(vectors, axis=1, keepdims=True)
-    row_of = {text: k for k, text in enumerate(distinct)}
-    return (vectors / norms)[[row_of[text] for text in texts]]
+    return (vectors / norms)[rows]
 
 
 def _mean_pair_cosines(blocks: np.ndarray,
@@ -166,7 +176,8 @@ def _mean_pair_cosines(blocks: np.ndarray,
     differs), and fsum makes each mean exactly permutation-invariant."""
     first, second = pairs
     dots = (blocks[:, first] * blocks[:, second]).sum(axis=2)
-    return [math.fsum(row) / len(row) for row in dots]
+    # fsum over Python floats: the same sums, without a numpy scalar per pair.
+    return [math.fsum(row) / len(row) for row in dots.tolist()]
 
 
 def consistency(cot_texts: Sequence[str], embedder: TextEmbedder) -> float:
@@ -266,8 +277,7 @@ def annotate(
     if not dataset:
         raise EmptyDatasetError("dataset is empty")
     ids = [inst.id for inst in dataset]
-    if len(set(ids)) != len(ids):
-        raise ValueError("instance ids must be unique within a dataset")
+    check_unique("instance", ids)
     pairs = np.triu_indices(cfg.n, k=1)  # only read, so the threads share it
 
     def process(instance: Instance) -> tuple[PemRecord, dict | None] | dict:
@@ -449,10 +459,13 @@ class HashEmbedder:
                 digests.append(state.digest())
         vectors = np.frombuffer(b"".join(digests), dtype=">u8").reshape(
             len(texts), self.dim) / 2.0 ** 63 - 1.0
-        # Row by row, not norm(axis=1), einsum or a Gram matrix: those round
-        # differently from the 1-D dot, and the goldens pin its bytes.
-        norms = np.array([math.sqrt(row.dot(row)) for row in vectors])
-        return vectors / norms[:, None]
+        # Each row's 1-D dot with itself, as one stacked (1, dim) @ (dim, 1)
+        # matmul: numpy computes such a product with the same dot routine
+        # (BLAS ddot) as ``row.dot(row)``, so the bits are those of the row
+        # loop the goldens pin. norm(axis=1), einsum and a Gram matrix round
+        # differently. (np.vecdot reads better, but needs numpy >= 2.0.)
+        norms = np.sqrt(np.matmul(vectors[:, None, :], vectors[:, :, None]))
+        return vectors / norms[:, 0]
 
 
 # --- HTTP endpoint adapter -------------------------------------------------------

@@ -1,8 +1,8 @@
 """Shared fixtures: the L=6 layout, a brute-force mask oracle, loop-based
 reference encoders for the mask exports, the row loop, line-by-line text
 reader and per-pair layout scan of the mask decode path as first written,
-loop-based references for the hash
-embedder and CoT consistency, the dense attention forward and backward, the
+loop-based references for the hash embedder, CoT consistency and the
+screening's unit rows, the dense attention forward and backward, the
 check-by-check trace parser, a random valid-layout generator used by the
 property and acceptance suites, a scripted sampler, and writers for the
 trace and weights JSONL formats, the one-group-at-a-time GRPO objective
@@ -240,8 +240,36 @@ def reference_consistency(cot_texts, embedder) -> float:
     """Per-pair consistency over one embedding per text, duplicates included;
     ``consistency`` and the pipeline's screening must equal it exactly."""
     vectors = np.asarray(embedder.embed(list(cot_texts)), dtype=float)
+    return reference_pair_mean(vectors / np.linalg.norm(vectors, axis=1, keepdims=True))
+
+
+def reference_unit_rows(texts, embedder) -> np.ndarray:
+    """The pipeline's unit rows with its checks in their first order: every
+    entry finite, then each row whose norm (``norm(axis=1)``, as pinned) is
+    below sqrt(tiny) or infinite divided by its largest |entry| before it is
+    normalized, a zero row being an error."""
+    distinct = list(dict.fromkeys(texts))
+    vectors = np.array(embedder.embed(distinct), dtype=float)  # a copy: rows are rescaled
+    if vectors.ndim != 2 or vectors.shape[0] != len(distinct):
+        raise ValueError("embedder must return one vector per text")
+    if not np.isfinite(vectors).all():
+        raise ValueError("embedder returned non-finite values")
+    with np.errstate(over="ignore"):
+        norms = np.linalg.norm(vectors, axis=1)
+    floor = math.sqrt(np.finfo(float).tiny)
+    for k, norm in enumerate(norms):
+        if norm < floor or norm == np.inf:
+            peak = np.abs(vectors[k]).max(initial=0.0)
+            if peak == 0.0:
+                raise ValueError("embedder returned a zero vector")
+            vectors[k] = vectors[k] / peak
     unit = vectors / np.linalg.norm(vectors, axis=1, keepdims=True)
-    n = len(cot_texts)
+    return unit[[distinct.index(text) for text in texts]]
+
+
+def reference_pair_mean(unit: np.ndarray) -> float:
+    """The mean dot over all unordered pairs of rows, each summed on its own."""
+    n = len(unit)
     dots = [float(np.sum(unit[i] * unit[j]))
             for i in range(n) for j in range(i + 1, n)]
     return math.fsum(dots) / len(dots)

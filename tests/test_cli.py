@@ -45,6 +45,17 @@ def test_annotate_mock_matches_golden(tmp_path, capsys) -> None:
     assert stats.read_bytes() == (DATA / "golden_stats.json").read_bytes()
 
 
+@pytest.mark.parametrize("parallelism", ["1", "4"])
+def test_annotate_records_match_golden(tmp_path, capsys, parallelism) -> None:
+    # Every instance's screening numbers, the discarded ones' included.
+    records = tmp_path / "records.jsonl"
+    code, _ = run(capsys, "annotate", "--in", str(DATA / "instances_12.jsonl"),
+                  "--out", str(tmp_path / "labeled.jsonl"), "--mock",
+                  "--parallelism", parallelism, "--records", str(records))
+    assert code == 0
+    assert records.read_bytes() == (DATA / "golden_records.jsonl").read_bytes()
+
+
 def test_annotate_missing_input(tmp_path, capsys) -> None:
     absent = tmp_path / "absent.jsonl"
     code = main(["annotate", "--in", str(absent), "--out", str(tmp_path / "o.jsonl"), "--mock"])
@@ -102,7 +113,7 @@ def test_annotate_duplicate_instance_ids_is_one_error_line(tmp_path, capsys) -> 
     code = main(["annotate", "--in", str(dataset), "--out", str(tmp_path / "o.jsonl"),
                  "--mock"])
     assert code == 1
-    assert capsys.readouterr().err == "error: instance ids must be unique within a dataset\n"
+    assert capsys.readouterr().err == "error: duplicate instance ids: ['a']\n"
 
 
 def test_annotate_rejects_parallelism_below_one(tmp_path, capsys) -> None:

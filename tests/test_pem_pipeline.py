@@ -14,7 +14,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import ScriptedSampler, reference_consistency, reference_hash_vector
+from conftest import (
+    ScriptedSampler,
+    reference_consistency,
+    reference_hash_vector,
+    reference_pair_mean,
+    reference_unit_rows,
+)
 from sffuse.config import EmbedderEndpointConfig, config_from_dict
 from sffuse.normalize import answers_match
 from sffuse.pem_pipeline import (
@@ -78,6 +84,14 @@ def test_accuracy_none_correct() -> None:
 def test_accuracy_uses_answer_normalizer() -> None:
     samples = [("  THE   Collie. ", "t"), ("the collie", "t")]
     assert accuracy_rate(samples, "The Collie") == 1.0
+    # Answers equal to gold and answers equal only after normalizing both count.
+    samples = [("The Collie.", "t"), ("the collie", "t"), ("sheep", "t"), ("The Collie.", "t")]
+    assert accuracy_rate(samples, "The Collie.") == 0.75
+
+
+def test_accuracy_of_no_samples_is_a_value_error() -> None:
+    with pytest.raises(ValueError, match="^accuracy_rate needs at least 1 sample$"):
+        accuracy_rate([], "collie")
 
 
 # --- consistency ---------------------------------------------------------------
@@ -164,6 +178,12 @@ def test_hash_embedder_matches_loop_reference(texts) -> None:
     want = np.stack([reference_hash_vector(text, 32) for text in texts])
     assert got.shape == want.shape
     assert (got == want).all()
+
+
+def test_hash_embedder_matches_loop_reference_on_a_large_batch() -> None:
+    texts = [f"trace {k}: {'Ünïcødé 🐕 ' * (k % 4)}" for k in range(200)]
+    want = np.stack([reference_hash_vector(text, 32) for text in texts])
+    assert HashEmbedder().embed(texts).tobytes() == want.tobytes()
 
 
 def test_hash_embedder_empty_batch() -> None:
@@ -254,6 +274,73 @@ def test_annotate_screening_matches_loop_reference(kind, dim, seed, n, picks) ->
         assert record.settings[setting].consistency == reference_consistency(cots, embedder)
         hits = sum(answers_match(answer, inst.gold_answer) for answer in answers)
         assert record.settings[setting].accuracy_rate == hits / n
+
+
+ROW_KINDS = ("normal", "1e-200", "1e-160", "1e308", "zero", "nan", "inf", "-inf")
+
+
+def row_kind_embedder(dim, seed, kinds):
+    """Text tk's row is of kind ``kinds[k]``: random in [-1, 1)^dim, as is or
+    scaled by 1e-200, 1e-160 or 1e308; all zero; or random with one NaN, inf
+    or -inf entry."""
+    rng = np.random.default_rng(seed)
+    mapping = {}
+    for k, kind in enumerate(kinds):
+        row = rng.uniform(-1.0, 1.0, size=dim)
+        if kind == "zero":
+            row[:] = 0.0
+        elif kind in ("nan", "inf", "-inf"):
+            row[rng.integers(dim)] = float(kind)
+        elif kind != "normal":
+            row *= float(kind)
+        mapping[f"t{k}"] = row
+    return FixedEmbedder(mapping)
+
+
+def outcome(call):
+    """``call()``'s float as its exact hex, or its exception's type and message."""
+    try:
+        return call().hex()
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+EXTREME_ROWS = dict(dim=st.sampled_from(RANDOM_DIMS), seed=st.integers(0, 2 ** 32 - 1),
+                    kinds=st.lists(st.sampled_from(ROW_KINDS), min_size=1, max_size=4))
+
+
+@settings(max_examples=100, deadline=None)
+@given(**EXTREME_ROWS, picks=st.lists(st.integers(0, 3), min_size=2, max_size=10))
+def test_consistency_matches_reference_unit_rows_on_extreme_rows(dim, seed, kinds,
+                                                                 picks) -> None:
+    # Repeated texts; rows that are tiny, huge, zero or not finite must give
+    # the reference's value, or its first error.
+    embedder = row_kind_embedder(dim, seed, kinds)
+    texts = [f"t{k % len(kinds)}" for k in picks]
+    want = outcome(lambda: reference_pair_mean(reference_unit_rows(texts, embedder)))
+    assert outcome(lambda: consistency(texts, embedder)) == want
+
+
+@settings(max_examples=100, deadline=None)
+@given(**EXTREME_ROWS, n=st.sampled_from((2, 3, 4)),
+       picks=st.lists(st.integers(0, 3), min_size=12, max_size=12))
+def test_annotate_screening_matches_reference_unit_rows_on_extreme_rows(dim, seed, kinds, n,
+                                                                        picks) -> None:
+    embedder = row_kind_embedder(dim, seed, kinds)
+    inst = make_instance("r1")
+    cots = [f"t{k % len(kinds)}" for k in picks[:3 * n]]
+    script = {(inst.id, setting): [("collie", cot) for cot in cots[n * s:n * s + n]]
+              for s, setting in enumerate(ProbeSetting)}
+    result = annotate([inst], ScriptedSampler(script), embedder, PipelineConfig(n=n))
+    try:
+        unit = reference_unit_rows(cots, embedder)
+    except ValueError as exc:
+        assert result.stats.failures == ({"id": inst.id, "error": str(exc)},)
+        return
+    (record,) = result.records
+    for s, setting in enumerate(ProbeSetting):
+        want = reference_pair_mean(unit[n * s:n * s + n])
+        assert record.settings[setting].consistency.hex() == want.hex()
 
 
 # --- solvability -----------------------------------------------------------------
@@ -387,7 +474,7 @@ def test_annotate_empty_dataset() -> None:
 
 def test_annotate_duplicate_ids_rejected() -> None:
     twice = [make_instance("dup"), make_instance("dup")]
-    with pytest.raises(ValueError, match="unique"):
+    with pytest.raises(ValueError, match=r"^duplicate instance ids: \['dup'\]$"):
         annotate(twice, MockCotSampler(), HashEmbedder(), PipelineConfig())
 
 
