@@ -236,7 +236,8 @@ def attention_allocation(
     Sums, over the final ``last_k`` layers, the attention mass from the
     layout's summary-span rows into the inner audio-reasoning and
     visual-reasoning columns, then normalizes the pair to sum to 1. Layers with no mass into either span report ``None``.
-    Every layer in the window must be L x L for the layout's length L.
+    Every layer in the window must be L x L for the layout's length L, and
+    no cell it reads may be negative.
     """
     if last_k < 1 or last_k > len(weights_per_layer):
         raise ValueError("last_k must be in [1, number of layers]")
@@ -256,9 +257,14 @@ def attention_allocation(
     per_layer: list[tuple[float, float] | None] = []
     audio_total = 0.0
     visual_total = 0.0
-    for matrix in matrices:
-        audio_mass = float(matrix[np.ix_(rows, audio_cols)].sum())
-        visual_mass = float(matrix[np.ix_(rows, visual_cols)].sum())
+    for idx, matrix in enumerate(matrices):
+        audio = matrix[np.ix_(rows, audio_cols)]
+        visual = matrix[np.ix_(rows, visual_cols)]
+        # Only the cells read must be non-negative; -0.0 passes.
+        if (audio < 0).any() or (visual < 0).any():
+            raise ValueError(f"layer[-{last_k - idx}] weights hold a negative value")
+        audio_mass = float(audio.sum())
+        visual_mass = float(visual.sum())
         audio_total += audio_mass
         visual_total += visual_mass
         layer_total = audio_mass + visual_mass

@@ -55,7 +55,7 @@ def cmd_annotate(args: argparse.Namespace) -> int:
     result = pem_pipeline.annotate(dataset, sampler, embedder, pipeline_cfg)
     pem_pipeline.write_jsonl(args.out, result.labeled)
     report_path = args.report or f"{args.out}.stats.json"
-    Path(report_path).write_text(dumps(asdict(result.stats)) + "\n", encoding="utf-8")
+    pem_pipeline.write_jsonl(report_path, [asdict(result.stats)])
     if args.records:
         pem_pipeline.write_jsonl(args.records, (r.to_dict() for r in result.records))
 

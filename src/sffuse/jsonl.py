@@ -20,15 +20,19 @@ import numpy as np
 _T = TypeVar("_T")
 
 _ENCODER = json.JSONEncoder(ensure_ascii=False, sort_keys=True, allow_nan=False)
-# What ``json.loads`` raises on a syntax error, or on nesting deeper than the
-# decoder can recurse.
-_DECODE_ERRORS = (json.JSONDecodeError, RecursionError)
+# What ``json.loads`` raises on a syntax error (``JSONDecodeError``), on an
+# integer too long to convert (a plain ValueError), or on nesting deeper than
+# the decoder can recurse.
+_DECODE_ERRORS = (ValueError, RecursionError)
 
 
 def _invalid_json(place: str, exc: Exception) -> ValueError:
     """``ValueError("place: invalid JSON: ...")`` for a ``_DECODE_ERRORS`` error."""
     if isinstance(exc, RecursionError):
         return ValueError(f"{place}: invalid JSON: nested too deeply")
+    if not isinstance(exc, json.JSONDecodeError):
+        # Python's hint to raise the digit limit is no advice for a file.
+        return ValueError(f"{place}: invalid JSON: {str(exc).partition('; use sys.')[0]}")
     at = f"line {exc.lineno} column {exc.colno}" if exc.lineno > 1 else f"column {exc.colno}"
     return ValueError(f"{place}: invalid JSON: {exc.msg} at {at}")
 
@@ -89,16 +93,17 @@ def read_records(path: str | Path, build: Callable[[dict, int], _T]) -> list[_T]
 
 def write_records(path: str | Path, rows: Iterable[dict]) -> int:
     """Write each row as one JSON line and return the row count. Every row is
-    encoded before the file is opened, so a row that cannot be encoded
-    raises ``ValueError("path: row k: ...")`` (k counts from 1) and leaves
-    any file at ``path`` as it was."""
+    encoded to UTF-8 bytes before the file is opened, so a row that cannot be
+    encoded, such as one holding a lone surrogate, raises
+    ``ValueError("path: row k: ...")`` (k counts from 1) and leaves any file
+    at ``path`` as it was."""
     lines = []
     for k, row in enumerate(rows, start=1):
         try:
-            lines.append(dumps(row) + "\n")
+            lines.append((dumps(row) + "\n").encode("utf-8"))
         except ValueError as exc:
             raise ValueError(f"{path}: row {k}: {exc}") from exc
-    with open(path, "w", encoding="utf-8") as fh:
+    with open(path, "wb") as fh:
         fh.writelines(lines)
     return len(lines)
 

@@ -530,6 +530,22 @@ def test_allocation_errors() -> None:
         attention_allocation([no_mass], ALLOC_LAYOUT, last_k=1)
 
 
+def test_allocation_rejects_a_negative_cell_it_reads() -> None:
+    layer = _weights_with((8, 9), {2: 0.2, 5: 0.3})
+    negative = layer.copy()
+    negative[9, 6] = -0.01
+    with pytest.raises(ValueError, match=r"^layer\[-1\] weights hold a negative value$"):
+        attention_allocation([layer, negative], ALLOC_LAYOUT, last_k=2)
+    with pytest.raises(ValueError, match=r"^layer\[-2\] weights hold a negative value$"):
+        attention_allocation([negative, layer], ALLOC_LAYOUT, last_k=2)
+    # A cell no report reads may be negative, and -0.0 is not negative.
+    unread = layer.copy()
+    unread[7, 6] = -0.5
+    unread[8, 3] = -0.0
+    assert attention_allocation([unread], ALLOC_LAYOUT, last_k=1) == attention_allocation(
+        [layer], ALLOC_LAYOUT, last_k=1)
+
+
 def test_allocation_without_an_audio_span_is_all_visual() -> None:
     layout = TokenLayout(length=10, visual_reasoning={2, 3}, visual_span={1, 2, 3, 4},
                          summary_span={8, 9})

@@ -331,7 +331,9 @@ def test_integer_beyond_the_float_range_is_one_error_line(tmp_path, capsys, argv
 CONFIG_ARGV = ["--in", str(DATA / "instances_12.jsonl"), "--out", "{tmp}/o.jsonl", "--mock"]
 
 
-@pytest.mark.parametrize("argv, message", [
+# Every JSON input: each JSONL input, both spec inputs and both --config
+# inputs, with the place its decode error names.
+JSON_INPUTS = pytest.mark.parametrize("argv, message", [
     (["annotate", "--in", "{bad}", "--out", "{tmp}/o.jsonl", "--mock"], "{bad}:1: invalid JSON"),
     (["validate", "--traces", "{bad}", "--labels", str(DATA / "labels_perfect.jsonl")],
      "{bad}:1: invalid JSON"),
@@ -349,6 +351,9 @@ CONFIG_ARGV = ["--in", str(DATA / "instances_12.jsonl"), "--out", "{tmp}/o.jsonl
 ], ids=["jsonl-annotate", "jsonl-validate-traces", "jsonl-validate-labels", "jsonl-grpo-step",
         "jsonl-attn-report", "spec-mask", "spec-attn-report", "config-annotate",
         "config-validate"])
+
+
+@JSON_INPUTS
 def test_deeply_nested_json_is_one_error_line(tmp_path, capsys, argv, message) -> None:
     bad = tmp_path / "deep.json"
     bad.write_text("[" * 100000 + "\n", encoding="utf-8")
@@ -356,6 +361,21 @@ def test_deeply_nested_json_is_one_error_line(tmp_path, capsys, argv, message) -
     code = main([a.format(bad=bad, tmp=tmp_path) for a in argv])
     err = assert_one_error_line(code, capsys.readouterr().err)
     assert err == f"error: {message.format(bad=bad)}: nested too deeply\n"
+
+
+@pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+                    reason="this Python has no digit limit for integer conversion")
+@JSON_INPUTS
+def test_integer_too_long_to_convert_is_invalid_json(tmp_path, capsys, argv, message) -> None:
+    limit = sys.get_int_max_str_digits()
+    digits = limit + 700
+    bad = tmp_path / "long.json"
+    bad.write_text('{"length": ' + "1" * digits + "}\n", encoding="utf-8")
+    write_weights_jsonl(tmp_path / "w.jsonl", [np.full((6, 6), 1.0 / 6.0)])
+    code = main([a.format(bad=bad, tmp=tmp_path) for a in argv])
+    err = assert_one_error_line(code, capsys.readouterr().err)
+    assert err == (f"error: {message.format(bad=bad)}: Exceeds the limit ({limit} digits) "
+                   f"for integer string conversion: value has {digits} digits\n")
 
 
 @pytest.mark.parametrize("flag", ["--out", "--report", "--records"])
@@ -399,6 +419,22 @@ def test_annotate_unencodable_text_is_a_recorded_failure(tmp_path, capsys) -> No
         '"\'utf-8\' codec can\'t encode character \'\\\\ud800\' in position 67: '
         'surrogates not allowed", "id": "u1"}], "label_counts": {"Audio": 0, '
         '"Audio-Visual": 0, "Visual": 0}, "labeled": 0, "total": 1}\n')
+
+
+def test_annotate_unencodable_output_row_leaves_the_old_file(tmp_path, capsys) -> None:
+    # A lone surrogate in the question reaches the labeled row, which cannot
+    # be UTF-8 encoded; nothing is written, the stats report included.
+    dataset = tmp_path / "instances.jsonl"
+    dataset.write_text('{"id": "u1", "question": "What barks\\ud800? solvable=A,AV", '
+                       '"gold_answer": "dog"}\n', encoding="utf-8")
+    out = tmp_path / "labeled.jsonl"
+    out.write_bytes(b"old\n")
+    code = main(["annotate", "--in", str(dataset), "--out", str(out), "--mock"])
+    assert assert_one_error_line(code, capsys.readouterr().err) == (
+        f"error: {out}: row 1: 'utf-8' codec can't encode character '\\ud800' in "
+        "position 443: surrogates not allowed\n")
+    assert out.read_bytes() == b"old\n"
+    assert not (tmp_path / "labeled.jsonl.stats.json").exists()
 
 
 def test_annotate_without_labels_says_why(tmp_path, capsys) -> None:
@@ -462,6 +498,21 @@ def test_annotate_unusable_endpoint_answer_is_a_recorded_failure(tmp_path, capsy
         f"labeled 0 / 1 instances (0 discarded, 1 failed) -> {tmp_path}/o.jsonl\n")
     stats = json.loads((tmp_path / "o.jsonl.stats.json").read_text(encoding="utf-8"))
     assert stats["failures"] == [{"id": "i", "error": f"endpoint unreachable for i/A: {error}"}]
+
+
+def test_validate_unencodable_output_row_leaves_the_old_file(tmp_path, capsys) -> None:
+    traces = tmp_path / "traces.jsonl"
+    traces.write_text('{"id": "a\\ud800", "text": "x"}\n', encoding="utf-8")
+    labels = tmp_path / "labels.jsonl"
+    labels.write_text('{"id": "a\\ud800", "pem": "Audio", "answer": "x"}\n', encoding="utf-8")
+    out = tmp_path / "scored.jsonl"
+    out.write_bytes(b"old\n")
+    code = main(["validate", "--traces", str(traces), "--labels", str(labels),
+                 "--out", str(out)])
+    assert assert_one_error_line(code, capsys.readouterr().err) == (
+        f"error: {out}: row 1: 'utf-8' codec can't encode character '\\ud800' in "
+        "position 377: surrogates not allowed\n")
+    assert out.read_bytes() == b"old\n"
 
 
 def test_validate_unwritable_output_is_one_error_line(tmp_path, capsys) -> None:
@@ -918,6 +969,24 @@ def test_attn_report_names_a_layout_without_a_summary_span(tmp_path, capsys, mod
     assert captured.out == ""
     assert assert_one_error_line(code, captured.err) == (
         "error: layout has no summary_span positions\n")
+
+
+@pytest.mark.parametrize("value", [-0.01, -0.5])
+@pytest.mark.parametrize("mode", [[], ["--json"]], ids=["text", "json"])
+def test_attn_report_rejects_negative_weights_it_reads(tmp_path, capsys, mode, value) -> None:
+    # One causal, row-normalized layer with a negative value where the
+    # summary rows 8-9 meet the audio-reasoning columns 6-7.
+    layer = np.tril(np.ones((10, 10)))
+    layer /= layer.sum(axis=1, keepdims=True)
+    layer[8:10, 6:8] = value
+    weights = tmp_path / "weights.jsonl"
+    write_weights_jsonl(weights, [layer])
+    code = main(["attn-report", "--weights", str(weights),
+                 "--spec", str(DATA / "layout_l10.json"), *mode])
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert assert_one_error_line(code, captured.err) == (
+        "error: layer[-1] weights hold a negative value\n")
 
 
 def test_attn_report_rejects_non_finite_weights(tmp_path, capsys) -> None:
