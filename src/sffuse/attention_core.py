@@ -62,13 +62,11 @@ class AttentionInputs:
             raise ValueError("feature dimension must be >= 1")
         if q.shape[0] != self.mask.length:
             raise ValueError("mask length must match sequence length")
-        for name, arr in (("q", q), ("k", k), ("v", v)):
+        for name, arr in zip("qkv", (q, k, v)):
             if not np.isfinite(arr).all():
                 raise ValueError(f"{name} contains non-finite entries")
             arr.setflags(write=False)
-        object.__setattr__(self, "q", q)
-        object.__setattr__(self, "k", k)
-        object.__setattr__(self, "v", v)
+            object.__setattr__(self, name, arr)
         object.__setattr__(self, "scale", 1.0 / math.sqrt(q.shape[1]))
 
     @cached_property
@@ -107,10 +105,9 @@ class AttentionWeights:
     matrix: np.ndarray
 
     def __post_init__(self) -> None:
-        m = np.asarray(self.matrix, dtype=float)
+        m = np.array(self.matrix, dtype=float, order="C")
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError("weights must be a square matrix")
-        m = m.copy()
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
 
@@ -219,13 +216,6 @@ class AllocationReport:
     per_layer: tuple[tuple[float, float] | None, ...]
 
 
-def _as_layer_matrix(layer: AttentionWeights | np.ndarray) -> np.ndarray:
-    """One layer's weights matrix; a multi-head layer is averaged by the caller."""
-    if isinstance(layer, AttentionWeights):
-        return layer.matrix
-    return np.asarray(layer, dtype=float)
-
-
 def attention_allocation(
     weights_per_layer: Sequence,
     layout: TokenLayout,
@@ -241,7 +231,8 @@ def attention_allocation(
     """
     if last_k < 1 or last_k > len(weights_per_layer):
         raise ValueError("last_k must be in [1, number of layers]")
-    matrices = [_as_layer_matrix(layer) for layer in weights_per_layer[-last_k:]]
+    matrices = [layer.matrix if isinstance(layer, AttentionWeights)
+                else np.asarray(layer, dtype=float) for layer in weights_per_layer[-last_k:]]
     square = (layout.length, layout.length)
     for idx, matrix in enumerate(matrices):
         if matrix.shape != square:

@@ -4,9 +4,9 @@ Subcommands are thin argument-parsing shells over the library operations;
 their outputs are bit-identical to direct module calls. Every data file is
 JSONL, written with sorted keys so fixed inputs and a fixed seed give
 byte-identical outputs regardless of parallelism. ``main`` is the only error
-boundary: it turns an ``OSError``, ``ValueError``, ``PipelineError`` or
-``MemoryError`` into one ``error:`` line and exit status 1 (the loaders name
-``path:line``).
+boundary: it turns an ``OSError``, ``ValueError`` (every typed failure of the
+package is one) or ``MemoryError`` into one ``error:`` line and exit status 1
+(the loaders name ``path:line``).
 """
 
 from __future__ import annotations
@@ -53,11 +53,11 @@ def cmd_annotate(args: argparse.Namespace) -> int:
             return _fail(f"{exc} (use --mock for offline runs)")
 
     result = pem_pipeline.annotate(dataset, sampler, embedder, pipeline_cfg)
-    pem_pipeline.write_jsonl(args.out, result.labeled)
     report_path = args.report or f"{args.out}.stats.json"
-    pem_pipeline.write_jsonl(report_path, [asdict(result.stats)])
+    outputs = [(args.out, result.labeled), (report_path, [asdict(result.stats)])]
     if args.records:
-        pem_pipeline.write_jsonl(args.records, (r.to_dict() for r in result.records))
+        outputs.append((args.records, (r.to_dict() for r in result.records)))
+    pem_pipeline.write_jsonl(*outputs)  # all encoded before the first is opened
 
     summary = {
         "labeled": result.stats.labeled,
@@ -126,7 +126,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
     if not math.isfinite(summary["mean_stage2"]):
         return _fail("mean_stage2 overflows: reward weights are too large")
     if args.out:
-        pem_pipeline.write_jsonl(args.out, rows)
+        pem_pipeline.write_jsonl((args.out, rows))
     print(dumps(summary) if args.json else
           f"{count} traces: mean_mps={summary['mean_mps']:.4f} "
           f"mean_acc={summary['mean_acc']:.4f} mean_stage2={summary['mean_stage2']:.4f}")
@@ -292,7 +292,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (OSError, ValueError, pem_pipeline.PipelineError) as exc:
+    except (OSError, ValueError) as exc:
         return _fail(str(exc))
     except MemoryError as exc:  # an input too large for this process
         return _fail(str(exc) or "out of memory")

@@ -9,6 +9,7 @@ calibrated against; the other defaults are engineering choices.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass, field, is_dataclass
 from pathlib import Path
 from typing import get_type_hints
@@ -35,6 +36,8 @@ class EmbedderEndpointConfig:
             raise ValueError("retries must be >= 0")
         if not 0.0 < self.timeout < math.inf:  # NaN fails too
             raise ValueError("timeout must be finite and > 0")
+        if self.timeout > threading.TIMEOUT_MAX:  # the longest wait a socket can take
+            raise ValueError(f"timeout must be at most {threading.TIMEOUT_MAX:.0f} seconds")
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,7 @@
-"""The one JSON boundary: the decoder behind every file loader, the encoder
-behind every JSON output, HTTP request bodies included, ``finite_floats``,
-the one rule for a number read from outside, and ``check_unique``, the one
-rule for a file's record ids.
+"""The one JSON boundary: the decoder behind every file loader and endpoint
+answer, the encoder behind every JSON output, HTTP request bodies included,
+``finite_floats``, the one rule for a number read from outside, and
+``check_unique``, the one rule for a file's record ids.
 
 There is one encoder, ``_ENCODER``, built once at import and shared by every
 thread: ``JSONEncoder.encode`` keeps no state between calls. A record's
@@ -41,20 +41,25 @@ def _not_utf8(path: str | Path, exc: UnicodeDecodeError) -> ValueError:
     return ValueError(f"{path}: not UTF-8 text: {exc.reason}")
 
 
-def read_document(path: str | Path, build: Callable[[object], _T]) -> _T:
-    """``build`` of the file at ``path`` decoded as one JSON document. A file
-    that cannot be opened raises ``open``'s OSError; every other error names
-    ``path``: a decode error says ``invalid JSON``, and a ValueError from
-    ``build`` is raised again, of the same type, as ``path: ...``."""
-    with open(path, encoding="utf-8") as fh:
-        try:
-            text = fh.read()
-        except UnicodeDecodeError as exc:
-            raise _not_utf8(path, exc) from None
+def loads(data: bytes, place: str) -> object:
+    """``data`` decoded as UTF-8 text holding one JSON document; a fault
+    raises ``ValueError("place: not UTF-8 text: ...")`` or
+    ``ValueError("place: invalid JSON: ...")``. Line ends count as a text
+    file's do (a lone CR is one), so a fault has the line an editor shows."""
     try:
-        document = json.loads(text)
+        return json.loads(data.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n"))
+    except UnicodeDecodeError as exc:  # first: it is a ValueError too
+        raise _not_utf8(place, exc) from None
     except _DECODE_ERRORS as exc:
-        raise _invalid_json(str(path), exc) from None
+        raise _invalid_json(place, exc) from None
+
+
+def read_document(path: str | Path, build: Callable[[object], _T]) -> _T:
+    """``build`` of the file at ``path`` decoded by ``loads``. A file that
+    cannot be opened raises ``open``'s OSError; every other error names
+    ``path``, and a ValueError from ``build`` is raised again, of the same
+    type, as ``path: ...``."""
+    document = loads(Path(path).read_bytes(), str(path))
     try:
         return build(document)
     except ValueError as exc:
@@ -91,21 +96,26 @@ def read_records(path: str | Path, build: Callable[[dict, int], _T]) -> list[_T]
     return records
 
 
-def write_records(path: str | Path, rows: Iterable[dict]) -> int:
-    """Write each row as one JSON line and return the row count. Every row is
-    encoded to UTF-8 bytes before the file is opened, so a row that cannot be
-    encoded, such as one holding a lone surrogate, raises
-    ``ValueError("path: row k: ...")`` (k counts from 1) and leaves any file
-    at ``path`` as it was."""
-    lines = []
-    for k, row in enumerate(rows, start=1):
-        try:
-            lines.append((dumps(row) + "\n").encode("utf-8"))
-        except ValueError as exc:
-            raise ValueError(f"{path}: row {k}: {exc}") from exc
-    with open(path, "wb") as fh:
-        fh.writelines(lines)
-    return len(lines)
+def write_records(*outputs: tuple[str | Path, Iterable[dict]]) -> int:
+    """Write each ``(path, rows)`` output, one JSON line per row, and return
+    the number of rows written. Every row of every output is encoded to UTF-8
+    bytes before the first file is opened, so a row that cannot be encoded,
+    such as one holding a lone surrogate, raises
+    ``ValueError("path: row k: ...")`` (k counts from 1) and leaves every
+    file as it was."""
+    encoded = []
+    for path, rows in outputs:
+        lines = []
+        for k, row in enumerate(rows, start=1):
+            try:
+                lines.append((dumps(row) + "\n").encode("utf-8"))
+            except ValueError as exc:
+                raise ValueError(f"{path}: row {k}: {exc}") from exc
+        encoded.append((path, lines))
+    for path, lines in encoded:
+        with open(path, "wb") as fh:
+            fh.writelines(lines)
+    return sum(len(lines) for _, lines in encoded)
 
 
 def dumps(obj: object) -> str:

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import enum
 import hashlib
-import json
 import math
 import re
 from collections.abc import Sequence
@@ -27,13 +26,13 @@ from typing import Callable, Iterable, Mapping, Protocol
 import numpy as np
 
 from .config import EmbedderEndpointConfig, EndpointConfig, PipelineConfig
-from .jsonl import (check_unique, dumps, finite_floats, read_records, str_fields,
+from .jsonl import (check_unique, dumps, finite_floats, loads, read_records, str_fields,
                     write_records)
 from .normalize import check_gold_answer, normalize_answer
 from .tag_grammar import PemLabel
 
 
-class PipelineError(Exception):
+class PipelineError(ValueError):
     """Base class for annotation pipeline failures."""
 
 
@@ -242,10 +241,6 @@ class AnnotationResult:
     stats: PipelineStats
 
 
-# Errors that fail one instance; anything else escapes ``annotate``.
-_RECORDED_FAILURES = (PipelineError, ValueError, OSError)
-
-
 def _checked(samples: _Samples, n: int) -> _Samples:
     """``samples``, if it holds n pairs of strings; nothing is coerced."""
     if not isinstance(samples, Sequence):
@@ -270,9 +265,9 @@ def annotate(
     Instances are processed under the configured parallelism bound; results
     are keyed and ordered by instance id, so output is independent of
     schedule. Each instance's three sample sets are drawn first; then its
-    distinct CoT texts go to the embedder in one call. Per-instance pipeline,
-    value and I/O errors are recorded in the stats and skipped, never
-    aborting the batch; any other exception is a bug and propagates.
+    distinct CoT texts go to the embedder in one call. An instance's
+    ValueError (every pipeline failure is one) or OSError is recorded in the
+    stats, never aborting the batch; any other exception is a bug.
     """
     if not dataset:
         raise EmptyDatasetError("dataset is empty")
@@ -302,7 +297,7 @@ def annotate(
                 return record, None
             _, cot = draws[ProbeSetting.AV][0]
             return record, labeled_export(instance, record, cot)
-        except _RECORDED_FAILURES as exc:
+        except (ValueError, OSError) as exc:
             return {"id": instance.id, "error": str(exc)}
 
     # Not a one-worker pool: that measured 2-4x fewer annotate items/s.
@@ -377,10 +372,10 @@ def read_instances(path: str | Path) -> list[Instance]:
     return read_records(path, build)
 
 
-def write_jsonl(path: str | Path, rows: Iterable[dict]) -> int:
-    """``jsonl.write_records``: one strict JSON line per row, none written
-    unless every row encodes. Kept under this name, which perfbench times."""
-    return write_records(path, rows)
+def write_jsonl(*outputs: tuple[str | Path, Iterable[dict]]) -> int:
+    """``jsonl.write_records`` of each ``(path, rows)`` output; kept under
+    this name, which perfbench times."""
+    return write_records(*outputs)
 
 
 # --- Deterministic mock sampler and embedder -----------------------------------
@@ -509,7 +504,8 @@ class _Endpoint:
         Timeouts, connection errors, cut-short answers, 429 and 5xx are
         retried up to ``endpoint.retries`` times; then, or at once on any
         other HTTP status, raise ``error("{what}: {last error}")``. An answer
-        that is not UTF-8 JSON, or not a JSON object, raises ``error`` at once."""
+        that ``jsonl.loads`` cannot decode raises ``error`` with its wording
+        at once, and so does one that is not a JSON object."""
         # Imported here, not at module level: only live probing needs them.
         import http.client
         import urllib.error
@@ -531,9 +527,9 @@ class _Endpoint:
                     break
                 continue
             try:
-                response = json.loads(answer.decode("utf-8"))
-            except ValueError as exc:  # JSONDecodeError or UnicodeDecodeError
-                raise self.error(f"{what}: the answer is not JSON: {exc}") from exc
+                response = loads(answer, what)
+            except ValueError as exc:
+                raise self.error(str(exc)) from None
             if not isinstance(response, dict):
                 raise self.error(f"{what}: the answer is not a JSON object")
             return response

@@ -5,6 +5,7 @@ import os
 import struct
 import subprocess
 import sys
+import threading
 import urllib.request
 import warnings
 from pathlib import Path
@@ -437,6 +438,38 @@ def test_annotate_unencodable_output_row_leaves_the_old_file(tmp_path, capsys) -
     assert not (tmp_path / "labeled.jsonl.stats.json").exists()
 
 
+@pytest.mark.parametrize("records", [False, True], ids=["out-and-stats", "with-records"])
+def test_annotate_unencodable_stats_row_leaves_every_old_file(tmp_path, capsys,
+                                                              records) -> None:
+    # One instance is labeled; the other's id holds a lone surrogate, so it
+    # fails and its failure row cannot be UTF-8 encoded in the stats report.
+    # Every output is encoded before the first is opened: none is replaced.
+    dataset = tmp_path / "instances.jsonl"
+    dataset.write_text(
+        '{"id": "ok1", "question": "What? solvable=A,AV", "gold_answer": "dog"}\n'
+        '{"id": "bad\\ud800", "question": "What? solvable=A,AV", "gold_answer": "dog"}\n',
+        encoding="utf-8")
+    out, stats, rows = tmp_path / "o.jsonl", tmp_path / "o.jsonl.stats.json", tmp_path / "r.jsonl"
+    for path in (out, stats, rows):
+        path.write_bytes(f"old {path.name}\n".encode())
+    code = main(["annotate", "--in", str(dataset), "--out", str(out), "--mock",
+                 *(["--records", str(rows)] if records else [])])
+    assert assert_one_error_line(code, capsys.readouterr().err) == (
+        f"error: {stats}: row 1: 'utf-8' codec can't encode character '\\ud800' in "
+        "position 245: surrogates not allowed\n")
+    for path in (out, stats, rows):
+        assert path.read_bytes() == f"old {path.name}\n".encode()
+
+
+def test_annotate_empty_dataset_is_one_error_line(tmp_path, capsys) -> None:
+    dataset = tmp_path / "empty.jsonl"
+    dataset.write_bytes(b"")
+    code = main(["annotate", "--in", str(dataset), "--out", str(tmp_path / "o.jsonl"),
+                 "--mock"])
+    assert assert_one_error_line(code, capsys.readouterr().err) == "error: dataset is empty\n"
+    assert list(tmp_path.iterdir()) == [dataset]
+
+
 def test_annotate_without_labels_says_why(tmp_path, capsys) -> None:
     dataset = tmp_path / "instances.jsonl"
     dataset.write_text('{"id": "a", "question": "q [solvable=none]", "gold_answer": "x"}\n',
@@ -469,6 +502,17 @@ def test_annotate_without_an_endpoint_url_says_use_mock(tmp_path, capsys, pipeli
     assert err == f"error: {role} base_url is required (use --mock for offline runs)\n"
 
 
+def test_annotate_timeout_beyond_a_socket_is_one_error_line(tmp_path, capsys) -> None:
+    # Refused when the config is read, before any connection is tried.
+    code = main(annotate_live(tmp_path, {
+        "endpoint": {"base_url": "http://127.0.0.1:9/chat", "timeout": 1e10, "retries": 0},
+        "embedder_endpoint": {"base_url": "http://127.0.0.1:9/embed"}}))
+    assert assert_one_error_line(code, capsys.readouterr().err) == (
+        f"error: {tmp_path / 'config.json'}: config.pipeline.endpoint: "
+        f"timeout must be at most {threading.TIMEOUT_MAX:.0f} seconds\n")
+    assert not (tmp_path / "o.jsonl").exists()
+
+
 def answer_body(body):
     """A ``urlopen`` stand-in that answers ``body``."""
     return lambda request, timeout: io.BytesIO(body)
@@ -481,11 +525,13 @@ def answer_cut_short(request, timeout):
 @pytest.mark.parametrize("urlopen, error", [
     (answer_body(b"[]"), "the answer is not a JSON object"),
     (answer_cut_short, "IncompleteRead(1 bytes read, 10 more expected)"),
-    (answer_body(b"<html>busy</html>"),
-     "the answer is not JSON: Expecting value: line 1 column 1 (char 0)"),
-    (answer_body(b"\xff\xfe{}"), "the answer is not JSON: 'utf-8' codec can't decode "
-                                  "byte 0xff in position 0: invalid start byte"),
-], ids=["list-answer", "incomplete-read", "html-answer", "not-utf8-answer"])
+    (answer_body(b"<html>busy</html>"), "invalid JSON: Expecting value at column 1"),
+    (answer_body(b"\xff\xfe{}"), "not UTF-8 text: invalid start byte"),
+    (answer_body(b"[" * 100000), "invalid JSON: nested too deeply"),
+    (answer_body(b"[" + b"7" * 5000 + b"]"), "invalid JSON: Exceeds the limit (4300 digits) "
+                                           "for integer string conversion: value has 5000 digits"),
+], ids=["list-answer", "incomplete-read", "html-answer", "not-utf8-answer", "nested-answer",
+        "digits-answer"])
 def test_annotate_unusable_endpoint_answer_is_a_recorded_failure(tmp_path, capsys, monkeypatch,
                                                                  urlopen, error) -> None:
     monkeypatch.setattr(urllib.request, "urlopen", urlopen)

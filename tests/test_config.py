@@ -1,5 +1,6 @@
 import ast
 import json
+import threading
 from pathlib import Path
 
 import pytest
@@ -78,6 +79,7 @@ def test_invalid_values_rejected() -> None:
     ({"retries": -1}, "retries must be >= 0"),
     ({"timeout": 0}, "timeout must be finite and > 0"),
     ({"timeout": -1.5}, "timeout must be finite and > 0"),
+    ({"timeout": 1e10}, f"timeout must be at most {threading.TIMEOUT_MAX:.0f} seconds"),
 ])
 def test_endpoint_values_the_client_cannot_use_rejected(section, values, message) -> None:
     with pytest.raises(ConfigError, match=message):
@@ -108,6 +110,7 @@ def test_section_check_errors_name_the_section(obj, line) -> None:
     ({"timeout": 0.0}, "timeout must be finite and > 0"),
     ({"timeout": float("nan")}, "timeout must be finite and > 0"),
     ({"timeout": float("inf")}, "timeout must be finite and > 0"),
+    ({"timeout": 1e10}, f"timeout must be at most {threading.TIMEOUT_MAX:.0f} seconds"),
     ({"temperature": -3}, "temperature must be finite and >= 0"),
     ({"temperature": float("nan")}, "temperature must be finite and >= 0"),
     ({"temperature": float("inf")}, "temperature must be finite and >= 0"),

@@ -1,8 +1,8 @@
 """The JSON boundary: ``read_records`` names every bad record's ``path:line``
-once, ``read_document`` names its file, ``write_jsonl`` never writes a NaN or
-infinity, ``dumps`` writes what the stdlib encoder writes from any thread,
-and ``finite_floats`` agrees with a plain-Python rule on any decoded JSON
-value."""
+once, ``read_document`` names its file, ``loads`` words an endpoint answer's
+fault as a file's, ``write_jsonl`` never writes a NaN or infinity, ``dumps``
+writes what the stdlib encoder writes from any thread, and ``finite_floats``
+agrees with a plain-Python rule on any decoded JSON value."""
 
 import json
 import math
@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 from conftest import reference_dumps, reference_finite_floats
 from sffuse.cli import main
-from sffuse.jsonl import dumps, finite_floats, read_document, read_records
+from sffuse.jsonl import dumps, finite_floats, loads, read_document, read_records
 from sffuse.pem_pipeline import write_jsonl
 
 DATA = Path(__file__).parent / "data"
@@ -110,22 +110,58 @@ def test_read_document_names_its_path_and_keeps_the_error_type(tmp_path) -> None
         read_document(path, build)
 
 
+@pytest.mark.parametrize("end", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+def test_read_document_counts_lines_as_a_text_file_does(tmp_path, end) -> None:
+    # Every line end is one line, a lone CR included, so a fault's line and
+    # column are the same whichever a file uses.
+    path = tmp_path / "doc.json"
+    path.write_bytes(end.join(["{", ' "pipeline": {', '  "n": ,', " }", "}"]).encode())
+    with pytest.raises(ValueError) as info:
+        read_document(path, len)
+    assert str(info.value) == f"{path}: invalid JSON: Expecting value at line 3 column 8"
+
+
+@pytest.mark.parametrize("data, message", [
+    (b"[" * 100000, "invalid JSON: nested too deeply"),
+    (b"[" + b"7" * 5000 + b"]", "invalid JSON: Exceeds the limit (4300 digits) for integer "
+                                "string conversion: value has 5000 digits"),
+    (b'"\xe2\x82', "not UTF-8 text: unexpected end of data"),
+    (b"", "invalid JSON: Expecting value at column 1"),
+], ids=["nested", "digits", "cut-short-utf8", "empty"])
+def test_loads_words_a_fault_as_the_file_readers_do(data, message) -> None:
+    with pytest.raises(ValueError) as info:
+        loads(data, "answer")
+    assert str(info.value) == f"answer: {message}"
+
+
 def test_write_jsonl_names_the_row_and_leaves_the_file_as_it_was(tmp_path) -> None:
     path = tmp_path / "o.jsonl"
     path.write_bytes(b"kept\n")
     with pytest.raises(ValueError) as info:
-        write_jsonl(path, [{"x": 1.0}, {"x": float("nan")}])
+        write_jsonl((path, [{"x": 1.0}, {"x": float("nan")}]))
     assert str(info.value).startswith(
         f"{path}: row 2: Out of range float values are not JSON compliant")
     assert path.read_bytes() == b"kept\n"
-    assert write_jsonl(path, [{"x": 1.0}, {"y": [2]}]) == 2
+    assert write_jsonl((path, [{"x": 1.0}, {"y": [2]}])) == 2
     assert path.read_bytes() == b'{"x": 1.0}\n{"y": [2]}\n'
+
+
+def test_write_jsonl_encodes_every_output_before_it_opens_one(tmp_path) -> None:
+    first, second = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
+    first.write_bytes(b"kept\n")
+    with pytest.raises(ValueError) as info:
+        write_jsonl((first, [{"x": 1}]), (second, [{"x": "\ud800"}]))
+    assert str(info.value).startswith(f"{second}: row 1: 'utf-8' codec can't encode")
+    assert first.read_bytes() == b"kept\n" and not second.exists()
+    assert write_jsonl((first, [{"x": 1}]), (second, [{"y": 2}, {"z": 3}])) == 3
+    assert (first.read_bytes(), second.read_bytes()) == (b'{"x": 1}\n',
+                                                         b'{"y": 2}\n{"z": 3}\n')
 
 
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
 def test_write_jsonl_rejects_non_finite_numbers(tmp_path, value) -> None:
     with pytest.raises(ValueError, match="Out of range float values"):
-        write_jsonl(tmp_path / "o.jsonl", [{"x": 1.0}, {"x": value}])
+        write_jsonl((tmp_path / "o.jsonl", [{"x": 1.0}, {"x": value}]))
 
 
 @pytest.mark.parametrize("json_flag", [[], ["--json"]], ids=["text", "json"])

@@ -3,6 +3,7 @@ import io
 import itertools
 import json
 import math
+import threading
 import urllib.error
 import urllib.request
 from concurrent.futures import ThreadPoolExecutor
@@ -454,7 +455,7 @@ def test_annotate_fixture_realizes_all_patterns() -> None:
 def test_annotate_fixture_matches_golden_bytes(tmp_path) -> None:
     result = run_fixture()
     out = tmp_path / "labeled.jsonl"
-    write_jsonl(out, result.labeled)
+    write_jsonl((out, result.labeled))
     assert out.read_bytes() == (DATA / "golden_labeled.jsonl").read_bytes()
 
 
@@ -848,10 +849,14 @@ def test_http_adapters_reject_an_answer_that_is_not_an_object(adapter, answer) -
     assert len(attempts) == 1
 
 
-# Answer bodies that are not UTF-8 JSON, and the decoder's complaint about each.
-NOT_JSON = {"html": (b"<html>busy</html>", "Expecting value: line 1 column 1 (char 0)"),
-            "not-utf8": (b"\xff\xfe{}", "'utf-8' codec can't decode byte 0xff in "
-                                         "position 0: invalid start byte")}
+# Answer bodies that are not UTF-8 JSON, and ``jsonl.loads``'s complaint about
+# each: the wording of a file's fault, with no hint to raise Python's limits.
+NOT_JSON = {"html": (b"<html>busy</html>", "invalid JSON: Expecting value at column 1"),
+            "not-utf8": (b"\xff\xfe{}", "not UTF-8 text: invalid start byte"),
+            "nested": (b"[" * 100000, "invalid JSON: nested too deeply"),
+            "digits": (b'{"data": ' + b"7" * 5000 + b"}",
+                       "invalid JSON: Exceeds the limit (4300 digits) for integer string "
+                       "conversion: value has 5000 digits")}
 
 
 def answering(answer, attempts):
@@ -881,7 +886,7 @@ def test_http_adapters_reject_an_answer_that_is_not_json(monkeypatch, adapter, w
             HttpSampler(endpoint).sample(make_instance(), ProbeSetting.A, 2)
         else:
             HttpEmbedder(endpoint).embed(["a", "b"])
-    assert str(raised.value) == f"{what}: the answer is not JSON: {cause}"
+    assert str(raised.value) == f"{what}: {cause}"
     assert attempts == ["http://x/api"]
 
 
@@ -894,7 +899,7 @@ def test_http_adapters_reject_an_injected_answer_that_is_not_json(adapter, what,
     data, cause = NOT_JSON[body]
     with pytest.raises(ADAPTER_ERRORS[adapter]) as raised:
         call_adapter(adapter, lambda *request: attempts.append(request) or data)
-    assert str(raised.value) == f"{what}: the answer is not JSON: {cause}"
+    assert str(raised.value) == f"{what}: {cause}"
     assert len(attempts) == 1
 
 
@@ -950,9 +955,8 @@ def test_http_adapters_retry_a_cut_short_answer(adapter) -> None:
 @pytest.mark.parametrize("answer, error", [
     (b'["not", "an", "object"]', "the answer is not a JSON object"),
     (http.client.IncompleteRead(b"{", 10), "IncompleteRead(1 bytes read, 10 more expected)"),
-    (NOT_JSON["html"][0], f"the answer is not JSON: {NOT_JSON['html'][1]}"),
-    (NOT_JSON["not-utf8"][0], f"the answer is not JSON: {NOT_JSON['not-utf8'][1]}"),
-], ids=["list-answer", "incomplete-read", "html-answer", "not-utf8-answer"])
+    *NOT_JSON.values(),
+], ids=["list-answer", "incomplete-read", *(f"{body}-answer" for body in NOT_JSON)])
 def test_annotate_records_an_unusable_endpoint_answer(monkeypatch, answer, error) -> None:
     monkeypatch.setattr(urllib.request, "urlopen", answering(answer, []))
     sampler = HttpSampler(EndpointConfig(base_url="http://x/chat", retries=1))
@@ -960,6 +964,26 @@ def test_annotate_records_an_unusable_endpoint_answer(monkeypatch, answer, error
     assert (result.stats.labeled, result.stats.discarded, result.stats.failed) == (0, 0, 1)
     assert result.stats.failures == ({"id": "x1",
                                       "error": f"endpoint unreachable for x1/A: {error}"},)
+
+
+@pytest.mark.parametrize("body", NOT_JSON)
+def test_annotate_records_an_embedder_answer_it_cannot_decode(body) -> None:
+    attempts = []
+    data, cause = NOT_JSON[body]
+    embedder = HttpEmbedder(EndpointConfig(base_url="http://x/embed", retries=2),
+                            transport=lambda *request: attempts.append(request) or data)
+    result = annotate([make_instance()], MockCotSampler(), embedder, PipelineConfig(n=2))
+    assert result.stats.failures == ({"id": "x1", "error": f"embedder unreachable: {cause}"},)
+    assert len(attempts) == 1
+
+
+def test_http_sampler_connects_with_the_longest_timeout_a_socket_takes() -> None:
+    # Port 9 on the loopback refuses: the failure is the connection's, not
+    # an OverflowError from the timeout.
+    endpoint = EndpointConfig(base_url="http://127.0.0.1:9/chat", retries=0,
+                              timeout=threading.TIMEOUT_MAX)
+    with pytest.raises(SamplingError, match="^endpoint unreachable for x1/A: "):
+        HttpSampler(endpoint).sample(make_instance(), ProbeSetting.A, 2)
 
 
 @pytest.mark.parametrize("rows, message", [
