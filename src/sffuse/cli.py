@@ -17,11 +17,10 @@ import math
 import os
 import sys
 from dataclasses import asdict, replace
-from pathlib import Path
 
 from . import attention_core, mask_engine, pem_pipeline, rl_core, tag_grammar
 from .config import DEFAULT_ALLOCATION_WINDOW, GrpoConfig, load_config
-from .jsonl import check_unique, dumps, read_records, str_fields
+from .jsonl import check_unique, dumps, read_records, str_fields, write_files
 from .normalize import check_gold_answer
 
 
@@ -57,7 +56,7 @@ def cmd_annotate(args: argparse.Namespace) -> int:
     outputs = [(args.out, result.labeled), (report_path, [asdict(result.stats)])]
     if args.records:
         outputs.append((args.records, (r.to_dict() for r in result.records)))
-    pem_pipeline.write_jsonl(*outputs)  # all encoded before the first is opened
+    pem_pipeline.write_jsonl(*outputs)  # all opened before the first is written
 
     summary = {
         "labeled": result.stats.labeled,
@@ -144,11 +143,13 @@ def cmd_mask(args: argparse.Namespace) -> int:
         print("".join("1" if cell else "0" for cell in row))
     if args.out or args.rle or args.row is None:
         mask = mask_engine.build_composite(layout)
+        outputs = []
         if args.out:
-            Path(args.out).write_bytes(mask_engine.mask_to_text(mask).encode("ascii"))
+            outputs.append((args.out, [mask_engine.mask_to_text(mask).encode("ascii")]))
         if args.rle:
-            Path(args.rle).write_bytes(mask_engine.mask_to_rle(mask))
-        if args.row is None and not args.out and not args.rle:
+            outputs.append((args.rle, [mask_engine.mask_to_rle(mask)]))
+        write_files(*outputs)
+        if args.row is None and not outputs:
             sys.stdout.write(mask_engine.mask_to_text(mask))
     return 0
 

@@ -1,7 +1,8 @@
 """The one JSON boundary: the decoder behind every file loader and endpoint
 answer, the encoder behind every JSON output, HTTP request bodies included,
-``finite_floats``, the one rule for a number read from outside, and
-``check_unique``, the one rule for a file's record ids.
+``write_files``, the one writer of every output file, ``finite_floats``, the
+one rule for a number read from outside, and ``check_unique``, the one rule
+for a file's record ids.
 
 There is one encoder, ``_ENCODER``, built once at import and shared by every
 thread: ``JSONEncoder.encode`` keeps no state between calls. A record's
@@ -11,6 +12,7 @@ from __future__ import annotations
 
 import functools
 import json
+import os
 from collections import Counter
 from pathlib import Path
 from typing import Callable, Iterable, Sequence, TypeVar
@@ -34,7 +36,8 @@ def _invalid_json(place: str, exc: Exception) -> ValueError:
         # Python's hint to raise the digit limit is no advice for a file.
         return ValueError(f"{place}: invalid JSON: {str(exc).partition('; use sys.')[0]}")
     at = f"line {exc.lineno} column {exc.colno}" if exc.lineno > 1 else f"column {exc.colno}"
-    return ValueError(f"{place}: invalid JSON: {exc.msg} at {at}")
+    # Some messages end in "at" already ("Unterminated string starting at").
+    return ValueError(f"{place}: invalid JSON: {exc.msg.removesuffix(' at')} at {at}")
 
 
 def _not_utf8(path: str | Path, exc: UnicodeDecodeError) -> ValueError:
@@ -96,13 +99,10 @@ def read_records(path: str | Path, build: Callable[[dict, int], _T]) -> list[_T]
     return records
 
 
-def write_records(*outputs: tuple[str | Path, Iterable[dict]]) -> int:
-    """Write each ``(path, rows)`` output, one JSON line per row, and return
-    the number of rows written. Every row of every output is encoded to UTF-8
-    bytes before the first file is opened, so a row that cannot be encoded,
-    such as one holding a lone surrogate, raises
-    ``ValueError("path: row k: ...")`` (k counts from 1) and leaves every
-    file as it was."""
+def write_records(*outputs: tuple[str | Path, Iterable[dict]]) -> None:
+    """``write_files`` of each ``(path, rows)`` output, one JSON line per row.
+    Every row is encoded first, so one that cannot be (a NaN, a lone surrogate)
+    raises ``ValueError("path: row k: ...")``, k from 1, and opens no file."""
     encoded = []
     for path, rows in outputs:
         lines = []
@@ -112,10 +112,34 @@ def write_records(*outputs: tuple[str | Path, Iterable[dict]]) -> int:
             except ValueError as exc:
                 raise ValueError(f"{path}: row {k}: {exc}") from exc
         encoded.append((path, lines))
-    for path, lines in encoded:
-        with open(path, "wb") as fh:
-            fh.writelines(lines)
-    return sum(len(lines) for _, lines in encoded)
+    write_files(*encoded)
+
+
+def write_files(*outputs: tuple[str | Path, Iterable[bytes]]) -> None:
+    """Write each ``(path, chunks)`` output, opening every path as ``open``
+    does before writing any: a path that cannot be opened raises ``open``'s
+    OSError and changes no file (a file this call created is removed again).
+    Only a write error, such as a full disk, can leave some outputs written."""
+    files, created = [], []
+    try:
+        for path, _ in outputs:
+            try:
+                files.append(open(path, "xb"))
+                created.append(path)
+            except FileExistsError:  # opened without truncating it
+                files.append(open(path, "ab"))
+        created.clear()  # every path is open: from here on no file is removed
+        for fh, (_, chunks) in zip(files, outputs):
+            # Not a new file (ext4 flushes a truncated one at close), nor a device.
+            if os.fstat(fh.fileno()).st_size:
+                fh.truncate(0)
+            fh.writelines(chunks)
+            fh.close()
+    finally:
+        for fh in files:
+            fh.close()
+        for path in created:
+            os.remove(path)
 
 
 def dumps(obj: object) -> str:

@@ -372,10 +372,11 @@ def read_instances(path: str | Path) -> list[Instance]:
     return read_records(path, build)
 
 
-def write_jsonl(*outputs: tuple[str | Path, Iterable[dict]]) -> int:
-    """``jsonl.write_records`` of each ``(path, rows)`` output; kept under
+def write_jsonl(*outputs: tuple[str | Path, Iterable[dict]]) -> None:
+    """``jsonl.write_records`` of each ``(path, rows)`` output: every row is
+    encoded, then every path opened, before any file is written. Kept under
     this name, which perfbench times."""
-    return write_records(*outputs)
+    write_records(*outputs)
 
 
 # --- Deterministic mock sampler and embedder -----------------------------------

@@ -381,12 +381,18 @@ def test_integer_too_long_to_convert_is_invalid_json(tmp_path, capsys, argv, mes
 
 @pytest.mark.parametrize("flag", ["--out", "--report", "--records"])
 def test_annotate_unwritable_output_is_one_error_line(tmp_path, capsys, flag) -> None:
-    argv = ["annotate", "--in", str(DATA / "instances_12.jsonl"),
-            "--out", str(tmp_path / "o.jsonl"), "--mock"]
-    argv += [flag, str(tmp_path / "missing" / "x.jsonl")]
-    code = main(argv)
+    # Every output is opened before any is written: the old --out keeps its
+    # bytes, and a stats report or --records file this run created is gone.
+    out = tmp_path / "o.jsonl"
+    out.write_bytes(b"old labels\n")
+    missing = tmp_path / "missing" / "x.jsonl"
+    paths = {"--out": out, "--records": tmp_path / "r.jsonl", flag: missing}
+    argv = ["annotate", "--in", str(DATA / "instances_12.jsonl"), "--mock"]
+    code = main(argv + [arg for item in paths.items() for arg in map(str, item)])
     err = assert_one_error_line(code, capsys.readouterr().err)
-    assert "No such file or directory" in err and "missing" in err
+    assert err == f"error: [Errno 2] No such file or directory: '{missing}'\n"
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["o.jsonl"]
+    assert out.read_bytes() == b"old labels\n"
 
 
 def test_annotate_directory_input_is_one_error_line(capsys) -> None:
@@ -692,9 +698,19 @@ def test_malformed_layout_spec_is_one_error_line(tmp_path, capsys, command, spec
 
 
 def test_mask_unwritable_output_is_one_error_line(tmp_path, capsys) -> None:
-    code = main(["mask", "--spec", LAYOUT, "--out", str(tmp_path / "missing" / "x.txt")])
-    err = assert_one_error_line(code, capsys.readouterr().err)
-    assert "No such file or directory" in err
+    # Both outputs are opened before either is written: an old one keeps its
+    # bytes, and one this run created is gone.
+    missing = str(tmp_path / "missing" / "x")
+    old = tmp_path / "old"
+    old.write_bytes(b"old grid\n")
+    for argv in (["--out", missing], ["--out", str(old), "--rle", missing],
+                 ["--out", str(tmp_path / "new"), "--rle", missing],
+                 ["--out", missing, "--rle", str(old)]):
+        code = main(["mask", "--spec", LAYOUT, *argv])
+        err = assert_one_error_line(code, capsys.readouterr().err)
+        assert err == f"error: [Errno 2] No such file or directory: '{missing}'\n", argv
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["old"], argv
+        assert old.read_bytes() == b"old grid\n", argv
 
 
 def test_mask_spec_syntax_error_names_its_path(tmp_path, capsys) -> None:

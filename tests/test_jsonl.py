@@ -1,11 +1,14 @@
 """The JSON boundary: ``read_records`` names every bad record's ``path:line``
 once, ``read_document`` names its file, ``loads`` words an endpoint answer's
-fault as a file's, ``write_jsonl`` never writes a NaN or infinity, ``dumps``
-writes what the stdlib encoder writes from any thread, and ``finite_floats``
-agrees with a plain-Python rule on any decoded JSON value."""
+fault as a file's, ``write_jsonl`` never writes a NaN or infinity,
+``write_files`` opens every output as ``open`` does before it writes any,
+``dumps`` writes what the stdlib encoder writes from any thread, and
+``finite_floats`` agrees with a plain-Python rule on any decoded JSON value."""
 
 import json
 import math
+import os
+import stat
 import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -18,7 +21,8 @@ from hypothesis import strategies as st
 
 from conftest import reference_dumps, reference_finite_floats
 from sffuse.cli import main
-from sffuse.jsonl import dumps, finite_floats, loads, read_document, read_records
+from sffuse.jsonl import (dumps, finite_floats, loads, read_document, read_records,
+                          write_files)
 from sffuse.pem_pipeline import write_jsonl
 
 DATA = Path(__file__).parent / "data"
@@ -134,6 +138,22 @@ def test_loads_words_a_fault_as_the_file_readers_do(data, message) -> None:
     assert str(info.value) == f"answer: {message}"
 
 
+# Python words these two faults with a message that ends in "at" already.
+@pytest.mark.parametrize("line, message", [
+    ('{"rewards": [1, 0], "note": "abc', "Unterminated string starting at column 29"),
+    ('{"note": "a\x01b"}', "Invalid control character at column 12"),
+], ids=["unterminated-string", "control-character"])
+def test_invalid_json_says_at_once(tmp_path, line, message) -> None:
+    path = tmp_path / "r.jsonl"
+    path.write_text(line, encoding="utf-8")
+    with pytest.raises(ValueError) as info:
+        read_records(path, lambda obj, _: obj)
+    assert str(info.value) == f"{path}:1: invalid JSON: {message}"
+    with pytest.raises(ValueError) as info:
+        loads(line.encode(), "answer")
+    assert str(info.value) == f"answer: invalid JSON: {message}"
+
+
 def test_write_jsonl_names_the_row_and_leaves_the_file_as_it_was(tmp_path) -> None:
     path = tmp_path / "o.jsonl"
     path.write_bytes(b"kept\n")
@@ -142,7 +162,7 @@ def test_write_jsonl_names_the_row_and_leaves_the_file_as_it_was(tmp_path) -> No
     assert str(info.value).startswith(
         f"{path}: row 2: Out of range float values are not JSON compliant")
     assert path.read_bytes() == b"kept\n"
-    assert write_jsonl((path, [{"x": 1.0}, {"y": [2]}])) == 2
+    write_jsonl((path, [{"x": 1.0}, {"y": [2]}]))
     assert path.read_bytes() == b'{"x": 1.0}\n{"y": [2]}\n'
 
 
@@ -153,9 +173,59 @@ def test_write_jsonl_encodes_every_output_before_it_opens_one(tmp_path) -> None:
         write_jsonl((first, [{"x": 1}]), (second, [{"x": "\ud800"}]))
     assert str(info.value).startswith(f"{second}: row 1: 'utf-8' codec can't encode")
     assert first.read_bytes() == b"kept\n" and not second.exists()
-    assert write_jsonl((first, [{"x": 1}]), (second, [{"y": 2}, {"z": 3}])) == 3
+    write_jsonl((first, [{"x": 1}]), (second, [{"y": 2}, {"z": 3}]))
     assert (first.read_bytes(), second.read_bytes()) == (b'{"x": 1}\n',
                                                          b'{"y": 2}\n{"z": 3}\n')
+
+
+def test_write_files_writes_through_an_existing_file_and_a_symlink(tmp_path) -> None:
+    # The file is truncated and written in place, as open(path, "wb") would:
+    # it keeps its inode and mode, and a symlink stays a link to it.
+    target, link = tmp_path / "target", tmp_path / "link"
+    target.write_bytes(b"an older and longer text\n")
+    target.chmod(0o640)
+    link.symlink_to(target.name)
+    inode = target.stat().st_ino
+    write_files((link, [b"new", b"\n"]))
+    assert os.readlink(link) == target.name
+    assert target.read_bytes() == b"new\n"
+    assert (target.stat().st_ino, stat.S_IMODE(target.stat().st_mode)) == (inode, 0o640)
+    write_files((target, []))
+    assert target.read_bytes() == b""
+
+
+def test_write_files_creates_a_file_as_open_does(tmp_path) -> None:
+    umask = os.umask(0o027)
+    try:
+        write_files((tmp_path / "new", [b"x"]))
+    finally:
+        os.umask(umask)
+    assert stat.S_IMODE((tmp_path / "new").stat().st_mode) == 0o640
+    assert (tmp_path / "new").read_bytes() == b"x"
+
+
+@pytest.mark.skipif(not os.path.exists(os.devnull), reason="needs a null device")
+def test_write_files_writes_to_a_device(tmp_path) -> None:
+    write_files((tmp_path / "a", [b"a"]), (os.devnull, [b"discarded"]))
+    assert (tmp_path / "a").read_bytes() == b"a"
+
+
+def test_write_files_that_cannot_open_a_path_changes_no_file(tmp_path) -> None:
+    old, new = tmp_path / "old", tmp_path / "new"
+    old.write_bytes(b"kept\n")
+    missing, directory = str(tmp_path / "missing" / "x"), str(tmp_path)
+    # open's own error, whether the path is absent or exists and is refused.
+    for outputs, message in [
+        ([(old, [b"a"]), (new, [b"b"]), (missing, [b"c"])],
+         f"[Errno 2] No such file or directory: '{missing}'"),
+        ([(new, [b"b"]), (old, [b"a"]), (directory, [b"c"])],
+         f"[Errno 21] Is a directory: '{directory}'"),
+    ]:
+        with pytest.raises(OSError) as info:
+            write_files(*outputs)
+        assert str(info.value) == message
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["old"]
+        assert old.read_bytes() == b"kept\n"
 
 
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
