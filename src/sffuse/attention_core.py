@@ -223,11 +223,11 @@ def attention_allocation(
 ) -> AllocationReport:
     """Fraction of attention mass flowing to audio vs. visual reasoning.
 
-    Sums, over the final ``last_k`` layers, the attention mass from the
-    layout's summary-span rows into the inner audio-reasoning and
-    visual-reasoning columns, then normalizes the pair to sum to 1. Layers with no mass into either span report ``None``.
-    Every layer in the window must be L x L for the layout's length L, and
-    no cell it reads may be negative.
+    Sums, over the final ``last_k`` layers, the attention mass from the layout's
+    summary-span rows into the inner audio-reasoning and visual-reasoning
+    columns, then normalizes the pair to sum to 1. Layers with no mass into
+    either span report ``None``. Every layer in the window must be L x L for
+    the layout's length L, and no cell it reads may be negative.
     """
     if last_k < 1 or last_k > len(weights_per_layer):
         raise ValueError("last_k must be in [1, number of layers]")

@@ -3,10 +3,11 @@
 Subcommands are thin argument-parsing shells over the library operations;
 their outputs are bit-identical to direct module calls. Every data file is
 JSONL, written with sorted keys so fixed inputs and a fixed seed give
-byte-identical outputs regardless of parallelism. ``main`` is the only error
-boundary: it turns an ``OSError``, ``ValueError`` (every typed failure of the
-package is one) or ``MemoryError`` into one ``error:`` line and exit status 1
-(the loaders name ``path:line``).
+byte-identical outputs regardless of parallelism. A subcommand returns None
+or raises; a failed one prints nothing on stdout but ``annotate``'s summary
+of its written outputs. ``main`` alone writes to stderr and picks the exit
+status: an ``OSError``, ``ValueError`` (every typed failure of the package is
+one) or ``MemoryError`` is one ``error:`` line and exit status 1.
 """
 
 from __future__ import annotations
@@ -24,15 +25,9 @@ from .jsonl import check_unique, dumps, read_records, str_fields, write_files
 from .normalize import check_gold_answer
 
 
-def _fail(message: str) -> int:
-    # One line even when the message quotes a line break from an input.
-    print("error:", " ".join(message.splitlines()), file=sys.stderr)
-    return 1
-
-
 # --- annotate ---------------------------------------------------------------
 
-def cmd_annotate(args: argparse.Namespace) -> int:
+def cmd_annotate(args: argparse.Namespace) -> None:
     pipeline_cfg = load_config(args.config).pipeline
     if args.parallelism is not None:
         pipeline_cfg = replace(pipeline_cfg, parallelism=args.parallelism)
@@ -49,7 +44,7 @@ def cmd_annotate(args: argparse.Namespace) -> int:
                 pipeline_cfg.embedder_endpoint,
                 token=os.environ.get(pipeline_cfg.embedder_endpoint.auth_env))
         except ValueError as exc:
-            return _fail(f"{exc} (use --mock for offline runs)")
+            raise ValueError(f"{exc} (use --mock for offline runs)") from None
 
     result = pem_pipeline.annotate(dataset, sampler, embedder, pipeline_cfg)
     report_path = args.report or f"{args.out}.stats.json"
@@ -69,10 +64,9 @@ def cmd_annotate(args: argparse.Namespace) -> int:
           f"labeled {result.stats.labeled} / {result.stats.total} instances "
           f"({result.stats.discarded} discarded, {result.stats.failed} failed) -> {args.out}")
     if result.stats.failed:
-        return _fail(f"{result.stats.failed} of {result.stats.total} instances failed")
+        raise ValueError(f"{result.stats.failed} of {result.stats.total} instances failed")
     if result.stats.labeled == 0:
-        return _fail("no instance was labeled")
-    return 0
+        raise ValueError("no instance was labeled")
 
 
 # --- validate ----------------------------------------------------------------
@@ -86,7 +80,7 @@ def _label_record(obj: dict, _lineno: int) -> tuple[str, tag_grammar.PemLabel, s
     return record_id, pem, answer
 
 
-def cmd_validate(args: argparse.Namespace) -> int:
+def cmd_validate(args: argparse.Namespace) -> None:
     cfg = load_config(args.config)
     traces = tag_grammar.read_trace_records(args.traces)
     labels = read_records(args.labels, _label_record)
@@ -97,9 +91,9 @@ def cmd_validate(args: argparse.Namespace) -> int:
     trace_ids = {record_id for record_id, _ in traces}
     if trace_ids != set(labels_by_id):
         missing = sorted(trace_ids ^ set(labels_by_id))
-        return _fail(f"id mismatch between traces and labels: {missing}")
+        raise ValueError(f"id mismatch between traces and labels: {missing}")
     if not traces:
-        return _fail("no traces to score")
+        raise ValueError("no traces to score")
 
     rows = []
     for record_id, text in sorted(traces):
@@ -123,24 +117,20 @@ def cmd_validate(args: argparse.Namespace) -> int:
     # An infinite row makes the mean infinite too, so this one check covers
     # every row; nothing is written when it fails.
     if not math.isfinite(summary["mean_stage2"]):
-        return _fail("mean_stage2 overflows: reward weights are too large")
+        raise ValueError("mean_stage2 overflows: reward weights are too large")
     if args.out:
         pem_pipeline.write_jsonl((args.out, rows))
     print(dumps(summary) if args.json else
           f"{count} traces: mean_mps={summary['mean_mps']:.4f} "
           f"mean_acc={summary['mean_acc']:.4f} mean_stage2={summary['mean_stage2']:.4f}")
-    return 0
 
 
 # --- mask ---------------------------------------------------------------------
 
-def cmd_mask(args: argparse.Namespace) -> int:
+def cmd_mask(args: argparse.Namespace) -> None:
     layout = mask_engine.load_layout_spec(args.spec)
-    if args.row is not None:
-        if not 0 <= args.row < layout.length:
-            return _fail(f"row {args.row} out of range [0, {layout.length})")
-        row = mask_engine.incremental_row(layout, args.row)
-        print("".join("1" if cell else "0" for cell in row))
+    if args.row is not None and not 0 <= args.row < layout.length:
+        raise ValueError(f"row {args.row} out of range [0, {layout.length})")
     if args.out or args.rle or args.row is None:
         mask = mask_engine.build_composite(layout)
         outputs = []
@@ -151,22 +141,24 @@ def cmd_mask(args: argparse.Namespace) -> int:
         write_files(*outputs)
         if args.row is None and not outputs:
             sys.stdout.write(mask_engine.mask_to_text(mask))
-    return 0
+    if args.row is not None:  # last, so a run that fails prints nothing
+        row = mask_engine.incremental_row(layout, args.row)
+        print("".join("1" if cell else "0" for cell in row))
 
 
 # --- grpo-step ------------------------------------------------------------------
 
-def cmd_grpo_step(args: argparse.Namespace) -> int:
+def cmd_grpo_step(args: argparse.Namespace) -> None:
     cfg = GrpoConfig(clip_alpha=args.alpha, kl_beta=args.beta, eps_stab=args.eps)
     groups = rl_core.read_rollout_groups(args.rollouts)
     if not groups:
-        return _fail("rollout file contains no groups")
+        raise ValueError("rollout file contains no groups")
     check_unique("group", [group_id for group_id, _ in groups])
 
     try:
         outcomes = rl_core.grpo_objectives([group for _, group in groups], cfg)
     except rl_core.GroupError as exc:
-        return _fail(f"group {groups[exc.index][0]}: {exc}")
+        raise ValueError(f"group {groups[exc.index][0]}: {exc}") from None
     results = [{
         "group_id": group_id,
         "objective": outcome.objective,
@@ -184,16 +176,15 @@ def cmd_grpo_step(args: argparse.Namespace) -> int:
             print(f"  advantages      = {row['advantages']}")
             print(f"  ratios          = {row['ratios']}")
             print(f"  surrogate_terms = {row['surrogate_terms']}")
-    return 0
 
 
 # --- attn-report -----------------------------------------------------------------
 
-def cmd_attn_report(args: argparse.Namespace) -> int:
+def cmd_attn_report(args: argparse.Namespace) -> None:
     layout = mask_engine.load_layout_spec(args.spec)
     layers = attention_core.read_weights_jsonl(args.weights)
     if not layers:
-        return _fail("weights file contains no layers")
+        raise ValueError("weights file contains no layers")
     report = attention_core.attention_allocation(
         layers, layout, last_k=min(args.last_k, len(layers)))
     if args.json:
@@ -207,12 +198,11 @@ def cmd_attn_report(args: argparse.Namespace) -> int:
             else:
                 print(f"  layer[-{report.window - idx}]: audio={pair[0]:.4f} "
                       f"visual={pair[1]:.4f}")
-    return 0
 
 
 # --- leakage ---------------------------------------------------------------------
 
-def cmd_leakage(args: argparse.Namespace) -> int:
+def cmd_leakage(args: argparse.Namespace) -> None:
     report = attention_core.leakage_probe(args.seed, use_maam=not args.no_maam)
     if args.json:
         print(dumps(asdict(report)))
@@ -220,7 +210,6 @@ def cmd_leakage(args: argparse.Namespace) -> int:
         mode = "with asymmetric mask" if report.use_maam else "causal only"
         print(f"seed {report.seed} ({mode}): direct_leakage={report.direct_leakage} "
               f"blocked_pair_mass={report.blocked_pair_mass}")
-    return 0
 
 
 # --- parser ------------------------------------------------------------------------
@@ -292,11 +281,15 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        args.func(args)
+        return 0
     except (OSError, ValueError) as exc:
-        return _fail(str(exc))
+        message = str(exc)
     except MemoryError as exc:  # an input too large for this process
-        return _fail(str(exc) or "out of memory")
+        message = str(exc) or "out of memory"
+    # One line even when the message quotes a line break from an input.
+    print("error:", " ".join(message.splitlines()), file=sys.stderr)
+    return 1
 
 
 if __name__ == "__main__":

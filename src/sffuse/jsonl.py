@@ -13,6 +13,7 @@ from __future__ import annotations
 import functools
 import json
 import os
+import stat
 from collections import Counter
 from pathlib import Path
 from typing import Callable, Iterable, Sequence, TypeVar
@@ -117,8 +118,9 @@ def write_records(*outputs: tuple[str | Path, Iterable[dict]]) -> None:
 
 def write_files(*outputs: tuple[str | Path, Iterable[bytes]]) -> None:
     """Write each ``(path, chunks)`` output, opening every path as ``open``
-    does before writing any: a path that cannot be opened raises ``open``'s
-    OSError and changes no file (a file this call created is removed again).
+    does before writing any. A path that cannot be opened (``open``'s OSError)
+    or two outputs that are one regular file (``ValueError("a and b are the
+    same file")``) changes no file: one this call created is removed again.
     Only a write error, such as a full disk, can leave some outputs written."""
     files, created = [], []
     try:
@@ -128,10 +130,15 @@ def write_files(*outputs: tuple[str | Path, Iterable[bytes]]) -> None:
                 created.append(path)
             except FileExistsError:  # opened without truncating it
                 files.append(open(path, "ab"))
+        stats = [os.fstat(fh.fileno()) for fh in files]
+        for k, (path, _) in enumerate(outputs):
+            for (other, _), earlier in zip(outputs, stats[:k]):
+                if stat.S_ISREG(stats[k].st_mode) and os.path.samestat(earlier, stats[k]):
+                    raise ValueError(f"{other} and {path} are the same file")
         created.clear()  # every path is open: from here on no file is removed
-        for fh, (_, chunks) in zip(files, outputs):
+        for fh, st, (_, chunks) in zip(files, stats, outputs):
             # Not a new file (ext4 flushes a truncated one at close), nor a device.
-            if os.fstat(fh.fileno()).st_size:
+            if st.st_size:
                 fh.truncate(0)
             fh.writelines(chunks)
             fh.close()

@@ -395,6 +395,23 @@ def test_annotate_unwritable_output_is_one_error_line(tmp_path, capsys, flag) ->
     assert out.read_bytes() == b"old labels\n"
 
 
+@pytest.mark.parametrize("flag", ["--report", "--records"])
+def test_annotate_outputs_naming_one_file_are_one_error_line(tmp_path, capsys, flag) -> None:
+    # Refused before any output is written, so the labels are not lost under
+    # the stats report, and no summary is printed.
+    out = tmp_path / "o.jsonl"
+    out.write_bytes(b"old labels\n")
+    same = str(tmp_path / "." / "o.jsonl")
+    code = main(["annotate", "--in", str(DATA / "instances_12.jsonl"), "--mock",
+                 "--out", str(out), flag, same])
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = assert_one_error_line(code, captured.err)
+    assert err == f"error: {out} and {same} are the same file\n"
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["o.jsonl"]
+    assert out.read_bytes() == b"old labels\n"
+
+
 def test_annotate_directory_input_is_one_error_line(capsys) -> None:
     code = main(["annotate", "--in", str(DATA), "--out", "unused.jsonl", "--mock"])
     err = assert_one_error_line(code, capsys.readouterr().err)
@@ -705,12 +722,30 @@ def test_mask_unwritable_output_is_one_error_line(tmp_path, capsys) -> None:
     old.write_bytes(b"old grid\n")
     for argv in (["--out", missing], ["--out", str(old), "--rle", missing],
                  ["--out", str(tmp_path / "new"), "--rle", missing],
-                 ["--out", missing, "--rle", str(old)]):
+                 ["--out", missing, "--rle", str(old)], ["--row", "2", "--out", missing]):
         code = main(["mask", "--spec", LAYOUT, *argv])
-        err = assert_one_error_line(code, capsys.readouterr().err)
+        captured = capsys.readouterr()
+        assert captured.out == "", argv
+        err = assert_one_error_line(code, captured.err)
         assert err == f"error: [Errno 2] No such file or directory: '{missing}'\n", argv
         assert sorted(path.name for path in tmp_path.iterdir()) == ["old"], argv
         assert old.read_bytes() == b"old grid\n", argv
+
+
+def test_mask_outputs_naming_one_file_are_one_error_line(tmp_path, capsys) -> None:
+    # Refused before either output is written: an old file keeps its bytes,
+    # and a new one is not left behind.
+    old = tmp_path / "old"
+    old.write_bytes(b"old grid\n")
+    for first, second in [(str(old), str(tmp_path / "." / "old")),
+                          (str(tmp_path / "new"), str(tmp_path / "new"))]:
+        code = main(["mask", "--spec", LAYOUT, "--row", "2", "--out", first, "--rle", second])
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = assert_one_error_line(code, captured.err)
+        assert err == f"error: {first} and {second} are the same file\n"
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["old"]
+        assert old.read_bytes() == b"old grid\n"
 
 
 def test_mask_spec_syntax_error_names_its_path(tmp_path, capsys) -> None:

@@ -1,9 +1,10 @@
 """The JSON boundary: ``read_records`` names every bad record's ``path:line``
 once, ``read_document`` names its file, ``loads`` words an endpoint answer's
 fault as a file's, ``write_jsonl`` never writes a NaN or infinity,
-``write_files`` opens every output as ``open`` does before it writes any,
-``dumps`` writes what the stdlib encoder writes from any thread, and
-``finite_floats`` agrees with a plain-Python rule on any decoded JSON value."""
+``write_files`` opens every output as ``open`` does before it writes any
+and refuses two that are one file, ``dumps`` writes what the stdlib encoder
+writes from any thread, and ``finite_floats`` agrees with a plain-Python rule
+on any decoded JSON value."""
 
 import json
 import math
@@ -226,6 +227,28 @@ def test_write_files_that_cannot_open_a_path_changes_no_file(tmp_path) -> None:
         assert str(info.value) == message
         assert sorted(path.name for path in tmp_path.iterdir()) == ["old"]
         assert old.read_bytes() == b"kept\n"
+
+
+def test_write_files_refuses_two_outputs_naming_one_file(tmp_path, monkeypatch) -> None:
+    monkeypatch.chdir(tmp_path)
+    old, new = tmp_path / "old", tmp_path / "new"
+    old.write_bytes(b"kept\n")
+    (tmp_path / "link").symlink_to("old")
+    os.link(old, tmp_path / "hard")
+    inode = old.stat().st_ino
+    # Refused after every path is open and before any is written: the old
+    # file keeps its bytes and inode, and a new file is removed again.
+    for first, second in [("old", "old"), ("old", "./old"), ("link", "old"), ("old", "hard"),
+                          ("new", "new"), ("new", "./new")]:
+        outputs = [(first, [b"a"]), (tmp_path / "other", [b"b"]), (second, [b"c"])]
+        with pytest.raises(ValueError) as info:
+            write_files(*outputs)
+        assert str(info.value) == f"{first} and {second} are the same file"
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["hard", "link", "old"]
+        assert (old.read_bytes(), old.stat().st_ino) == (b"kept\n", inode)
+    if os.path.exists(os.devnull):  # a device may be named twice
+        write_files((os.devnull, [b"a"]), (new, [b"b"]), (os.devnull, [b"c"]))
+        assert new.read_bytes() == b"b"
 
 
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])

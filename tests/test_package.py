@@ -1,8 +1,9 @@
 """The package's import cost: each name is imported from the module that
 defines it, so ``import sffuse.tag_grammar`` loads only what that module
 needs, and importing the CLI leaves the HTTP client stack and the thread
-pool for first use. Also two rules of the package as a whole: every failure
-type is a ValueError, and ``jsonl`` is the one module that imports ``json``."""
+pool for first use. Also three rules of the package as a whole: every failure
+type is a ValueError, ``jsonl`` is the one module that imports ``json``, and
+``cli.main`` is the one place that ends a failed run."""
 
 import ast
 import importlib
@@ -87,3 +88,22 @@ def test_only_jsonl_imports_json() -> None:
             if any(name.partition(".")[0] == "json" for name in modules):
                 importers.add(path.name)
     assert importers == {"jsonl.py"}
+
+
+def test_only_cli_main_ends_a_failed_run() -> None:
+    # A subcommand returns None or raises; ``main`` alone writes to stderr
+    # and picks the exit status.
+    tree = ast.parse((SRC / "cli.py").read_text(encoding="utf-8"))
+    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    commands = [func for name, func in functions.items() if name.startswith("cmd_")]
+    assert len(commands) == 6
+    for func in commands:
+        values = [node.value for node in ast.walk(func)
+                  if isinstance(node, ast.Return) and node.value is not None]
+        assert values == [], func.name
+
+    def stderr_uses(root: ast.AST) -> int:
+        return sum(isinstance(node, ast.Attribute) and node.attr == "stderr"
+                   for node in ast.walk(root))
+
+    assert stderr_uses(tree) == stderr_uses(functions["main"]) > 0
