@@ -54,6 +54,10 @@ class ProbeSetting(enum.Enum):
     AV = "AV"
 
 
+# The settings in probing order; iterating an Enum class is slower than a tuple.
+_SETTINGS = tuple(ProbeSetting)
+
+
 @dataclass(frozen=True)
 class Instance:
     id: str
@@ -99,7 +103,7 @@ class PemRecord:
             decision = {"kind": "discard", "reason": self.decision.value}
         # Spelled out: ``asdict`` deep-copies every field, on annotate's hot path.
         settings = {}
-        for setting in ProbeSetting:
+        for setting in _SETTINGS:
             record = self.settings[setting]
             settings[setting.value] = {"accuracy_rate": record.accuracy_rate,
                                        "consistency": record.consistency,
@@ -138,16 +142,18 @@ def accuracy_rate(samples: _Samples, gold: str) -> float:
 _NORM_FLOOR = math.sqrt(np.finfo(float).tiny)
 
 
-def _unit_rows(texts: Sequence[str], embedder: TextEmbedder) -> np.ndarray:
-    """Embed each distinct text once, in first-seen order, and return one
-    unit-length row per entry of ``texts``; identical texts share a row."""
+def _unit_rows(texts: Sequence[str], embedder: TextEmbedder) -> tuple[np.ndarray, list[int]]:
+    """Embed each distinct text once, in first-seen order, and return the
+    distinct texts' unit-length rows and, per entry of ``texts``, the index
+    of its row; identical texts share a row. The norms are ``norm(axis=1)``
+    spelled out (its expression for real input, without its wrapper)."""
     row_of: dict[str, int] = {}
     rows = [row_of.setdefault(text, len(row_of)) for text in texts]
     vectors = np.asarray(embedder.embed(list(row_of)), dtype=float)
     if vectors.ndim != 2 or vectors.shape[0] != len(row_of):
         raise ValueError("embedder must return one vector per text")
     with np.errstate(over="ignore"):
-        norms = np.linalg.norm(vectors, axis=1, keepdims=True)
+        norms = np.sqrt(np.add.reduce(vectors * vectors, axis=1, keepdims=True))
     # Every norm normal and finite is the common case, and needs no check: a
     # NaN or infinite entry makes its row's norm NaN or inf, and a NaN fails
     # both comparisons, so such rows still reach the finite check first.
@@ -163,18 +169,20 @@ def _unit_rows(texts: Sequence[str], embedder: TextEmbedder) -> np.ndarray:
         if not peaks.all():
             raise ValueError("embedder returned a zero vector")
         vectors = vectors / np.where(extreme, peaks, 1.0)
-        norms = np.linalg.norm(vectors, axis=1, keepdims=True)
-    return (vectors / norms)[rows]
+        norms = np.sqrt(np.add.reduce(vectors * vectors, axis=1, keepdims=True))
+    return vectors / norms, rows
 
 
-def _mean_pair_cosines(blocks: np.ndarray,
+def _mean_pair_cosines(unit: np.ndarray, blocks: np.ndarray,
                        pairs: tuple[np.ndarray, np.ndarray]) -> list[float]:
-    """Per block of a (blocks, n, dim) stack of unit rows, the mean dot over
-    all unordered row pairs, given as ``np.triu_indices(n, 1)``. Each pair's
-    product is summed on its own (no Gram matrix, whose BLAS rounding
-    differs), and fsum makes each mean exactly permutation-invariant."""
+    """Per row of ``blocks``, a (blocks, n) array of indices into the unit
+    rows ``unit``, the mean dot over all unordered pairs of its n rows,
+    given as ``np.triu_indices(n, 1)``. Each pair's rows are taken by index
+    from ``unit`` and their product summed on its own (no Gram matrix,
+    whose BLAS rounding differs); fsum makes each mean exactly
+    permutation-invariant."""
     first, second = pairs
-    dots = (blocks[:, first] * blocks[:, second]).sum(axis=2)
+    dots = (unit[blocks[:, first]] * unit[blocks[:, second]]).sum(axis=2)
     # fsum over Python floats: the same sums, without a numpy scalar per pair.
     return [math.fsum(row) / len(row) for row in dots.tolist()]
 
@@ -190,7 +198,8 @@ def consistency(cot_texts: Sequence[str], embedder: TextEmbedder) -> float:
     if len(cot_texts) < 2:
         raise ValueError("consistency needs at least 2 texts")
     pairs = np.triu_indices(len(cot_texts), k=1)
-    return _mean_pair_cosines(_unit_rows(cot_texts, embedder)[None], pairs)[0]
+    unit, rows = _unit_rows(cot_texts, embedder)
+    return _mean_pair_cosines(unit, np.array([rows]), pairs)[0]
 
 
 def solvable(accuracy: float, cot_consistency: float, cfg: PipelineConfig) -> bool:
@@ -267,7 +276,9 @@ def annotate(
     schedule. Each instance's three sample sets are drawn first; then its
     distinct CoT texts go to the embedder in one call. An instance's
     ValueError (every pipeline failure is one) or OSError is recorded in the
-    stats, never aborting the batch; any other exception is a bug.
+    stats, never aborting the batch; any other exception is a bug. A worker
+    thread the OS cannot start is a ``PipelineError`` naming the
+    parallelism, raised after the queued instances are cancelled.
     """
     if not dataset:
         raise EmptyDatasetError("dataset is empty")
@@ -280,18 +291,18 @@ def annotate(
         the stats row of its recorded failure."""
         try:
             draws = {setting: _checked(sampler.sample(instance, setting, cfg.n), cfg.n)
-                     for setting in ProbeSetting}
+                     for setting in _SETTINGS}
             # One embedder call per instance, over its distinct CoT texts, and
-            # one pair-cosine pass over the settings' (n, dim) blocks.
-            unit = _unit_rows(
+            # one pair-cosine pass over the settings' rows of n indices.
+            unit, rows = _unit_rows(
                 [cot for samples in draws.values() for _, cot in samples], embedder)
             cons_per_setting = _mean_pair_cosines(
-                unit.reshape(len(draws), cfg.n, -1), pairs)
+                unit, np.array(rows).reshape(len(draws), cfg.n), pairs)
             per_setting: dict[ProbeSetting, SolvabilityRecord] = {}
             for (setting, samples), cons in zip(draws.items(), cons_per_setting):
                 acc = accuracy_rate(samples, instance.gold_answer)
                 per_setting[setting] = SolvabilityRecord(acc, cons, solvable(acc, cons, cfg))
-            decision = decide_pem(*[per_setting[setting].solvable for setting in ProbeSetting])
+            decision = decide_pem(*[per_setting[setting].solvable for setting in _SETTINGS])
             record = PemRecord(instance.id, per_setting, decision)
             if not isinstance(decision, PemLabel):
                 return record, None
@@ -307,7 +318,15 @@ def annotate(
         # Imported here: it loads logging and queue, which only parallel runs need.
         from concurrent.futures import ThreadPoolExecutor
         with ThreadPoolExecutor(max_workers=cfg.parallelism) as pool:
-            results = list(pool.map(process, dataset))
+            # ``map`` submits every task, starting the worker threads as it
+            # goes; ``process``'s own exceptions surface only in ``list``.
+            try:
+                mapped = pool.map(process, dataset)
+            except RuntimeError as exc:  # "can't start new thread"
+                pool.shutdown(cancel_futures=True)
+                raise PipelineError(f"parallelism {cfg.parallelism}: cannot start "
+                                    f"a worker thread: {exc}") from exc
+            results = list(mapped)
     records, labeled, failures = [], [], []
     label_counts = {label.value: 0 for label in PemLabel}
     discard_counts = {reason.value: 0 for reason in DiscardReason}
@@ -384,8 +403,9 @@ def write_jsonl(*outputs: tuple[str | Path, Iterable[dict]]) -> None:
 _SOLVABLE_MARKER = re.compile(r"solvable=((?:AV|A|V)(?:,(?:AV|A|V))*|none)\b")
 
 
-def _scripted_pattern(instance: Instance) -> set[ProbeSetting]:
-    """Read a 'solvable=A,AV' marker from the media refs or question.
+def _scripted_pattern(instance: Instance) -> set[str]:
+    """Read a 'solvable=A,AV' marker from the media refs or question, as
+    the set of setting names (``"A"``, ``"V"``, ``"AV"``) it lists.
 
     The marker scripts which settings the mock treats as solvable; without
     one, every setting solves (the trivially-easy pattern).
@@ -393,32 +413,33 @@ def _scripted_pattern(instance: Instance) -> set[ProbeSetting]:
     haystack = " ".join((instance.audio_ref, instance.video_ref, instance.question))
     match = _SOLVABLE_MARKER.search(haystack)
     if match is None:
-        return set(ProbeSetting)
+        return {"A", "V", "AV"}
     if match.group(1) == "none":
         return set()
-    return {ProbeSetting(token) for token in match.group(1).split(",")}
+    return set(match.group(1).split(","))
 
 
 class MockCotSampler:
     """Offline sampler with scripted per-setting solvability.
 
-    Solvable settings yield n identical gold-answer samples (accuracy 1,
-    consistency 1); unsolvable settings yield n distinct wrong answers with
-    divergent rationales.
+    Solvable settings, whose names the instance's scripted pattern lists,
+    yield n identical gold-answer samples (accuracy 1, consistency 1);
+    unsolvable settings yield n distinct wrong answers with divergent
+    rationales.
     """
 
     def sample(self, instance: Instance, setting: ProbeSetting, n: int) -> _Samples:
         if n < 2:
             raise ValueError("n must be >= 2")
-        if setting in _scripted_pattern(instance):
-            answer = instance.gold_answer
-            cot = (f"Under the {setting.value} input the evidence for "
-                   f"{instance.id} is stable and supports: {answer}.")
-            return ((answer, cot),) * n
+        name, instance_id, gold = setting.value, instance.id, instance.gold_answer
+        if name in _scripted_pattern(instance):
+            cot = (f"Under the {name} input the evidence for "
+                   f"{instance_id} is stable and supports: {gold}.")
+            return ((gold, cot),) * n
         return tuple(
-            (f"not-{instance.gold_answer}-{k}",
-             f"Attempt {k}: speculative {setting.value} reading of "
-             f"{instance.id} with no firm evidence.")
+            (f"not-{gold}-{k}",
+             f"Attempt {k}: speculative {name} reading of "
+             f"{instance_id} with no firm evidence.")
             for k in range(n))
 
 
@@ -445,14 +466,15 @@ class HashEmbedder:
         # 64-bit words, each mapped to [-1, 1] as word / 2**63 - 1 (exact: the
         # scale is a power of two).
         digests = []
+        append, prefixes = digests.append, self._prefixes
         for text in texts:
             # Encoded inside the counter-0 message and sliced, so an
             # unencodable text's error counts the same two prefix bytes.
             data = f"0:{text}".encode()[2:]
-            for prefix in self._prefixes:
+            for prefix in prefixes:
                 state = prefix.copy()
                 state.update(data)
-                digests.append(state.digest())
+                append(state.digest())
         vectors = np.frombuffer(b"".join(digests), dtype=">u8").reshape(
             len(texts), self.dim) / 2.0 ** 63 - 1.0
         # Each row's 1-D dot with itself, as one stacked (1, dim) @ (dim, 1)

@@ -4,7 +4,8 @@ reader and per-pair layout scan of the mask decode path as first written,
 loop-based references for the hash embedder, CoT consistency and the
 screening's unit rows, the dense attention forward and backward, the
 check-by-check trace parser, a random valid-layout generator used by the
-property and acceptance suites, a scripted sampler, and writers for the
+property and acceptance suites, a scripted sampler, a patch that refuses
+every thread start after the first, and writers for the
 trace and weights JSONL formats, the one-group-at-a-time GRPO objective
 as first written, the stdlib form of the JSON encoder, and a plain-Python
 rule for a list of finite JSON numbers."""
@@ -16,6 +17,7 @@ import json
 import math
 import re
 import struct
+import threading
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
@@ -29,7 +31,7 @@ from sffuse.mask_engine import (
     MaskMatrix,
     TokenLayout,
 )
-from sffuse.pem_pipeline import Instance, ProbeSetting, SamplingError
+from sffuse.pem_pipeline import Instance, MockCotSampler, ProbeSetting, SamplingError
 from sffuse.rl_core import GrpoConfig, GrpoResult, RolloutGroup
 from sffuse.tag_grammar import (
     TAG_NAMES,
@@ -601,6 +603,33 @@ class ScriptedSampler:
         if key not in self._script:
             raise SamplingError(f"no scripted samples for {key}")
         return tuple(self._script[key][:n])
+
+
+def refuse_threads_after_the_first(monkeypatch) -> tuple[list, list]:
+    """Make each ``threading.Thread.start`` after the first raise the
+    ``RuntimeError`` of an OS that cannot start a thread. The first thread's
+    ``MockCotSampler.sample`` calls wait (10 s at most) for that refusal, so a
+    thread pool tries its second thread while the first is busy. Returns
+    the started threads and the ids of the instances sampled."""
+    start, sample = threading.Thread.start, MockCotSampler.sample
+    refused = threading.Event()
+    started, sampled = [], []
+
+    def start_once(thread) -> None:
+        if started:
+            refused.set()
+            raise RuntimeError("can't start new thread")
+        started.append(thread)
+        start(thread)
+
+    def held_sample(self, instance, setting, n):
+        refused.wait(timeout=10)
+        sampled.append(instance.id)
+        return sample(self, instance, setting, n)
+
+    monkeypatch.setattr(threading.Thread, "start", start_once)
+    monkeypatch.setattr(MockCotSampler, "sample", held_sample)
+    return started, sampled
 
 
 def write_trace_records(path, records: Iterable[tuple[str, str]]) -> None:

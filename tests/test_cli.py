@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import write_weights_jsonl
+from conftest import refuse_threads_after_the_first, write_weights_jsonl
 from sffuse.attention_core import DEFAULT_ALLOCATION_WINDOW
 from sffuse.cli import build_parser, main
 from sffuse.rl_core import GrpoConfig
@@ -122,6 +122,18 @@ def test_annotate_rejects_parallelism_below_one(tmp_path, capsys) -> None:
                  "--out", str(tmp_path / "o.jsonl"), "--mock", "--parallelism", "0"])
     assert code == 1
     assert capsys.readouterr().err == "error: parallelism must be >= 1\n"
+
+
+def test_annotate_thread_start_failure_is_one_error_line(tmp_path, capsys,
+                                                        monkeypatch) -> None:
+    refuse_threads_after_the_first(monkeypatch)
+    code = main(["annotate", "--in", str(DATA / "instances_12.jsonl"),
+                 "--out", str(tmp_path / "o.jsonl"), "--mock", "--parallelism", "4"])
+    captured = capsys.readouterr()
+    assert assert_one_error_line(code, captured.err) == (
+        "error: parallelism 4: cannot start a worker thread: can't start new thread\n")
+    assert captured.out == ""
+    assert list(tmp_path.iterdir()) == []  # no output, no stats report
 
 
 def test_annotate_records_flag_writes_all_decisions(tmp_path, capsys) -> None:

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 from conftest import (
     ScriptedSampler,
+    refuse_threads_after_the_first,
     reference_consistency,
     reference_hash_vector,
     reference_pair_mean,
@@ -36,6 +37,7 @@ from sffuse.pem_pipeline import (
     MockCotSampler,
     PemRecord,
     PipelineConfig,
+    PipelineError,
     ProbeSetting,
     SamplingError,
     SolvabilityRecord,
@@ -185,6 +187,14 @@ def test_hash_embedder_matches_loop_reference_on_a_large_batch() -> None:
     texts = [f"trace {k}: {'Ünïcødé 🐕 ' * (k % 4)}" for k in range(200)]
     want = np.stack([reference_hash_vector(text, 32) for text in texts])
     assert HashEmbedder().embed(texts).tobytes() == want.tobytes()
+
+
+def test_hash_embedder_unencodable_text_counts_the_prefix_bytes() -> None:
+    # A lone surrogate cannot be UTF-8 encoded; the position counts the
+    # "0:" counter prefix, as the text is encoded inside that message.
+    with pytest.raises(UnicodeEncodeError,
+                       match=r"character '\\ud800' in position 5: surrogates not allowed"):
+        HashEmbedder().embed(["ok", "dog\ud800"])
 
 
 def test_hash_embedder_empty_batch() -> None:
@@ -540,6 +550,20 @@ def test_annotate_propagates_programming_errors(parallelism) -> None:
                  PipelineConfig(parallelism=parallelism))
 
 
+def test_annotate_thread_start_failure_is_a_pipeline_error(monkeypatch) -> None:
+    started, sampled = refuse_threads_after_the_first(monkeypatch)
+    dataset = load_fixture_dataset()
+    with pytest.raises(PipelineError) as caught:
+        annotate(dataset, MockCotSampler(), HashEmbedder(), PipelineConfig(parallelism=4))
+    assert str(caught.value) == ("parallelism 4: cannot start a worker thread: "
+                                 "can't start new thread")
+    # Only two instances were submitted, the second as its thread failed to
+    # start; it may have run before its queued task was cancelled. The one
+    # worker was joined.
+    assert len(started) == 1 and not started[0].is_alive()
+    assert set(sampled) <= {dataset[0].id, dataset[1].id}
+
+
 class CountingEmbedder:
     def __init__(self):
         self.calls = []
@@ -575,19 +599,40 @@ def test_mock_sampler_rejects_tiny_n() -> None:
     assert calls == []  # rejected before any request
 
 
-def test_mock_sampler_scripted_solvability() -> None:
-    inst = make_instance("m1", marker="?solvable=A,AV")
+def marker_cases():
+    """(instance, names of its solvable settings) for every marker form."""
+    names = ("A", "V", "AV")
+    for size in (1, 2, 3):
+        for order in itertools.permutations(names, size):
+            marker = ",".join(order)
+            yield pytest.param(make_instance(marker=f"?solvable={marker}"), set(order),
+                               id=marker)
+    yield pytest.param(make_instance(marker="?solvable=A,A"), {"A"}, id="A,A")
+    yield pytest.param(make_instance(marker="?solvable=none"), set(), id="none")
+    yield pytest.param(make_instance(), set(names), id="no-marker")
+    video = Instance(id="x1", question="What animal is barking?", gold_answer="collie",
+                     audio_ref="mock://audio/x1", video_ref="mock://video/x1?solvable=V")
+    yield pytest.param(video, {"V"}, id="video_ref")
+    question = Instance(id="x1", question="What animal is barking? solvable=AV,A",
+                        gold_answer="collie")
+    yield pytest.param(question, {"A", "AV"}, id="question")
+
+
+@pytest.mark.parametrize("inst, solvable_names", marker_cases())
+def test_mock_sampler_scripted_solvability(inst, solvable_names) -> None:
     sampler = MockCotSampler()
-    solvable_samples = sampler.sample(inst, ProbeSetting.A, 8)
-    assert accuracy_rate(solvable_samples, inst.gold_answer) == 1.0
-    assert len({cot for _, cot in solvable_samples}) == 1
-    unsolvable_samples = sampler.sample(inst, ProbeSetting.V, 8)
-    assert accuracy_rate(unsolvable_samples, inst.gold_answer) == 0.0
-    assert len({cot for _, cot in unsolvable_samples}) == 8
-    for samples in (solvable_samples, unsolvable_samples):  # plain string pairs
-        assert type(samples) is tuple and len(samples) == 8
+    for setting in ProbeSetting:
+        samples = sampler.sample(inst, setting, 8)
+        assert type(samples) is tuple and len(samples) == 8  # plain string pairs
         assert all(type(pair) is tuple and tuple(map(type, pair)) == (str, str)
                    for pair in samples)
+        if setting.value in solvable_names:
+            assert len(set(samples)) == 1 and samples[0][0] == inst.gold_answer
+            assert accuracy_rate(samples, inst.gold_answer) == 1.0
+        else:
+            assert accuracy_rate(samples, inst.gold_answer) == 0.0
+            assert len({answer for answer, _ in samples}) == 8
+            assert len({cot for _, cot in samples}) == 8
 
 
 def test_read_instances_fixture() -> None:
