@@ -21,7 +21,7 @@ from dataclasses import asdict, replace
 
 from . import attention_core, mask_engine, pem_pipeline, rl_core, tag_grammar
 from .config import DEFAULT_ALLOCATION_WINDOW, GrpoConfig, load_config
-from .jsonl import check_unique, dumps, read_records, str_fields, write_files
+from .jsonl import check_unique, dumps, read_records, str_fields, write_files, write_records
 from .normalize import check_gold_answer
 
 
@@ -119,7 +119,7 @@ def cmd_validate(args: argparse.Namespace) -> None:
     if not math.isfinite(summary["mean_stage2"]):
         raise ValueError("mean_stage2 overflows: reward weights are too large")
     if args.out:
-        pem_pipeline.write_jsonl((args.out, rows))
+        write_records((args.out, rows))
     print(dumps(summary) if args.json else
           f"{count} traces: mean_mps={summary['mean_mps']:.4f} "
           f"mean_acc={summary['mean_acc']:.4f} mean_stage2={summary['mean_stage2']:.4f}")
@@ -135,7 +135,7 @@ def cmd_mask(args: argparse.Namespace) -> None:
         mask = mask_engine.build_composite(layout)
         outputs = []
         if args.out:
-            outputs.append((args.out, [mask_engine.mask_to_text(mask).encode("ascii")]))
+            outputs.append((args.out, [mask_engine.text_grid(mask.visible)]))
         if args.rle:
             outputs.append((args.rle, [mask_engine.mask_to_rle(mask)]))
         write_files(*outputs)
@@ -143,7 +143,7 @@ def cmd_mask(args: argparse.Namespace) -> None:
             sys.stdout.write(mask_engine.mask_to_text(mask))
     if args.row is not None:  # last, so a run that fails prints nothing
         row = mask_engine.incremental_row(layout, args.row)
-        print("".join("1" if cell else "0" for cell in row))
+        sys.stdout.write(str(mask_engine.text_grid(row[None]), "ascii"))
 
 
 # --- grpo-step ------------------------------------------------------------------

@@ -334,13 +334,20 @@ def load_layout_spec(path: str | Path) -> TokenLayout:
 
 # --- Mask export formats --------------------------------------------------
 
+def text_grid(visible: np.ndarray) -> memoryview:
+    """The 2-D boolean array ``visible`` as ASCII bytes, one line per row:
+    a "0"/"1" character per cell (1 = visible), then "\n". The one cell
+    encoder of the text grid, whether written as a file, a string or a row."""
+    rows, cols = visible.shape
+    grid = np.empty((rows, cols + 1), dtype=np.uint8)
+    grid[:, cols] = ord("\n")
+    np.add(visible, ord("0"), out=grid[:, :cols], dtype=np.uint8)
+    return grid.reshape(-1).data
+
+
 def mask_to_text(mask: MaskMatrix) -> str:
     """Dense grid of 0/1 characters, one row per line. 1 = visible."""
-    n = mask.length
-    grid = np.empty((n, n + 1), dtype=np.uint8)
-    grid[:, n] = ord("\n")
-    np.add(mask.visible, ord("0"), out=grid[:, :n], dtype=np.uint8)
-    return str(grid.data, "ascii")
+    return str(text_grid(mask.visible), "ascii")
 
 
 def mask_from_text(text: str) -> MaskMatrix:

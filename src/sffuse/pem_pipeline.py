@@ -394,7 +394,7 @@ def read_instances(path: str | Path) -> list[Instance]:
 def write_jsonl(*outputs: tuple[str | Path, Iterable[dict]]) -> None:
     """``jsonl.write_records`` of each ``(path, rows)`` output: every row is
     encoded, then every path opened, before any file is written. Kept under
-    this name, which perfbench times."""
+    this name for ``annotate``'s outputs, which perfbench times by it."""
     write_records(*outputs)
 
 

@@ -24,6 +24,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 import pytest
 
+from sffuse.config import GrpoConfig
 from sffuse.mask_engine import (
     BLOCKED_ROLE_PAIRS,
     LayoutError,
@@ -32,7 +33,7 @@ from sffuse.mask_engine import (
     TokenLayout,
 )
 from sffuse.pem_pipeline import Instance, MockCotSampler, ProbeSetting, SamplingError
-from sffuse.rl_core import GrpoConfig, GrpoResult, RolloutGroup
+from sffuse.rl_core import GrpoResult, RolloutGroup
 from sffuse.tag_grammar import (
     TAG_NAMES,
     DiagnosticKind,

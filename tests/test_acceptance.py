@@ -13,7 +13,6 @@ import numpy as np
 import pytest
 
 from sffuse.attention_core import (
-    DEFAULT_ALLOCATION_WINDOW,
     AttentionInputs,
     attention_gradients,
     gradient_check,
@@ -21,12 +20,16 @@ from sffuse.attention_core import (
     masked_attention,
 )
 from sffuse.cli import main
-from sffuse.config import AppConfig
-from sffuse.mask_engine import TokenLayout, build_composite, incremental_row
-from sffuse.pem_pipeline import DiscardReason, PipelineConfig, decide_pem
-from sffuse.rl_core import (
+from sffuse.config import (
+    DEFAULT_ALLOCATION_WINDOW,
+    AppConfig,
     GrpoConfig,
+    PipelineConfig,
     RewardConfig,
+)
+from sffuse.mask_engine import TokenLayout, build_composite, incremental_row
+from sffuse.pem_pipeline import DiscardReason, decide_pem
+from sffuse.rl_core import (
     RolloutGroup,
     group_advantages,
     grpo_gradient_logp_new,

@@ -13,10 +13,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import refuse_threads_after_the_first, write_weights_jsonl
-from sffuse.attention_core import DEFAULT_ALLOCATION_WINDOW
+from conftest import random_layout, refuse_threads_after_the_first, write_weights_jsonl
 from sffuse.cli import build_parser, main
-from sffuse.rl_core import GrpoConfig
+from sffuse.config import DEFAULT_ALLOCATION_WINDOW, GrpoConfig
+from sffuse.mask_engine import ROLE_NAMES, build_composite, load_layout_spec, mask_to_text
 
 DATA = Path(__file__).parent / "data"
 
@@ -689,6 +689,34 @@ def test_mask_stdout_grid(capsys) -> None:
     code, stdout = run(capsys, "mask", "--spec", str(DATA / "layout_l6.json"))
     assert code == 0
     assert stdout == L6_GRID
+
+
+def layout_specs(tmp_path) -> list[Path]:
+    """Every layout spec in tests/data, then specs of 12 random layouts."""
+    specs = sorted(DATA.glob("layout_*.json"))
+    rng = np.random.default_rng(39)
+    for k in range(12):
+        layout = random_layout(rng, max_length=40)
+        spec = {"length": layout.length,
+                **{name: [[p, p] for p in sorted(getattr(layout, name))] for name in ROLE_NAMES}}
+        path = tmp_path / f"random_{k}.json"
+        path.write_text(json.dumps(spec), encoding="utf-8")
+        assert load_layout_spec(path) == layout
+        specs.append(path)
+    return specs
+
+
+def test_mask_row_and_out_are_the_grid_bytes(tmp_path, capsys) -> None:
+    # --row i is line i of the grid cut to its i + 1 causal cells, and --out
+    # holds the grid's bytes, for every row of every layout.
+    for spec in layout_specs(tmp_path):
+        grid = mask_to_text(build_composite(load_layout_spec(spec)))
+        for i, line in enumerate(grid.splitlines()):
+            assert run(capsys, "mask", "--spec", str(spec), "--row", str(i)) == (
+                0, line[:i + 1] + "\n")
+        out = tmp_path / f"{spec.stem}.txt"
+        assert run(capsys, "mask", "--spec", str(spec), "--out", str(out)) == (0, "")
+        assert out.read_bytes() == grid.encode("ascii")
 
 
 def test_mask_row_out_of_range(capsys) -> None:

@@ -22,6 +22,7 @@ from sffuse.mask_engine import (
     mask_from_text,
     mask_to_rle,
     mask_to_text,
+    text_grid,
 )
 from sffuse.tag_grammar import TAG_NAMES
 
@@ -586,6 +587,31 @@ def _export_cases() -> list[MaskMatrix]:
         if layout.length >= 300:
             large.append(build_composite(layout))
     return masks + large
+
+
+@pytest.mark.parametrize("cells, text", [
+    ([[1]], b"1\n"),
+    ([[0, 1, 1, 0, 1]], b"01101\n"),
+    ([[1], [0], [1]], b"1\n0\n1\n"),
+    ([[1, 0, 0], [1, 1, 0]], b"100\n110\n"),
+], ids=["1x1", "1x5", "3x1", "2x3"])
+def test_text_grid_writes_a_line_per_row(cells, text) -> None:
+    grid = text_grid(np.array(cells, dtype=bool))
+    assert isinstance(grid, memoryview)
+    assert bytes(grid) == text
+
+
+def test_text_grid_matches_the_per_cell_encoder_on_any_shape() -> None:
+    rng = np.random.default_rng(39)
+    for rows, cols in [(1, 1), (1, 40), (40, 1), (7, 13), (13, 7), (64, 64)]:
+        visible = rng.random((rows, cols)) < 0.5
+        expected = "".join("".join("1" if cell else "0" for cell in row) + "\n"
+                           for row in visible)
+        assert bytes(text_grid(visible)) == expected.encode("ascii")
+        # A strided, read-only view encodes the same as its copy.
+        view = visible.T
+        view.flags.writeable = False
+        assert bytes(text_grid(view)) == bytes(text_grid(view.copy()))
 
 
 def test_exports_byte_identical_to_reference_encoders() -> None:

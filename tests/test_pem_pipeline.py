@@ -23,20 +23,23 @@ from conftest import (
     reference_pair_mean,
     reference_unit_rows,
 )
-from sffuse.config import EmbedderEndpointConfig, config_from_dict
+from sffuse.config import (
+    EmbedderEndpointConfig,
+    EndpointConfig,
+    PipelineConfig,
+    config_from_dict,
+)
 from sffuse.normalize import answers_match
 from sffuse.pem_pipeline import (
     DiscardReason,
     EmbeddingError,
     EmptyDatasetError,
-    EndpointConfig,
     HashEmbedder,
     HttpEmbedder,
     HttpSampler,
     Instance,
     MockCotSampler,
     PemRecord,
-    PipelineConfig,
     PipelineError,
     ProbeSetting,
     SamplingError,

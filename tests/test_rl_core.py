@@ -9,11 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import reference_group_advantages, reference_grpo_objective, reference_parse_trace
+from sffuse.config import GrpoConfig, RewardConfig
 from sffuse.normalize import answers_match
 from sffuse.rl_core import (
     GroupError,
-    GrpoConfig,
-    RewardConfig,
     RolloutGroup,
     group_advantages,
     grpo_gradient_logp_new,
