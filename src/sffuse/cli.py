@@ -129,9 +129,9 @@ def cmd_validate(args: argparse.Namespace) -> None:
 
 def cmd_mask(args: argparse.Namespace) -> None:
     layout = mask_engine.load_layout_spec(args.spec)
-    if args.row is not None and not 0 <= args.row < layout.length:
-        raise ValueError(f"row {args.row} out of range [0, {layout.length})")
-    if args.out or args.rle or args.row is None:
+    # The row is read first and printed last: a failed run writes and prints nothing.
+    grid = None if args.row is None else mask_engine.incremental_row(layout, args.row)[None]
+    if args.out or args.rle or grid is None:
         mask = mask_engine.build_composite(layout)
         outputs = []
         if args.out:
@@ -139,11 +139,10 @@ def cmd_mask(args: argparse.Namespace) -> None:
         if args.rle:
             outputs.append((args.rle, [mask_engine.mask_to_rle(mask)]))
         write_files(*outputs)
-        if args.row is None and not outputs:
-            sys.stdout.write(mask_engine.mask_to_text(mask))
-    if args.row is not None:  # last, so a run that fails prints nothing
-        row = mask_engine.incremental_row(layout, args.row)
-        sys.stdout.write(str(mask_engine.text_grid(row[None]), "ascii"))
+        if not outputs:
+            grid = mask.visible
+    if grid is not None:
+        sys.stdout.write(str(mask_engine.text_grid(grid), "ascii"))
 
 
 # --- grpo-step ------------------------------------------------------------------

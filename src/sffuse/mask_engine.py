@@ -170,7 +170,8 @@ def build_composite(layout: TokenLayout) -> MaskMatrix:
 
 
 def incremental_row(layout: TokenLayout, i: int) -> np.ndarray:
-    """Visibility row for query position ``i`` over keys 0..i.
+    """Visibility row for query position ``i`` over keys 0..i; an ``i``
+    outside [0, L) raises LayoutError.
 
     Equals row ``i`` of the composite mask restricted to columns <= i. It is
     a read-only view into the layout's row table, built once in O(L), so
@@ -178,7 +179,7 @@ def incremental_row(layout: TokenLayout, i: int) -> np.ndarray:
     is the decode-time path where each step appends a single query row.
     """
     if not 0 <= i < layout.length:
-        raise IndexError(f"row {i} out of range [0, {layout.length})")
+        raise LayoutError(f"row {i} out of range [0, {layout.length})")
     table, codes = layout._row_table
     return table[codes[i], : i + 1]
 

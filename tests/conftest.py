@@ -112,7 +112,7 @@ def reference_incremental_row(layout: TokenLayout, i: int) -> np.ndarray:
     """The row loop as first written, a fresh row and one pass per rule over
     the layout's role sets; ``incremental_row`` must return equal rows."""
     if not 0 <= i < layout.length:
-        raise IndexError(f"row {i} out of range [0, {layout.length})")
+        raise LayoutError(f"row {i} out of range [0, {layout.length})")
     row = np.ones(i + 1, dtype=bool)
     for query, key in BLOCKED_ROLE_PAIRS:
         if i in getattr(layout, query):

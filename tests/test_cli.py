@@ -719,10 +719,24 @@ def test_mask_row_and_out_are_the_grid_bytes(tmp_path, capsys) -> None:
         assert out.read_bytes() == grid.encode("ascii")
 
 
-def test_mask_row_out_of_range(capsys) -> None:
-    code = main(["mask", "--spec", str(DATA / "layout_l6.json"), "--row", "9"])
-    assert code == 1
-    assert "out of range" in capsys.readouterr().err
+def test_mask_row_out_of_range(tmp_path, capsys) -> None:
+    # Rows just below, at and past the layout are one error line and no
+    # output: an old --out keeps its bytes, and no --rle file is made.
+    specs = layout_specs(tmp_path)
+    old = tmp_path / "old"
+    old.write_bytes(b"old grid\n")
+    files = sorted(tmp_path.iterdir())
+    for spec in specs:
+        length = load_layout_spec(spec).length
+        for row in (-1, length, length + 5):
+            for outputs in ([], ["--out", str(old), "--rle", str(tmp_path / "new.rle")]):
+                argv = ["mask", "--spec", str(spec), "--row", str(row), *outputs]
+                code = main(argv)
+                captured = capsys.readouterr()
+                assert (code, captured.out) == (1, ""), argv
+                assert captured.err == f"error: row {row} out of range [0, {length})\n", argv
+                assert sorted(tmp_path.iterdir()) == files, argv
+                assert old.read_bytes() == b"old grid\n", argv
 
 
 @pytest.mark.parametrize("spec, field", [

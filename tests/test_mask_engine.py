@@ -211,7 +211,7 @@ def test_incremental_row_summary_sees_everything() -> None:
 
 
 def test_incremental_row_out_of_range(fixture_layout) -> None:
-    with pytest.raises(IndexError):
+    with pytest.raises(LayoutError, match=r"^row 6 out of range \[0, 6\)$"):
         incremental_row(fixture_layout, 6)
 
 

@@ -2,10 +2,12 @@
 defines it, so ``import sffuse.tag_grammar`` loads only what that module
 needs, and importing the CLI leaves the HTTP client stack and the thread
 pool for first use. Also three rules of the package as a whole: every failure
-type is a ValueError, ``jsonl`` is the one module that imports ``json``, and
-``cli.main`` is the one place that ends a failed run."""
+type, and every exception a ``raise`` names, is a ValueError, ``jsonl`` is the
+one module that imports ``json``, and ``cli.main`` is the one place that ends
+a failed run."""
 
 import ast
+import builtins
 import importlib
 import json
 import os
@@ -73,6 +75,34 @@ def test_every_exception_type_of_the_package_is_a_value_error() -> None:
     assert names >= {"PipelineError", "EmptyDatasetError", "SamplingError", "EmbeddingError",
                      "ConfigError", "LayoutError", "GroupError", "FullyBlockedRowError"}
     assert [cls.__name__ for cls in defined if not issubclass(cls, ValueError)] == []
+
+
+# The raise statements whose exception is not a class named in place, each a
+# ValueError: ``error`` is a PipelineError type, ``type(exc)`` re-raises a
+# caught ValueError's type, and the two functions return a ValueError.
+DYNAMIC_RAISES = {("pem_pipeline", "self.error"), ("jsonl", "type(exc)"),
+                  ("jsonl", "_invalid_json"), ("jsonl", "_not_utf8")}
+
+
+def test_every_raise_of_the_package_raises_a_value_error() -> None:
+    # The exception types above are only half the rule: a builtin raised in
+    # place, such as IndexError, would escape ``cli.main`` as a traceback.
+    wrong, dynamic = [], set()
+    for path in sorted(SRC.glob("*.py")):
+        module = importlib.import_module(
+            "sffuse" if path.stem == "__init__" else f"sffuse.{path.stem}")
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, ast.Raise):
+                continue
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            raised = (vars(module).get(exc.id, getattr(builtins, exc.id, None))
+                      if isinstance(exc, ast.Name) else None)
+            if not isinstance(raised, type):
+                dynamic.add((path.stem, "raise" if exc is None else ast.unparse(exc)))
+            elif not issubclass(raised, ValueError):
+                wrong.append(f"{path.name}:{node.lineno}: {exc.id}")
+    assert wrong == []
+    assert dynamic == DYNAMIC_RAISES
 
 
 def test_only_jsonl_imports_json() -> None:
